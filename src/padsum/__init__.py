@@ -50,6 +50,7 @@ from .series import (
     finite_identity_sweep,
     general_sum_check,
     padic_sum_verify,
+    partial_sums,
     power_sum,
     power_sum_via_recurrence,
     random_telescope_spec,

@@ -15,12 +15,10 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .fps import check_first_order_ode, check_second_order_ode
-from .kernel import factorial
 from .padic import Prime, expand
 from .poly import GenPoly, RatPoly
 from .series import (
@@ -36,7 +34,6 @@ from .series import (
 from .tables import (
     CrossCheckError,
     TableSet,
-    bundle_from_json,
     bundle_to_json,
     int_pairs,
     sequence_slice,
@@ -78,10 +75,6 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_eps(text: str) -> int:
     if text in ("1", "+1"):
         return 1
@@ -118,21 +111,44 @@ def _cache_file(cache_dir: Path, kmax: int, eps: int) -> Path:
     return cache_dir / f"tables_{key}.json"
 
 
+_BUNDLE_KEYS = {"eps", "kmax", "A", "U", "V", "u", "v"}
+
+
+def _read_cached_bundle(cache_file: Path, kmax: int, eps: int) -> dict | None:
+    """The cached bundle for (kmax, eps), or None when the entry is missing,
+    does not parse, lacks the bundle keys or belongs to another request."""
+    try:
+        bundle = json.loads(cache_file.read_text())
+    except (OSError, ValueError):
+        return None
+    keys_ok = isinstance(bundle, dict) and bundle.keys() == _BUNDLE_KEYS
+    return bundle if keys_ok and (bundle["kmax"], bundle["eps"]) == (kmax, eps) else None
+
+
 def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path, use_cache: bool) -> dict:
     """Table bundle for (kmax, eps), from the on-disk cache when warm.
 
     All cross-checks run on a cold build; the cache key includes the
-    artifact version, so stale layouts can never be picked up.
+    artifact version, so stale layouts can never be picked up.  An unusable
+    cache entry is a miss and is rebuilt; entries are written to a temporary
+    file and renamed into place, so a reader never sees half a file.
     """
     cache_file = _cache_file(cache_dir, kmax, eps)
-    if use_cache and cache_file.exists():
-        return json.loads(cache_file.read_text())
+    if use_cache:
+        cached = _read_cached_bundle(cache_file, kmax, eps)
+        if cached is not None:
+            return cached
     tables = TableSet.build(kmax, eps, cross_check=True)
     pairs = int_pairs(kmax, cross_check=True) if kmax >= 1 else None
     bundle = bundle_to_json(tables, pairs)
     if use_cache:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(_dumps(bundle))
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(_dumps(bundle))
+            os.replace(tmp, cache_file)
+        finally:
+            tmp.unlink(missing_ok=True)
     return bundle
 
 
@@ -186,7 +202,7 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _suite_finite(kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _suite_finite(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps in (1, -1):
         tables = TableSet.build(kmax, eps)
@@ -225,7 +241,8 @@ def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
     ]
 
 
-def _suite_telescope(count: int, seed: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
+    count, seed = args.count, args.seed
     rng = random.Random(seed)
     specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)]
     specs.extend(_named_telescope_specs())
@@ -242,10 +259,8 @@ def _suite_telescope(count: int, seed: int, nmax: int) -> tuple[bool, list[str],
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]
 
 
-def _suite_padic(
-    kmax: int, primes: tuple[Prime, ...], nmax: int, x_values: tuple[Fraction, ...],
-    precision: int,
-) -> tuple[bool, list[str], list[dict]]:
+def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+    primes, x_values, precision = args.primes, args.x_values, args.precision
     reports: list[dict] = []
     failures: list[str] = []
     passed = rejected = total = 0
@@ -319,7 +334,8 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
     return ok, lines, reports, csv_rows
 
 
-def _suite_ode(nmin: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
+    nmin = 3
     for order in range(nmin, nmax + 1):
         first = check_first_order_ode(order)
         if not first.ok:
@@ -336,40 +352,27 @@ def _suite_ode(nmin: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
     return True, [line], [{"check": "ode", "verdict": "PASS", "orders": [nmin, nmax]}]
 
 
-def cmd_verify(args) -> int:
-    ok = True
-    lines: list[str] = []
-    reports: list[dict] = []
-    csv_rows: list[str] | None = None
+# suite -> (runner, default kmax, default nmax), in the order ``verify all``
+# runs them; ``verify all`` always uses the defaults, ignoring --kmax/--nmax.
+VERIFY_SUITES = {
+    "finite": (_suite_finite, 15, 25),
+    "telescope": (_suite_telescope, None, 15),
+    "padic": (_suite_padic, 8, 200),
+    "ode": (_suite_ode, None, 50),
+}
 
+
+def cmd_verify(args) -> int:
+    csv_rows: list[str] | None = None
     if args.suite == "padic" and args.claim is not None:
         ok, lines, reports, csv_rows = _padic_single_claim(args)
     else:
-        if args.suite in ("finite", "all"):
-            kmax = args.kmax if args.suite == "finite" else 15
-            nmax = args.nmax if args.suite == "finite" else 25
-            sub_ok, sub_lines, sub_reports = _suite_finite(kmax, nmax)
-            ok &= sub_ok
-            lines += sub_lines
-            reports += sub_reports
-        if args.suite in ("telescope", "all"):
-            nmax = args.nmax if args.suite == "telescope" else 15
-            sub_ok, sub_lines, sub_reports = _suite_telescope(args.count, args.seed, nmax)
-            ok &= sub_ok
-            lines += sub_lines
-            reports += sub_reports
-        if args.suite in ("padic", "all"):
-            kmax = args.kmax if args.suite == "padic" else 8
-            nmax = args.nmax if args.suite == "padic" else 200
-            sub_ok, sub_lines, sub_reports = _suite_padic(
-                kmax, args.primes, nmax, args.x_values, args.precision
-            )
-            ok &= sub_ok
-            lines += sub_lines
-            reports += sub_reports
-        if args.suite in ("ode", "all"):
-            nmax = args.nmax if args.suite == "ode" else 50
-            sub_ok, sub_lines, sub_reports = _suite_ode(3, nmax)
+        ok, lines, reports = True, [], []
+        for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
+            run, kmax, nmax = VERIFY_SUITES[suite]
+            if args.suite != "all":
+                kmax, nmax = args.kmax, args.nmax
+            sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
             ok &= sub_ok
             lines += sub_lines
             reports += sub_reports
@@ -527,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_verify_defaults(args) -> None:
     if args.command != "verify":
         return
-    defaults = {"finite": (15, 25), "telescope": (None, 15), "padic": (8, 200), "ode": (None, 50)}
-    if args.suite in defaults:
-        kmax_default, nmax_default = defaults[args.suite]
+    if args.suite in VERIFY_SUITES:
+        _, kmax_default, nmax_default = VERIFY_SUITES[args.suite]
         if args.kmax is None:
             args.kmax = kmax_default
         if args.nmax is None:

@@ -5,17 +5,19 @@ Every check here is exact: partial sums, boundary terms and closed-form
 constants are all computed as big rationals, and an identity either has a
 zero residual or the check fails loudly.  The only graded outcome is the
 p-adic verdict, which compares the valuation growth of the partial-sum
-error against the exact remainder bound.
+error against the exact remainder bound.  The finite checks, their
+sweeps and the p-adic error profiles all read one engine, :func:`partial_sums`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate, count
+from typing import Callable, Iterator, Sequence
 
-from .kernel import factorial, rising_block
+from .kernel import binomial, factorial, rising_block
 from .padic import (
     ConvergenceParams,
     Prime,
@@ -67,17 +69,21 @@ class PartialSumResult:
     def residual(self) -> Fraction:
         return self.value - self.rhs_constant - self.boundary
 
-    def report(self, check: str, params: dict) -> dict:
-        return {
-            "check": check,
-            "params": params,
-            "n_terms": self.n_terms,
-            "value": str(self.value),
-            "rhs_constant": str(self.rhs_constant),
-            "boundary": str(self.boundary),
-            "residual": str(self.residual),
-            "verdict": "PASS" if self.residual == 0 else "FAIL",
-        }
+
+def _checked(result: PartialSumResult, what: str, where: str) -> PartialSumResult:
+    """``result`` itself; a nonzero residual means a broken table or engine
+    and raises with the operands."""
+    if result.residual != 0:
+        raise VerificationError(f"{what} residual {result.residual} != 0 at {where}", result)
+    return result
+
+
+def _weights(eps: int, x: Fraction) -> Iterator[Fraction]:
+    """eps^i i! x^i for i = 0, 1, 2, ..., one multiplication per step."""
+    running = Fraction(1)
+    for i in count(1):
+        yield running
+        running *= eps * i * x
 
 
 def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
@@ -90,14 +96,8 @@ def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
         raise ValueError("k and n must be >= 0")
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    x = Fraction(x)
-    total = Fraction(0)
-    running = Fraction(1)  # eps^i * i! * x^i
-    for i in range(n):
-        if i:
-            running *= eps * i * x
-        total += running * i**k
-    return total
+    weights = _weights(eps, Fraction(x))
+    return sum((w * i**k for i, w in zip(range(n), weights)), Fraction(0))
 
 
 def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
@@ -111,8 +111,6 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     for its top term gives an independent route to S_{k+1}; it must agree
     with the direct sum exactly.  Requires x != 0.
     """
-    from .kernel import binomial
-
     x = Fraction(x)
     if x == 0:
         raise ValueError("the recurrence route needs x != 0")
@@ -124,136 +122,133 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     return (acc + tail) / (eps * x)
 
 
-def finite_identity_check(
-    k: int, eps: int, x: Fraction | int, n: int, tables: TableSet
-) -> PartialSumResult:
-    """Check sum_{i<n} eps^i i! [i^k x^k + U_k(x)] x^i
-    = V_k(x) + eps^(n-1) n! A_{k-1}(n; x) x^n, exactly.
+@dataclass(frozen=True)
+class SeriesSpec:
+    """The factorial power series sum_n eps^n n! P(n; x) x^n with the
+    rational combination P(n; x) = sum_j C_j [n^j x^j + U_j(x)]
+    (``coeffs`` = C_1..C_k, top coefficient nonzero).
 
-    A nonzero residual means a broken table or engine and raises with the
-    full operands.
+    ``k`` is an init-only shorthand for the single power
+    P(n; x) = n^k x^k + U_k(x): it sets C_k = 1 and every lower C_j = 0.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    x = Fraction(x)
-    u_k = tables.corr.u_poly(k)(x)
-    v_k = tables.corr.v_poly(k)(x)
-    a = tables.gen.poly(k - 1)
-    total = Fraction(0)
-    running = Fraction(1)
-    xk = x**k
-    for i in range(n):
-        if i:
-            running *= eps * i * x
-        total += running * (i**k * xk + u_k)
-    boundary = Fraction(eps ** (n - 1)) * factorial(n) * a.eval(n, x) * x**n
-    result = PartialSumResult(n, total, v_k, boundary)
-    if result.residual != 0:
-        raise VerificationError(
-            f"finite identity residual {result.residual} != 0 at"
-            f" k={k} eps={eps:+d} x={x} n={n}"
-            f" (value={result.value}, rhs={result.rhs_constant}, boundary={result.boundary})",
-            result,
+
+    eps: int
+    x: Fraction
+    k: InitVar[int | None] = None
+    coeffs: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self, k: int | None) -> None:
+        if self.eps not in (1, -1):
+            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        object.__setattr__(self, "x", Fraction(self.x))
+        if (k is None) == (self.coeffs is None):
+            raise ValueError("exactly one of k and coeffs must be given")
+        if k is not None and k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        coeffs = self.coeffs if k is None else (0,) * (k - 1) + (1,)
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if not coeffs or coeffs[-1] == 0:
+            raise ValueError("coeffs must be nonempty with nonzero top coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
+
+    def as_coeffs(self) -> tuple[Fraction, ...]:
+        return self.coeffs
+
+    def claimed_sum(self, tables: TableSet) -> Fraction:
+        """The closed-form value sum_j C_j V_j(x)."""
+        return sum(
+            (c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c),
+            Fraction(0),
         )
-    return result
+
+    def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
+        """term(i) = eps^i i! P(i; x) x^i, for valuation profiling."""
+        terms = _summand_terms(self, tables)
+
+        def term(i: int) -> Fraction:
+            return Fraction(self.eps**i) * factorial(i) * self.x**i * _summand(terms, i)
+
+        return term
+
+
+def _summand_terms(spec: SeriesSpec, tables: TableSet) -> tuple[tuple, ...]:
+    """(j, C_j x^j, C_j U_j(x), C_j, A_{j-1}) for each nonzero C_j:
+    everything P(i; x) and the remainder factor need, once per spec."""
+    if tables.corr.kmax < spec.order:
+        raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
+    x = spec.x
+    return tuple(
+        (j, c * x**j, c * tables.corr.u_poly(j)(x), c, tables.gen.poly(j - 1))
+        for j, c in enumerate(spec.coeffs, 1) if c
+    )
+
+
+def _summand(terms: tuple[tuple, ...], i: int) -> Fraction:
+    """P(i; x) = sum_j C_j [i^j x^j + U_j(x)]; ``terms`` is never empty."""
+    return sum(i**j * cxj + cu for j, cxj, cu, _, _ in terms)
+
+
+def partial_sums(
+    spec: SeriesSpec, n_max: int, tables: TableSet
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(N, S_N, R_N) for N = 1..n_max, one term of the sum per step.
+
+    S_N = sum_{i<N} eps^i i! P(i; x) x^i is the partial sum and
+    R_N = sum_j C_j A_{j-1}(N; x) the remainder factor of the identity
+
+        S_N = sum_j C_j V_j(x) + eps^(N-1) N! x^N R_N.
+
+    R_N comes without its factor eps^(N-1) N! x^N so that the p-adic bound
+    can take v_p(N!) by Legendre's formula instead of valuing a big product.
+    Too small tables raise here, before the first step.
+    """
+    terms = _summand_terms(spec, tables)
+    x = spec.x
+    summands = (w * _summand(terms, i) for i, w in zip(range(n_max), _weights(spec.eps, x)))
+    return (
+        (n, s, sum(c * a.eval(n, x) for _, _, _, c, a in terms))
+        for n, s in enumerate(accumulate(summands), 1)
+    )
+
+
+def _checked_sweep(
+    spec: SeriesSpec, n_max: int, tables: TableSet, what: str, where: str
+) -> list[PartialSumResult]:
+    """The identity of :func:`partial_sums` at every N = 1..n_max, each
+    checked exactly; raises on the first nonzero residual."""
+    if n_max < 1:
+        raise ValueError(f"n must be >= 1, got {n_max}")
+    sums = partial_sums(spec, n_max, tables)
+    rhs = spec.claimed_sum(tables)
+    results: list[PartialSumResult] = []
+    for n, s, r in sums:
+        boundary = Fraction(spec.eps ** (n - 1)) * factorial(n) * spec.x**n * r
+        results.append(_checked(PartialSumResult(n, s, rhs, boundary), what, f"{where} n={n}"))
+    return results
 
 
 def finite_identity_sweep(
     k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet
 ) -> list[PartialSumResult]:
-    """Run the finite identity for every n = 1..n_max with one incremental
-    partial sum; raises on the first nonzero residual."""
-    if k < 1 or n_max < 1:
-        raise ValueError("k and n_max must be >= 1")
-    x = Fraction(x)
-    u_k = tables.corr.u_poly(k)(x)
-    v_k = tables.corr.v_poly(k)(x)
-    a = tables.gen.poly(k - 1)
-    xk = x**k
-    results: list[PartialSumResult] = []
-    running = Fraction(1)  # eps^i i! x^i at i = 0
-    partial = u_k  # the i = 0 term: 0^k x^k + U_k(x) with k >= 1
-    xn = Fraction(1)
-    for n in range(1, n_max + 1):
-        xn *= x
-        boundary = Fraction(eps ** (n - 1)) * factorial(n) * a.eval(n, x) * xn
-        result = PartialSumResult(n, partial, v_k, boundary)
-        if result.residual != 0:
-            raise VerificationError(
-                f"finite identity residual {result.residual} != 0 at"
-                f" k={k} eps={eps:+d} x={x} n={n}",
-                result,
-            )
-        results.append(result)
-        running *= eps * n * x
-        partial += running * (n**k * xk + u_k)
-    return results
+    """Check sum_{i<n} eps^i i! [i^k x^k + U_k(x)] x^i
+    = V_k(x) + eps^(n-1) n! A_{k-1}(n; x) x^n exactly, for every
+    n = 1..n_max; raises on the first nonzero residual."""
+    spec = SeriesSpec(eps=eps, x=x, k=k)
+    return _checked_sweep(
+        spec, n_max, tables, "finite identity", f"k={k} eps={eps:+d} x={spec.x}"
+    )
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """The factorial power series sum_n eps^n n! P(n; x) x^n.
-
-    Either the single-power form P(n; x) = n^k x^k + U_k(x) (field ``k``)
-    or the general rational combination
-    P(n; x) = sum_j C_j [n^j x^j + U_j(x)] (field ``coeffs``, C_1..C_k).
-    """
-
-    eps: int
-    x: Fraction
-    k: int | None = None
-    coeffs: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-        object.__setattr__(self, "x", Fraction(self.x))
-        if (self.k is None) == (self.coeffs is None):
-            raise ValueError("exactly one of k and coeffs must be given")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.coeffs is not None:
-            coeffs = tuple(Fraction(c) for c in self.coeffs)
-            if not coeffs or coeffs[-1] == 0:
-                raise ValueError("coeffs must be nonempty with nonzero top coefficient")
-            object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return self.k if self.k is not None else len(self.coeffs)
-
-    def as_coeffs(self) -> tuple[Fraction, ...]:
-        if self.coeffs is not None:
-            return self.coeffs
-        return (Fraction(0),) * (self.k - 1) + (Fraction(1),)
-
-    def claimed_sum(self, tables: TableSet) -> Fraction:
-        """The closed-form value sum_j C_j V_j(x)."""
-        coeffs = self.as_coeffs()
-        return sum(
-            (c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(coeffs, 1)),
-            Fraction(0),
-        )
-
-    def summand_poly_values(self, tables: TableSet) -> tuple[Fraction, ...]:
-        """U_j(x) for j = 1..order, precomputed for term generation."""
-        return tuple(tables.corr.u_poly(j)(self.x) for j in range(1, self.order + 1))
-
-    def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
-        """term(i) = eps^i i! P(i; x) x^i, for valuation profiling."""
-        coeffs = self.as_coeffs()
-        u_vals = self.summand_poly_values(tables)
-        x = self.x
-        eps = self.eps
-
-        def term(i: int) -> Fraction:
-            p_val = sum(
-                (c * (i**j * x**j + u_vals[j - 1]) for j, c in enumerate(coeffs, 1)),
-                Fraction(0),
-            )
-            return Fraction(eps**i) * factorial(i) * p_val * x**i
-
-        return term
+def finite_identity_check(
+    k: int, eps: int, x: Fraction | int, n: int, tables: TableSet
+) -> PartialSumResult:
+    """The finite identity at n terms: the last entry of its sweep, so
+    every smaller n is checked on the way."""
+    return finite_identity_sweep(k, eps, x, n, tables)[-1]
 
 
 def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumResult:
@@ -262,39 +257,10 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
         sum_{i<n} eps^i i! P(i; x) x^i
             = sum_j C_j V_j(x) + eps^(n-1) n! x^n sum_j C_j A_{j-1}(n; x)
 
-    exactly, by linearity of the single-power identity."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = spec.as_coeffs()
-    if tables.corr.kmax < len(coeffs):
-        raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {len(coeffs)}")
-    x = spec.x
-    eps = spec.eps
-    u_vals = spec.summand_poly_values(tables)
-    rhs = spec.claimed_sum(tables)
-    total = Fraction(0)
-    running = Fraction(1)
-    for i in range(n):
-        if i:
-            running *= eps * i * x
-        p_val = sum(
-            (c * (i**j * x**j + u_vals[j - 1]) for j, c in enumerate(coeffs, 1)),
-            Fraction(0),
-        )
-        total += running * p_val
-    a_sum = sum(
-        (c * tables.gen.poly(j - 1).eval(n, x) for j, c in enumerate(coeffs, 1)),
-        Fraction(0),
-    )
-    boundary = Fraction(eps ** (n - 1)) * factorial(n) * x**n * a_sum
-    result = PartialSumResult(n, total, rhs, boundary)
-    if result.residual != 0:
-        raise VerificationError(
-            f"general sum residual {result.residual} != 0 at"
-            f" coeffs={coeffs} eps={eps:+d} x={x} n={n}",
-            result,
-        )
-    return result
+    exactly, by linearity of the single-power identity, at n and every
+    smaller number of terms."""
+    where = f"coeffs={spec.coeffs} eps={spec.eps:+d} x={spec.x}"
+    return _checked_sweep(spec, n, tables, "general sum", where)[-1]
 
 
 @dataclass(frozen=True)
@@ -391,25 +357,12 @@ class TelescopeSpec:
         return -self.boundary(1)
 
 
-def telescope_check(spec: TelescopeSpec, n_terms: int) -> PartialSumResult:
-    """Check sum_{n=1}^{N-1} term(n) = -G(1) + G(N), exactly (N = n_terms).
+def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
+    """Check sum_{n=1}^{N-1} term(n) = -G(1) + G(N) exactly at every
+    N = 1..n_max with one incremental sum.
 
     N = 1 is the empty sum, which the boundary values must already balance.
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    partial = sum((spec.term(n) for n in range(1, n_terms)), Fraction(0))
-    result = PartialSumResult(n_terms, partial, spec.rhs_constant(), spec.boundary(n_terms))
-    if result.residual != 0:
-        raise VerificationError(
-            f"telescoping residual {result.residual} != 0 at N={n_terms} for {spec}",
-            result,
-        )
-    return result
-
-
-def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
-    """Telescoping check at every N = 1..n_max with one incremental sum."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rhs = spec.rhs_constant()
@@ -417,14 +370,14 @@ def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
     partial = Fraction(0)
     for n in range(1, n_max + 1):
         result = PartialSumResult(n, partial, rhs, spec.boundary(n))
-        if result.residual != 0:
-            raise VerificationError(
-                f"telescoping residual {result.residual} != 0 at N={n} for {spec}",
-                result,
-            )
-        results.append(result)
+        results.append(_checked(result, "telescoping", f"N={n} for {spec}"))
         partial += spec.term(n)
     return results
+
+
+def telescope_check(spec: TelescopeSpec, n_terms: int) -> PartialSumResult:
+    """The telescoping identity at N = n_terms: the last entry of its sweep."""
+    return telescope_sweep(spec, n_terms)[-1]
 
 
 def random_telescope_spec(rng: random.Random) -> TelescopeSpec:
@@ -511,31 +464,10 @@ def series_error_profile(
 ) -> SeriesErrorProfile:
     """Partial-sum errors and remainder factors for N = 1..n_max."""
     claimed = Fraction(claimed)
-    coeffs = spec.as_coeffs()
-    if tables.corr.kmax < len(coeffs):
-        raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {len(coeffs)}")
-    x = spec.x
-    eps = spec.eps
-    u_vals = spec.summand_poly_values(tables)
-    a_polys = [tables.gen.poly(j - 1) for j in range(1, len(coeffs) + 1)]
-    errors: list[Fraction] = []
-    factors: list[Fraction] = []
-    running = Fraction(1)
-    partial = Fraction(0)
-    for n in range(1, n_max + 1):
-        i = n - 1
-        if i:
-            running *= eps * i * x
-        p_val = sum(
-            (c * (i**j * x**j + u_vals[j - 1]) for j, c in enumerate(coeffs, 1)),
-            Fraction(0),
-        )
-        partial += running * p_val
-        errors.append(partial - claimed)
-        factors.append(
-            sum((c * a_polys[j - 1].eval(n, x) for j, c in enumerate(coeffs, 1)), Fraction(0))
-        )
-    return SeriesErrorProfile(spec, claimed, tuple(errors), tuple(factors))
+    sums = list(partial_sums(spec, n_max, tables))
+    return SeriesErrorProfile(
+        spec, claimed, tuple(s - claimed for _, s, _ in sums), tuple(r for _, _, r in sums)
+    )
 
 
 @dataclass(frozen=True)
@@ -579,12 +511,20 @@ def padic_sum_verify(
     the exact valuation of the known remainder.  The first violating N is
     reported on FAIL.  A precomputed ``profile`` is reused (it is
     prime-independent).
+
+    Outside the series' convergence domain, v_p(x) <= -1/(p-1), the bound
+    stops growing and no claim could be rejected, so the check refuses to
+    run there and raises :class:`ConvergenceDomainError`.
     """
+    vx = val_rat(spec.x, p)
+    # in_convergence_domain for one factorial and x^n, reusing v_p(x)
+    threshold = convergence_threshold(ConvergenceParams(alpha=1, mu_lambda_sum=1), p)
+    if not vx > threshold:
+        raise ConvergenceDomainError(spec.x, p, threshold)
     if profile is None:
         if tables is None:
             tables = TableSet.build(spec.order, spec.eps)
         profile = series_error_profile(spec, claimed, n_max, tables)
-    vx = val_rat(spec.x, p)
     valuations: list[Valuation] = []
     bounds: list[Valuation] = []
     first_violation: int | None = None

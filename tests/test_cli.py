@@ -1,5 +1,6 @@
 """Command-line interface: formats, caching, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,11 +8,25 @@ import pytest
 
 from padsum.cli import (
     BFileError,
-    format_rational,
     main,
     parse_bfile,
     parse_rational,
 )
+from padsum.tables import TableSet
+
+# Exit code and SHA-256 of the stdout of small runs of each verify path;
+# any change to what they print must show here.
+GOLDEN_STDOUT = {
+    "verify finite --kmax 4 --nmax 8 --format json":
+        (0, "a99ddfecb974106c905ff8e66181d2d9b03ee5c9cfb979428df3c9eb52347057"),
+    "verify padic --kmax 3 --nmax 40 --primes 2,3 --x-values 1,-1,2 --format json":
+        (0, "5870e6effd202fcee895f6b67543beed9e5049651a11d8f4f955fa8f5cf542ef"),
+    # -1 is the k = 1 sum, so at k = 2 the claim fails: the profile is still printed
+    "verify padic --claim=-1 --k 2 --nmax 30 --primes 2,3 --format csv":
+        (1, "6796798a86bc1a6131d39fda5eecb2e7adb67fe34ae66fb3d03dabb1703c776b"),
+    "verify telescope --count 4 --seed 3 --nmax 8 --format json":
+        (0, "99487a01084af50e15eeeb4cf7140ff43ad380ecdb10586247463abcbdd9180d"),
+}
 
 
 @pytest.fixture()
@@ -28,7 +43,7 @@ def run(args):
 def test_rational_literals_round_trip():
     for text in ("3", "-2/3", "0", "+7/2", "10/4"):
         value = parse_rational(text)
-        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(str(value)) == value
     assert parse_rational("-2/3") == Fraction(-2, 3)
 
 
@@ -51,6 +66,29 @@ def test_tables_json_and_warm_cache(dirs, capsys):
     assert run(["tables", "--kmax", 11, "--format", "json", "--out", out, "--cache-dir", cache]) == 0
     assert path.read_bytes() == first_bytes  # warm cache is byte-identical
     assert len(list(cache.glob("tables_*.json"))) == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: '{"eps": 1}',
+        lambda text: json.dumps({**json.loads(text), "kmax": 2}),
+    ],
+    ids=["truncated", "missing-keys", "other-kmax"],
+)
+def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
+    out, cache = dirs
+    args = ["tables", "--kmax", 3, "--format", "json", "--out", out, "--cache-dir", cache]
+    assert run(args) == 0
+    path = out / "tables_k3_p1.json"
+    fresh = path.read_bytes()
+    (entry,) = cache.iterdir()
+    entry.write_text(corrupt(entry.read_text()))
+    assert run(args) == 0
+    assert path.read_bytes() == fresh
+    assert entry.read_bytes() == fresh  # rebuilt in place, no temporary file left
+    assert list(cache.iterdir()) == [entry]
 
 
 def test_tables_text_negative_sign(dirs, capsys):
@@ -82,6 +120,36 @@ def test_verify_suites_exit_zero(capsys):
     assert run(["verify", "telescope", "--count", 4, "--nmax", 8]) == 0
     assert run(["verify", "ode", "--nmax", 10]) == 0
     assert run(["verify", "padic", "--kmax", 2, "--nmax", 30, "--primes", "2,3"]) == 0
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_verify_stdout_is_pinned(argv, capsys):
+    rc = run(argv.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (rc, digest) == GOLDEN_STDOUT[argv]
+
+
+def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
+    build = TableSet.build
+    monkeypatch.setattr(
+        TableSet, "build",
+        staticmethod(lambda kmax, eps, cross_check=True: tamper_v1(build(kmax, eps, cross_check))),
+    )
+    assert run(["verify", "finite", "--kmax", 2, "--nmax", 3]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL finite: finite identity residual -1 != 0 at k=1 eps=+1 x=-3 n=1\n"
+    )
+
+
+def test_verify_padic_outside_domain_exits_2(capsys):
+    # sum n! n x^n diverges 2-adically at x = 1/2, so any claim would pass
+    args = ["verify", "padic", "--claim=5", "--k", 1, "--x", "1/2", "--nmax", 60]
+    assert run([*args, "--primes", 2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: x = 1/2 is outside the convergence domain for p = 2")
+    assert run([*args, "--primes", 3]) == 1
+    assert "violated at N=6" in capsys.readouterr().out
 
 
 def test_verify_single_claim_modes(capsys):

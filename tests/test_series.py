@@ -102,6 +102,20 @@ def test_finite_identity_sweep_matches_single(tables_plus):
     assert swept[6] == single
 
 
+def test_finite_checks_raise_on_tampered_table(tables_plus, tamper_v1):
+    tampered = tamper_v1(tables_plus)
+    spec = SeriesSpec(eps=1, x=Fraction(2), coeffs=(Fraction(1), Fraction(1, 2)))
+    checks = (
+        lambda: finite_identity_sweep(1, 1, 2, 5, tampered),
+        lambda: finite_identity_check(1, 1, 2, 5, tampered),
+        lambda: general_sum_check(spec, 5, tampered),
+    )
+    for check in checks:
+        with pytest.raises(VerificationError) as err:
+            check()
+        assert err.value.result.residual == -1
+
+
 def test_general_sum_single_power_reduction(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), coeffs=(Fraction(1),))
     combined = general_sum_check(spec, 6, tables_plus)
@@ -127,6 +141,17 @@ def test_general_sum_rational_mix_is_average(tables_plus):
     second = finite_identity_check(2, 1, 2, 7, tables_plus)
     assert mixed.value == (first.value + second.value) / 2
     assert mixed.boundary == (first.boundary + second.boundary) / 2
+
+
+def test_tables_too_small_for_spec():
+    small = TableSet.build(1, 1)  # U/V through k = 2
+    spec = SeriesSpec(eps=1, x=Fraction(1), k=3)
+    for check in (
+        lambda: general_sum_check(spec, 4, small),
+        lambda: series_error_profile(spec, 0, 4, small),
+    ):
+        with pytest.raises(ValueError, match="tables cover k <= 2, need 3"):
+            check()
 
 
 def test_series_spec_validation():
@@ -184,6 +209,21 @@ def test_telescope_spec_validation():
         TelescopeSpec(**{**good, "aux": RatPoly((Fraction(1, 2),))})
 
 
+def test_telescope_checks_raise_on_perturbed_term():
+    class OffByOne(TelescopeSpec):
+        def term(self, n):
+            return super().term(n) + 1
+
+    spec = OffByOne(
+        mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=Fraction(1), aux=RatPoly.one()
+    )
+    for check in (telescope_sweep, telescope_check):
+        with pytest.raises(VerificationError) as err:
+            check(spec, 4)
+        assert err.value.result.n_terms == 2  # N = 1 is the empty sum
+        assert err.value.result.residual == 1
+
+
 def test_construct_telescope_poly():
     plain = TelescopeSpec(
         mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=Fraction(1), aux=RatPoly.one()
@@ -227,6 +267,18 @@ def test_padic_sum_verify_true_and_false_claims(tables_plus):
         spec2 = SeriesSpec(eps=1, x=Fraction(1), k=2)
         verdict = padic_sum_verify(spec2, Fraction(1), Prime(p), 80, tables=tables_plus)
         assert verdict.passed
+
+
+def test_padic_sum_verify_refuses_divergent_point(tables_plus):
+    # at x = 1/2 the bound v_2(N!) + N v_2(x) = -s_2(N) never grows, so
+    # 2-adically no claim could be rejected; 3-adically the series converges
+    spec = SeriesSpec(eps=1, x=Fraction(1, 2), k=1)
+    with pytest.raises(ConvergenceDomainError) as err:
+        padic_sum_verify(spec, Fraction(5), Prime(2), 60, tables=tables_plus)
+    assert err.value.prime == Prime(2)
+    assert padic_sum_verify(spec, Fraction(-1), Prime(3), 60, tables=tables_plus).passed
+    wrong = padic_sum_verify(spec, Fraction(5), Prime(3), 60, tables=tables_plus)
+    assert wrong.first_violation == 6
 
 
 def test_padic_profile_reuse_and_shift(tables_plus):
