@@ -71,8 +71,7 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
         )
-    value = Fraction(text)
-    return value
+    return Fraction(text)
 
 
 def parse_eps(text: str) -> int:
@@ -274,8 +273,8 @@ def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict
                 perturbed = profile.shifted_claim(1)
                 for p in primes:
                     total += 1
-                    verdict = padic_sum_verify(spec, claimed, p, nmax, profile=profile)
-                    wrong = padic_sum_verify(spec, claimed + 1, p, nmax, profile=perturbed)
+                    verdict = padic_sum_verify(profile, p)
+                    wrong = padic_sum_verify(perturbed, p)
                     params = {"k": k, "eps": eps, "x": str(x)}
                     report = verdict.report(params)
                     report["claimed"] = str(claimed)
@@ -315,7 +314,7 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
     csv_rows = ["N,partial,valuation"]
     ok = True
     for p in args.primes:
-        verdict = padic_sum_verify(spec, claimed, p, args.nmax, profile=profile)
+        verdict = padic_sum_verify(profile, p)
         params = {"k": args.k, "eps": args.eps, "x": str(args.x)}
         report = verdict.report(params)
         report["claimed"] = str(claimed)
@@ -336,6 +335,8 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
 
 def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
     nmin = 3
+    if nmax < nmin:
+        raise ValueError(f"ode orders start at {nmin}, got nmax {nmax}")
     for order in range(nmin, nmax + 1):
         first = check_first_order_ode(order)
         if not first.ok:
@@ -369,9 +370,12 @@ def cmd_verify(args) -> int:
     else:
         ok, lines, reports = True, [], []
         for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
-            run, kmax, nmax = VERIFY_SUITES[suite]
+            run, kmax_default, nmax = VERIFY_SUITES[suite]
+            kmax = kmax_default
             if args.suite != "all":
                 kmax, nmax = args.kmax, args.nmax
+            if kmax_default is not None and kmax < 1:
+                raise ValueError(f"kmax must be >= 1, got {kmax}")
             sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
             ok &= sub_ok
             lines += sub_lines
@@ -436,20 +440,24 @@ def cmd_seq_compare(args) -> int:
     except BFileError as exc:
         print(f"malformed b-file {args.bfile}: {exc}", file=sys.stderr)
         return 2
-    ours = sequence_slice(args.id, args.kmax)
-    compared = min(len(ours), len(reference))
-    if compared == 0:
-        print("nothing to compare (empty b-file or empty sequence)", file=sys.stderr)
+    start = sequence_start_index(args.id)
+    # pair on the b-file's own indices, so a gap or an offset cannot misalign terms
+    ours = dict(enumerate(sequence_slice(args.id, args.kmax), start))
+    pairs = [(i, v) for i, v in reference if i in ours]
+    if len(pairs) < len(reference):
+        print(f"skipped {len(reference) - len(pairs)} b-file entries outside our indices",
+              file=sys.stderr)
+    if not pairs:
+        print("nothing to compare (no b-file index within our sequence)", file=sys.stderr)
         return 2
-    for pos in range(compared):
-        ref_index, ref_value = reference[pos]
-        if abs(ours[pos]) != abs(ref_value):
+    for index, value in pairs:
+        if abs(ours[index]) != abs(value):
             print(
-                f"MISMATCH at position {pos} (b-file index {ref_index}):"
-                f" ours={ours[pos]}, reference={ref_value}"
+                f"MISMATCH at position {index - start} (b-file index {index}):"
+                f" ours={ours[index]}, reference={value}"
             )
             return 1
-    print(f"MATCH: {compared} terms agree up to sign with {args.bfile}")
+    print(f"MATCH: {len(pairs)} terms agree up to sign with {args.bfile}")
     return 0
 
 

@@ -10,11 +10,10 @@ bug, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .kernel import factorial
-from .poly import RatPoly, Scalar, _as_fraction
+from .poly import RatPoly, Scalar, _exact_scalar
 
 
 class TruncatedPS:
@@ -29,7 +28,7 @@ class TruncatedPS:
     def __init__(self, coeffs: Sequence[Scalar]):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        self.coeffs: tuple[Fraction, ...] = tuple(_as_fraction(c) for c in coeffs)
+        self.coeffs: tuple[Scalar, ...] = tuple(_exact_scalar(c) for c in coeffs)
 
     @classmethod
     def from_poly(cls, poly: RatPoly, order: int) -> "TruncatedPS":
@@ -42,7 +41,7 @@ class TruncatedPS:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         raise IndexError(f"degree {i} beyond truncation order {self.order}")
@@ -61,12 +60,12 @@ class TruncatedPS:
         """Multiply by x**m, truncating at the original order."""
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
-        shifted = (Fraction(0),) * m + self.coeffs
+        shifted = (0,) * m + self.coeffs
         return TruncatedPS(shifted[: self.order + 1])
 
     def mul_poly(self, poly: RatPoly) -> "TruncatedPS":
         """Multiply by a polynomial in x, truncating at the original order."""
-        out = [Fraction(0)] * (self.order + 1)
+        out = [0] * (self.order + 1)
         for j, b in enumerate(poly.coeffs):
             if b == 0:
                 continue
@@ -90,7 +89,7 @@ class TruncatedPS:
         return TruncatedPS(tuple(-c for c in self.coeffs))
 
     def scale(self, c: Scalar) -> "TruncatedPS":
-        c = _as_fraction(c)
+        c = _exact_scalar(c)
         return TruncatedPS(tuple(a * c for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
@@ -182,7 +181,7 @@ class OdeCheck:
     ok: bool
     residual: TruncatedPS
     bad_degree: int | None
-    artifacts: dict[int, Fraction]
+    artifacts: dict[int, Scalar]
 
     def report(self, check: str, params: dict) -> dict:
         return {

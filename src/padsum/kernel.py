@@ -1,9 +1,9 @@
 """Exact integer primitives: factorials, binomials, rising blocks, digit sums.
 
 Everything here is pure and exact.  Integers are plain Python ints
-(arbitrary precision); rationals elsewhere in the package are
-``fractions.Fraction``, which keeps reduction and positive denominators
-automatic.
+(arbitrary precision), and they stay ints through the rest of the package:
+a ``fractions.Fraction`` (reduced, positive denominator) appears only
+where an input is fractional or a division happens.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 """Dense exact polynomial arithmetic.
 
-Two layers: ``RatPoly`` is an ordinary univariate polynomial over
-``fractions.Fraction``; ``GenPoly`` is a polynomial in x whose coefficients
+Two layers: ``RatPoly`` is an ordinary univariate polynomial over the
+rationals; ``GenPoly`` is a polynomial in x whose coefficients
 are ``RatPoly`` values in n, carrying a fixed sign eps in {+1, -1}.  The
 sign is data, not a symbol: quantities that are usually written with a
 symbolic sign are obtained by running both concrete signs and recombining
 at the reporting layer.
+
+Coefficients and values are exact: a plain ``int`` or a
+``fractions.Fraction``, whichever the arithmetic produces.  Python's
+numeric tower mixes the two exactly, so integral tables stay ``int`` end
+to end and a ``Fraction`` appears only where an input is fractional or a
+division happens.  Floats are refused.
 
 Degrees stay small (a few hundred at most), so dense storage wins over any
 sparse machinery.
@@ -19,11 +25,10 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact_scalar(c) -> Scalar:
+    """``c`` unchanged when it is exact (an int or a Fraction); else TypeError."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
@@ -37,10 +42,10 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -71,13 +76,13 @@ class RatPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
@@ -119,13 +124,13 @@ class RatPoly:
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact_scalar(other)
             return RatPoly(tuple(a * c for a in self.coeffs))
         if not isinstance(other, RatPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -143,10 +148,10 @@ class RatPoly:
             result = result * self
         return result
 
-    def __call__(self, t: Scalar) -> Fraction:
+    def __call__(self, t: Scalar) -> Scalar:
         """Exact Horner evaluation."""
-        t = _as_fraction(t)
-        total = Fraction(0)
+        t = _exact_scalar(t)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * t + c
         return total
@@ -297,11 +302,11 @@ class GenPoly:
             return self
         return GenPoly(self.eps, (RatPoly.zero(),) * m + self.coeffs)
 
-    def eval(self, n: Scalar, x: Scalar) -> Fraction:
+    def eval(self, n: Scalar, x: Scalar) -> Scalar:
         """Substitute both variables, exactly (Horner in x)."""
-        n = _as_fraction(n)
-        x = _as_fraction(x)
-        total = Fraction(0)
+        n = _exact_scalar(n)
+        x = _exact_scalar(x)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * x + c(n)
         return total
@@ -312,7 +317,7 @@ class GenPoly:
 
     def at_x(self, x: Scalar) -> RatPoly:
         """Evaluate the x-variable, leaving a polynomial in n."""
-        x = _as_fraction(x)
+        x = _exact_scalar(x)
         result = RatPoly.zero()
         for c in reversed(self.coeffs):
             result = result * x + c

@@ -27,8 +27,15 @@ from .padic import (
     val_factorial,
     val_rat,
 )
-from .poly import RatPoly
+from .poly import RatPoly, _exact_scalar
 from .tables import TableSet
+
+
+def _exact(value) -> Fraction | int:
+    """``value`` as an int when its denominator is 1.  The only place that
+    normalises; ``poly._exact_scalar`` is the type gate that rejects floats."""
+    value = _exact_scalar(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class VerificationError(RuntimeError):
@@ -78,15 +85,15 @@ def _checked(result: PartialSumResult, what: str, where: str) -> PartialSumResul
     return result
 
 
-def _weights(eps: int, x: Fraction) -> Iterator[Fraction]:
+def _weights(eps: int, x: Fraction | int) -> Iterator[Fraction | int]:
     """eps^i i! x^i for i = 0, 1, 2, ..., one multiplication per step."""
-    running = Fraction(1)
+    running = 1
     for i in count(1):
         yield running
         running *= eps * i * x
 
 
-def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
+def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
     """sum_{i=0}^{n-1} eps^i * i! * i^k * x^i, exactly.
 
     Uses 0^0 = 1 (Python's convention), so the k = 0 sum starts with the
@@ -96,8 +103,8 @@ def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
         raise ValueError("k and n must be >= 0")
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    weights = _weights(eps, Fraction(x))
-    return sum((w * i**k for i, w in zip(range(n), weights)), Fraction(0))
+    weights = _weights(eps, _exact_scalar(x))
+    return sum(w * i**k for i, w in zip(range(n), weights))
 
 
 def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
@@ -118,7 +125,7 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     delta = 1 if k == 0 else 0
     acc = s[k] - delta - eps * x * s[0]
     acc -= eps * x * sum(binomial(k + 1, l) * s[l] for l in range(1, k + 1))
-    tail = Fraction(eps**n) * factorial(n) * n**k * x**n
+    tail = eps**n * factorial(n) * n**k * x**n
     return (acc + tail) / (eps * x)
 
 
@@ -130,23 +137,25 @@ class SeriesSpec:
 
     ``k`` is an init-only shorthand for the single power
     P(n; x) = n^k x^k + U_k(x): it sets C_k = 1 and every lower C_j = 0.
+    x and the C_j are stored exactly, as ints when their denominator is 1,
+    so integer data keeps all later arithmetic in ints.
     """
 
     eps: int
-    x: Fraction
+    x: Fraction | int
     k: InitVar[int | None] = None
-    coeffs: tuple[Fraction, ...] | None = None
+    coeffs: tuple[Fraction | int, ...] | None = None
 
     def __post_init__(self, k: int | None) -> None:
         if self.eps not in (1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "x", _exact(self.x))
         if (k is None) == (self.coeffs is None):
             raise ValueError("exactly one of k and coeffs must be given")
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         coeffs = self.coeffs if k is None else (0,) * (k - 1) + (1,)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_exact(c) for c in coeffs)
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("coeffs must be nonempty with nonzero top coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -155,22 +164,19 @@ class SeriesSpec:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def as_coeffs(self) -> tuple[Fraction, ...]:
+    def as_coeffs(self) -> tuple[Fraction | int, ...]:
         return self.coeffs
 
-    def claimed_sum(self, tables: TableSet) -> Fraction:
+    def claimed_sum(self, tables: TableSet) -> Fraction | int:
         """The closed-form value sum_j C_j V_j(x)."""
-        return sum(
-            (c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c),
-            Fraction(0),
-        )
+        return sum(c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c)
 
     def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
         """term(i) = eps^i i! P(i; x) x^i, for valuation profiling."""
         terms = _summand_terms(self, tables)
 
         def term(i: int) -> Fraction:
-            return Fraction(self.eps**i) * factorial(i) * self.x**i * _summand(terms, i)
+            return self.eps**i * factorial(i) * self.x**i * _summand(terms, i)
 
         return term
 
@@ -204,8 +210,10 @@ def partial_sums(
 
     R_N comes without its factor eps^(N-1) N! x^N so that the p-adic bound
     can take v_p(N!) by Legendre's formula instead of valuing a big product.
-    Too small tables raise here, before the first step.
+    n_max < 1 and too small tables raise here, before the first step.
     """
+    if n_max < 1:
+        raise ValueError(f"n must be >= 1, got {n_max}")
     terms = _summand_terms(spec, tables)
     x = spec.x
     summands = (w * _summand(terms, i) for i, w in zip(range(n_max), _weights(spec.eps, x)))
@@ -220,13 +228,11 @@ def _checked_sweep(
 ) -> list[PartialSumResult]:
     """The identity of :func:`partial_sums` at every N = 1..n_max, each
     checked exactly; raises on the first nonzero residual."""
-    if n_max < 1:
-        raise ValueError(f"n must be >= 1, got {n_max}")
     sums = partial_sums(spec, n_max, tables)
     rhs = spec.claimed_sum(tables)
     results: list[PartialSumResult] = []
     for n, s, r in sums:
-        boundary = Fraction(spec.eps ** (n - 1)) * factorial(n) * spec.x**n * r
+        boundary = spec.eps ** (n - 1) * factorial(n) * spec.x**n * r
         results.append(_checked(PartialSumResult(n, s, rhs, boundary), what, f"{where} n={n}"))
     return results
 
@@ -297,7 +303,7 @@ class TelescopeSpec:
         object.__setattr__(self, "mu", tuple(self.mu))
         object.__setattr__(self, "nu", tuple(self.nu))
         object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "x", Fraction(_exact_scalar(self.x)))
         if not (len(self.mu) == len(self.nu) == len(self.lam)) or not self.mu:
             raise ValueError("mu, nu, lam must be equal-length, nonempty")
         if any(m < 1 for m in self.mu):
@@ -337,21 +343,13 @@ class TelescopeSpec:
             self.block_product(n) * self.aux(n + 1) * self.x**self.alpha
             - self.eps * self.aux(n)
         )
-        return (
-            Fraction(self.eps**n)
-            * self.factorial_product(n)
-            * bracket
-            * self.x ** (self.alpha * n + self.beta)
-        )
+        power = self.x ** (self.alpha * n + self.beta)
+        return self.eps**n * self.factorial_product(n) * bracket * power
 
     def boundary(self, n: int) -> Fraction:
         """G(n): the value partial sums telescope to."""
-        return (
-            Fraction(self.eps ** (n - 1))
-            * self.factorial_product(n)
-            * self.aux(n)
-            * self.x ** (self.alpha * n + self.beta)
-        )
+        power = self.x ** (self.alpha * n + self.beta)
+        return self.eps ** (n - 1) * self.factorial_product(n) * self.aux(n) * power
 
     def rhs_constant(self) -> Fraction:
         return -self.boundary(1)
@@ -367,7 +365,7 @@ def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rhs = spec.rhs_constant()
     results: list[PartialSumResult] = []
-    partial = Fraction(0)
+    partial = 0
     for n in range(1, n_max + 1):
         result = PartialSumResult(n, partial, rhs, spec.boundary(n))
         results.append(_checked(result, "telescoping", f"N={n} for {spec}"))
@@ -423,7 +421,7 @@ def construct_telescope_poly(
     deg(aux) + sum_i mu_i * lam_i.  Any supplied primes gate t against the
     convergence domain; the first failing prime is reported.
     """
-    t = Fraction(t)
+    t = Fraction(_exact_scalar(t))
     params = spec.convergence_params()
     for p in primes:
         if not in_convergence_domain(t, p, params):
@@ -445,12 +443,12 @@ class SeriesErrorProfile:
     """
 
     spec: SeriesSpec
-    claimed: Fraction
-    errors: tuple[Fraction, ...]
-    remainder_factors: tuple[Fraction, ...]
+    claimed: Fraction | int
+    errors: tuple[Fraction | int, ...]
+    remainder_factors: tuple[Fraction | int, ...]
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
-        delta = Fraction(delta)
+        delta = _exact_scalar(delta)
         return SeriesErrorProfile(
             self.spec,
             self.claimed + delta,
@@ -462,8 +460,9 @@ class SeriesErrorProfile:
 def series_error_profile(
     spec: SeriesSpec, claimed: Fraction | int, n_max: int, tables: TableSet
 ) -> SeriesErrorProfile:
-    """Partial-sum errors and remainder factors for N = 1..n_max."""
-    claimed = Fraction(claimed)
+    """Partial-sum errors and remainder factors for N = 1..n_max; raises
+    for n_max < 1, where there would be nothing to check."""
+    claimed = _exact_scalar(claimed)
     sums = list(partial_sums(spec, n_max, tables))
     return SeriesErrorProfile(
         spec, claimed, tuple(s - claimed for _, s, _ in sums), tuple(r for _, _, r in sums)
@@ -496,41 +495,31 @@ class PadicVerdict:
         }
 
 
-def padic_sum_verify(
-    spec: SeriesSpec,
-    claimed: Fraction | int,
-    p: Prime,
-    n_max: int,
-    tables: TableSet | None = None,
-    profile: SeriesErrorProfile | None = None,
-) -> PadicVerdict:
-    """Verify a claimed sum by p-adic valuation growth of partial-sum errors.
+def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
+    """Verify the profile's claimed sum by p-adic valuation growth of its
+    partial-sum errors.
 
-    For every N = 1..n_max the error partial_sum(N) - claimed must have
-    valuation at least v_p(N!) + N*v_p(x) + v_p(sum_j C_j A_{j-1}(N; x)),
-    the exact valuation of the known remainder.  The first violating N is
-    reported on FAIL.  A precomputed ``profile`` is reused (it is
-    prime-independent).
+    For every N = 1..n_max of the profile the error partial_sum(N) - claimed
+    must have valuation at least v_p(N!) + N*v_p(x) + v_p(sum_j C_j
+    A_{j-1}(N; x)), the exact valuation of the known remainder.  The first
+    violating N is reported on FAIL.  A profile is prime-independent, so
+    one profile serves every prime.
 
     Outside the series' convergence domain, v_p(x) <= -1/(p-1), the bound
     stops growing and no claim could be rejected, so the check refuses to
     run there and raises :class:`ConvergenceDomainError`.
     """
-    vx = val_rat(spec.x, p)
+    x = profile.spec.x
+    vx = val_rat(x, p)
     # in_convergence_domain for one factorial and x^n, reusing v_p(x)
     threshold = convergence_threshold(ConvergenceParams(alpha=1, mu_lambda_sum=1), p)
     if not vx > threshold:
-        raise ConvergenceDomainError(spec.x, p, threshold)
-    if profile is None:
-        if tables is None:
-            tables = TableSet.build(spec.order, spec.eps)
-        profile = series_error_profile(spec, claimed, n_max, tables)
+        raise ConvergenceDomainError(x, p, threshold)
     valuations: list[Valuation] = []
     bounds: list[Valuation] = []
     first_violation: int | None = None
-    for idx, err in enumerate(profile.errors):
-        n = idx + 1
-        bound = val_factorial(n, p) + vx * n + val_rat(profile.remainder_factors[idx], p)
+    for n, (err, factor) in enumerate(zip(profile.errors, profile.remainder_factors), 1):
+        bound = val_factorial(n, p) + vx * n + val_rat(factor, p)
         value = val_rat(err, p)
         valuations.append(value)
         bounds.append(bound)

@@ -199,10 +199,10 @@ def test_criterion_08_padic_verification(tables_plus, tables_minus):
                 perturbed = profile.shifted_claim(1)
                 for p in ACCEPTANCE_PRIMES:
                     cells += 1
-                    verdict = padic_sum_verify(spec, claimed, p, 200, profile=profile)
+                    verdict = padic_sum_verify(profile, p)
                     if not verdict.passed:
                         violations += 1
-                    wrong = padic_sum_verify(spec, claimed + 1, p, 200, profile=perturbed)
+                    wrong = padic_sum_verify(perturbed, p)
                     if wrong.passed:
                         violations += 1
     assert violations == 0

@@ -26,6 +26,11 @@ GOLDEN_STDOUT = {
         (1, "6796798a86bc1a6131d39fda5eecb2e7adb67fe34ae66fb3d03dabb1703c776b"),
     "verify telescope --count 4 --seed 3 --nmax 8 --format json":
         (0, "99487a01084af50e15eeeb4cf7140ff43ad380ecdb10586247463abcbdd9180d"),
+    "verify ode --nmax 12 --format json":
+        (0, "5fd6dfdfa3e0b4385072f34f9aa5d06517ae2741f5d11c8c955dc7ca1b9476ae"),
+    # 1/3 is the k = 2 sum at x = 2/3: fractional partial sums in the profile
+    "verify padic --claim=1/3 --k 2 --x 2/3 --nmax 30 --primes 2,5 --format csv":
+        (0, "8f70926a5d11355da83b391cfd2088b6ac48ffe34d7774c45b89a95cbd101c4d"),
 }
 
 
@@ -129,6 +134,31 @@ def test_verify_stdout_is_pinned(argv, capsys):
     assert (rc, digest) == GOLDEN_STDOUT[argv]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify finite --kmax 0",
+        "verify padic --kmax 0",
+        "verify padic --claim=7 --k 1 --nmax 0",
+        "verify padic --nmax 0",
+        "verify ode --nmax 2",
+    ],
+)
+def test_verify_refuses_to_pass_zero_checks(argv, capsys):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify telescope --kmax 0 --count 4 --nmax 8", "verify ode --kmax 0 --nmax 10"]
+)
+def test_verify_ignores_kmax_where_unused(argv, capsys):
+    assert run(argv.split()) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
     build = TableSet.build
     monkeypatch.setattr(
@@ -197,12 +227,26 @@ def test_seq_compare_match_and_mismatch(tmp_path, capsys):
     assert run(["seq-compare", "U-1", "--kmax", 4, "--bfile", shifted]) == 1
     assert "MISMATCH at position 0" in capsys.readouterr().out
 
+    # b-file indices, not line positions, pick our terms: index 3 is U_3
+    gap = tmp_path / "gap.txt"
+    gap.write_text("1 2\n3 15\n")
+    assert run(["seq-compare", "U-1", "--kmax", 4, "--bfile", gap]) == 0
+    assert capsys.readouterr().out.startswith("MATCH: 2 terms agree")
+    gap.write_text("0 1\n1 2\n3 15\n9 1\n")  # U-families start at index 1
+    assert run(["seq-compare", "U-1", "--kmax", 4, "--bfile", gap]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("MATCH: 2 terms agree")
+    assert captured.err == "skipped 2 b-file entries outside our indices\n"
+
 
 def test_seq_compare_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\nnot a line\n")
     assert run(["seq-compare", "U-1", "--kmax", 3, "--bfile", bad]) == 2
     assert "line 2" in capsys.readouterr().err
+    bad.write_text("# only a comment\n")
+    assert run(["seq-compare", "U-1", "--kmax", 3, "--bfile", bad]) == 2
+    assert "nothing to compare" in capsys.readouterr().err
 
 
 def test_parse_bfile_rules():

@@ -29,6 +29,35 @@ def test_canonical_form():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         RatPoly((0.5,))
+    with pytest.raises(TypeError):
+        RatPoly((1, 2))(0.5)
+    with pytest.raises(TypeError):
+        GenPoly(1, (1, RatPoly((0, 1)))).eval(1, 0.5)
+
+
+def test_integer_data_stays_int():
+    assert type(RatPoly((1, 2, 3))(5)) is int
+    assert RatPoly((1, 2, 3))(5) == 86
+    assert type(RatPoly((1, 2)).coeff(7)) is int
+    assert type(RatPoly().leading()) is int
+    assert all(type(c) is int for c in (RatPoly((1, 2)) * RatPoly((3, 4))).coeffs)
+    a = GenPoly(-1, (RatPoly((-1,)), RatPoly((-2, 1))))  # A_1 at eps = -1
+    assert [type(a.eval(n, x)) for n in (0, 3) for x in (-1, 2)] == [int] * 4
+    assert a.eval(3, Fraction(1, 2)) == Fraction(-1, 2)
+
+
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), coeff), max_size=5),
+    st.one_of(st.integers(-5, 5), coeff),
+)
+def test_mixed_int_fraction_eval_matches_fraction_reference(cs, t):
+    # all-int lists included: RatPoly(ints) is the same key as its Fraction twin
+    mixed = RatPoly(cs)
+    reference = RatPoly([Fraction(c) for c in cs])
+    assert mixed == reference
+    assert hash(mixed) == hash(reference)
+    expected = sum((Fraction(c) * Fraction(t) ** i for i, c in enumerate(cs)), Fraction(0))
+    assert mixed(t) == reference(Fraction(t)) == expected
 
 
 def test_shift_examples():

@@ -18,6 +18,7 @@ from padsum.series import (
     finite_identity_sweep,
     general_sum_check,
     padic_sum_verify,
+    partial_sums,
     power_sum,
     power_sum_via_recurrence,
     random_telescope_spec,
@@ -154,6 +155,19 @@ def test_tables_too_small_for_spec():
             check()
 
 
+def test_series_spec_stores_integral_values_as_int(tables_plus):
+    spec = SeriesSpec(eps=1, x=Fraction(2), k=1)
+    assert type(spec.x) is int and spec.x == 2
+    assert all(type(c) is int for c in spec.coeffs)
+    assert type(spec.claimed_sum(tables_plus)) is int
+    assert [type(s) for _, s, _ in partial_sums(spec, 4, tables_plus)] == [int] * 4
+    mixed = SeriesSpec(eps=-1, x=Fraction(-4, 2), coeffs=(Fraction(3), Fraction(1, 2)))
+    assert (type(mixed.x), [type(c) for c in mixed.coeffs]) == (int, [int, Fraction])
+    assert SeriesSpec(eps=1, x=Fraction(1, 2), k=1).x == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        SeriesSpec(eps=1, x=0.1, k=1)  # would silently become 3602879701896397/2**55
+
+
 def test_series_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(eps=1, x=Fraction(1))  # neither form
@@ -207,6 +221,8 @@ def test_telescope_spec_validation():
         TelescopeSpec(**{**good, "alpha": 0})
     with pytest.raises(ValueError):
         TelescopeSpec(**{**good, "aux": RatPoly((Fraction(1, 2),))})
+    with pytest.raises(TypeError):
+        TelescopeSpec(**{**good, "x": 0.1})
 
 
 def test_telescope_checks_raise_on_perturbed_term():
@@ -230,6 +246,8 @@ def test_construct_telescope_poly():
     )
     assert construct_telescope_poly(plain, 1) == RatPoly.monomial(1)
     assert construct_telescope_poly(plain, 0) == RatPoly.constant(-1)
+    with pytest.raises(TypeError):
+        construct_telescope_poly(plain, 0.5)
     # degree = deg(aux) + sum(mu_i * lam_i) for a nonzero argument
     wide = TelescopeSpec(
         mu=(1, 2), nu=(0, 0), lam=(1, 1), alpha=1, beta=0, eps=1, x=Fraction(1),
@@ -257,38 +275,47 @@ def test_construct_telescope_poly_generates_matching_summand():
 
 def test_padic_sum_verify_true_and_false_claims(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
-    verdict = padic_sum_verify(spec, Fraction(-1), Prime(2), 80, tables=tables_plus)
+    verdict = padic_sum_verify(series_error_profile(spec, Fraction(-1), 80, tables_plus), Prime(2))
     assert verdict.passed
+    assert len(verdict.valuations) == 80
     # wrong claim: the error N! - 1 is odd for N >= 2, so p = 2 rejects fast
-    wrong = padic_sum_verify(spec, Fraction(0), Prime(2), 80, tables=tables_plus)
+    wrong = padic_sum_verify(series_error_profile(spec, Fraction(0), 80, tables_plus), Prime(2))
     assert not wrong.passed
     assert wrong.first_violation == 2
+    spec2 = SeriesSpec(eps=1, x=Fraction(1), k=2)
+    profile2 = series_error_profile(spec2, Fraction(1), 80, tables_plus)
     for p in (3, 5):
-        spec2 = SeriesSpec(eps=1, x=Fraction(1), k=2)
-        verdict = padic_sum_verify(spec2, Fraction(1), Prime(p), 80, tables=tables_plus)
-        assert verdict.passed
+        assert padic_sum_verify(profile2, Prime(p)).passed
 
 
 def test_padic_sum_verify_refuses_divergent_point(tables_plus):
     # at x = 1/2 the bound v_2(N!) + N v_2(x) = -s_2(N) never grows, so
     # 2-adically no claim could be rejected; 3-adically the series converges
     spec = SeriesSpec(eps=1, x=Fraction(1, 2), k=1)
+    wrong = series_error_profile(spec, Fraction(5), 60, tables_plus)
     with pytest.raises(ConvergenceDomainError) as err:
-        padic_sum_verify(spec, Fraction(5), Prime(2), 60, tables=tables_plus)
+        padic_sum_verify(wrong, Prime(2))
     assert err.value.prime == Prime(2)
-    assert padic_sum_verify(spec, Fraction(-1), Prime(3), 60, tables=tables_plus).passed
-    wrong = padic_sum_verify(spec, Fraction(5), Prime(3), 60, tables=tables_plus)
-    assert wrong.first_violation == 6
+    right = series_error_profile(spec, Fraction(-1), 60, tables_plus)
+    assert padic_sum_verify(right, Prime(3)).passed
+    assert padic_sum_verify(wrong, Prime(3)).first_violation == 6
 
 
 def test_padic_profile_reuse_and_shift(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(2), k=3)
     claimed = spec.claimed_sum(tables_plus)
     profile = series_error_profile(spec, claimed, 60, tables_plus)
+    shifted = profile.shifted_claim(1)
+    assert shifted.claimed == claimed + 1
     for p in (2, 3, 7):
-        assert padic_sum_verify(spec, claimed, Prime(p), 60, profile=profile).passed
-        shifted = profile.shifted_claim(1)
-        assert not padic_sum_verify(spec, claimed + 1, Prime(p), 60, profile=shifted).passed
+        assert padic_sum_verify(profile, Prime(p)).passed
+        assert not padic_sum_verify(shifted, Prime(p)).passed
+
+
+def test_series_error_profile_needs_a_term(tables_plus):
+    spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        series_error_profile(spec, -1, 0, tables_plus)
 
 
 def test_padic_error_equals_boundary(tables_plus):

@@ -39,6 +39,15 @@ def enumerate_set_partitions(items):
         yield partition + [[head]]
 
 
+@pytest.mark.parametrize("eps", (1, -1))
+def test_integral_tables_store_ints(eps):
+    tables = TableSet.build(12, eps)
+    polys = [c for a in tables.gen.polys for c in a.coeffs]
+    polys += tables.corr.u_polys + tables.corr.v_polys
+    assert len(polys) == 91 + 2 * 13
+    assert all(type(c) is int for p in polys for c in p.coeffs)
+
+
 def test_first_generating_polys():
     table = gen_poly_table(3, 1)
     assert table.poly(0) == GenPoly(1, (RatPoly.one(),))
