@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .fps import check_first_order_ode, check_second_order_ode
 from .padic import Prime, expand
-from .poly import GenPoly, RatPoly
+from .poly import RatPoly
 from .series import (
     SeriesSpec,
     TelescopeSpec,
@@ -34,6 +34,7 @@ from .series import (
 from .tables import (
     CrossCheckError,
     TableSet,
+    bundle_from_json,
     bundle_to_json,
     int_pairs,
     sequence_slice,
@@ -152,24 +153,17 @@ def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path, use_cache: bool) 
 
 
 def _render_tables_text(bundle: dict) -> str:
-    eps = bundle["eps"]
-    kmax = bundle["kmax"]
-    lines = [f"# tables for eps = {eps:+d}, kmax = {kmax}"]
-    if bundle["u"]:
+    tables, pairs = bundle_from_json(bundle)
+    lines = [f"# tables for eps = {tables.eps:+d}, kmax = {tables.kmax}"]
+    if pairs is not None:
+        lines += ["", "k u_k v_k"]
+        lines += [f"{k} {u} {v}" for k, (u, v) in enumerate(zip(pairs.us, pairs.vs), 1)]
+    if tables.corr.kmax:
         lines.append("")
-        lines.append("k u_k v_k")
-        for i, (u, v) in enumerate(zip(bundle["u"], bundle["v"]), 1):
-            lines.append(f"{i} {u} {v}")
-    if bundle["U"]:
-        lines.append("")
-        for i, coeffs in enumerate(bundle["U"], 1):
-            lines.append(f"U_{i}(x) = {RatPoly(coeffs).render('x')}")
-        for i, coeffs in enumerate(bundle["V"], 1):
-            lines.append(f"V_{i}(x) = {RatPoly(coeffs).render('x')}")
+        lines += [f"U_{k}(x) = {u.render('x')}" for k, u in enumerate(tables.corr.u_polys, 1)]
+        lines += [f"V_{k}(x) = {v.render('x')}" for k, v in enumerate(tables.corr.v_polys, 1)]
     lines.append("")
-    for k, row in enumerate(bundle["A"]):
-        poly = GenPoly(eps, [RatPoly(c) for c in row])
-        lines.append(f"A_{k}(n;x) = {poly.render()}")
+    lines += [f"A_{k}(n;x) = {a.render()}" for k, a in enumerate(tables.gen.polys)]
     return "\n".join(lines) + "\n"
 
 
@@ -242,6 +236,8 @@ def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
 
 def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
     count, seed = args.count, args.seed
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)]
     specs.extend(_named_telescope_specs())
@@ -555,7 +551,7 @@ def main(argv=None) -> int:
     except (CrossCheckError, VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable
 
 from .kernel import digit_sum
+from .poly import _exact_scalar
 
 DEFAULT_EXPANSION_DIGITS = 64
 
@@ -44,6 +46,7 @@ class Prime:
         return str(self.value)
 
 
+@total_ordering
 class Valuation:
     """Exponent of the largest power of p dividing a value; infinite for 0.
 
@@ -68,43 +71,19 @@ class Valuation:
     def _key(self) -> float | int:
         return math.inf if self.exponent is None else self.exponent
 
-    @staticmethod
-    def _other_key(other):
-        if isinstance(other, Valuation):
-            return other._key()
-        if isinstance(other, (int, Fraction)):
-            return other
-        return None
-
     def __eq__(self, other) -> bool:
-        key = self._other_key(other)
-        if key is None:
+        if isinstance(other, Valuation):
+            other = other._key()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._key() == key
+        return self._key() == other
 
     def __lt__(self, other) -> bool:
-        key = self._other_key(other)
-        if key is None:
+        if isinstance(other, Valuation):
+            other = other._key()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._key() < key
-
-    def __le__(self, other) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() <= key
-
-    def __gt__(self, other) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() > key
-
-    def __ge__(self, other) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() >= key
+        return self._key() < other
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -162,8 +141,9 @@ def val_factorial(n: int, p: Prime) -> Valuation:
 
 
 def val_rat(q: RationalLike, p: Prime) -> Valuation:
-    """v_p of an exact rational: v_p(numerator) - v_p(denominator)."""
-    q = Fraction(q)
+    """v_p of an exact rational: v_p(numerator) - v_p(denominator).
+    Floats raise TypeError."""
+    q = _exact_scalar(q)
     if q == 0:
         return Valuation.INFINITE
     num = val_int(q.numerator, p)
@@ -233,7 +213,7 @@ def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> Padi
     """
     if m < 1:
         raise ValueError(f"precision must be >= 1, got {m}")
-    q = Fraction(q)
+    q = _exact_scalar(q)
     if q == 0:
         return PadicApprox(p, 0, (0,) * m)
     v = val_rat(q, p).exponent
@@ -300,10 +280,9 @@ def term_val_profile(
     the valuation floor upward.  Non-convergence is a verdict, never an
     exception.
     """
-    vals = tuple(val_rat(Fraction(term(n)), p) for n in range(start, n_max + 1))
-    keys = [v._key() for v in vals]
-    half = len(keys) // 2
-    lo_head = min(keys[:half]) if keys[:half] else math.inf
-    lo_tail = min(keys[half:]) if keys[half:] else math.inf
-    converges = lo_tail > lo_head or (lo_head == math.inf and lo_tail == math.inf)
+    vals = tuple(val_rat(term(n), p) for n in range(start, n_max + 1))
+    half = len(vals) // 2
+    lo_head = min(vals[:half], default=Valuation.INFINITE)
+    lo_tail = min(vals[half:], default=Valuation.INFINITE)
+    converges = lo_tail > lo_head or lo_head == lo_tail == Valuation.INFINITE
     return ValuationProfile(vals, converges)

@@ -32,6 +32,37 @@ def _exact_scalar(c) -> Scalar:
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
+def _power(var: str, i: int) -> str:
+    """``var^i`` as printed: empty for i = 0 and bare ``var`` for i = 1."""
+    return "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
+def _signed_term(coeff: Scalar | RatPoly, power: str, nvar: str = "n") -> tuple[bool, str]:
+    """(negative, magnitude text) of the nonzero term ``coeff * power``.
+
+    A unit coefficient is dropped before a nonempty power; a coefficient
+    polynomial in ``nvar`` of degree >= 1 is parenthesised and carries its
+    own signs.
+    """
+    if isinstance(coeff, RatPoly):
+        if coeff.degree > 0:
+            return False, f"({coeff.render(nvar)}){power}"
+        coeff = coeff.coeffs[0]
+    mag = abs(coeff)
+    return coeff < 0, power if mag == 1 and power else f"{mag}{power}"
+
+
+def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
+    """Signed terms joined as ``-a + b - c``; ``0`` when there are none."""
+    parts: list[str] = []
+    for negative, body in terms:
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
 class RatPoly:
     """Univariate polynomial over exact rationals, lowest degree first.
 
@@ -173,24 +204,10 @@ class RatPoly:
 
     def render(self, var: str = "x") -> str:
         """Human formatting, highest degree first, e.g. ``n^2 - 3n + 3``."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_signed(
+            _signed_term(self.coeffs[i], _power(var, i))
+            for i in range(self.degree, -1, -1) if self.coeffs[i]
+        )
 
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self.coeffs]})"
@@ -325,30 +342,10 @@ class GenPoly:
 
     def render(self, nvar: str = "n", xvar: str = "x") -> str:
         """Human formatting, e.g. ``(n^2 - 3n + 3)x^2 + (n - 5)x + 1``."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for j in range(self.degree_x, -1, -1):
-            c = self.coeff(j)
-            if c.is_zero():
-                continue
-            xpart = "" if j == 0 else (xvar if j == 1 else f"{xvar}^{j}")
-            if c.degree <= 0:
-                value = c.coeff(0)
-                mag = abs(value)
-                if not xpart:
-                    body = str(mag)
-                else:
-                    body = xpart if mag == 1 else f"{mag}{xpart}"
-                negative = value < 0
-            else:
-                body = f"({c.render(nvar)}){xpart}"
-                negative = False
-            if not parts:
-                parts.append(body if not negative else f"-{body}")
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return _join_signed(
+            _signed_term(self.coeffs[j], _power(xvar, j), nvar)
+            for j in range(self.degree_x, -1, -1) if self.coeffs[j]
+        )
 
     def __repr__(self) -> str:
         return f"GenPoly(eps={self.eps:+d}, {self.render()!r})"

@@ -287,7 +287,8 @@ class TelescopeSpec:
 
     and partial sums collapse to boundary values.  Constraints: mu_i >= 1,
     mu_i + nu_i >= 1, lam_i >= 0 with at least one lam_i >= 1, alpha >= 1,
-    beta >= 0, and aux has integer coefficients.
+    beta >= 0, and aux has integer coefficients.  x is stored like
+    ``SeriesSpec.x``: an int when its denominator is 1.
     """
 
     mu: tuple[int, ...]
@@ -296,14 +297,14 @@ class TelescopeSpec:
     alpha: int
     beta: int
     eps: int
-    x: Fraction
+    x: Fraction | int
     aux: RatPoly
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", tuple(self.mu))
         object.__setattr__(self, "nu", tuple(self.nu))
         object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "x", Fraction(_exact_scalar(self.x)))
+        object.__setattr__(self, "x", _exact(self.x))
         if not (len(self.mu) == len(self.nu) == len(self.lam)) or not self.mu:
             raise ValueError("mu, nu, lam must be equal-length, nonempty")
         if any(m < 1 for m in self.mu):
@@ -338,7 +339,7 @@ class TelescopeSpec:
             prod *= rising_block(m * n + v, m, l)
         return prod
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> Fraction | int:
         bracket = (
             self.block_product(n) * self.aux(n + 1) * self.x**self.alpha
             - self.eps * self.aux(n)
@@ -346,7 +347,7 @@ class TelescopeSpec:
         power = self.x ** (self.alpha * n + self.beta)
         return self.eps**n * self.factorial_product(n) * bracket * power
 
-    def boundary(self, n: int) -> Fraction:
+    def boundary(self, n: int) -> Fraction | int:
         """G(n): the value partial sums telescope to."""
         power = self.x ** (self.alpha * n + self.beta)
         return self.eps ** (n - 1) * self.factorial_product(n) * self.aux(n) * power
@@ -421,7 +422,7 @@ def construct_telescope_poly(
     deg(aux) + sum_i mu_i * lam_i.  Any supplied primes gate t against the
     convergence domain; the first failing prime is reported.
     """
-    t = Fraction(_exact_scalar(t))
+    t = _exact(t)
     params = spec.convergence_params()
     for p in primes:
         if not in_convergence_domain(t, p, params):

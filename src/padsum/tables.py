@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import binomial
-from .poly import GenPoly, RatPoly
+from .poly import GenPoly, RatPoly, _join_signed, _power, _signed_term
 
 
 class CrossCheckError(RuntimeError):
@@ -434,34 +434,12 @@ def render_symbolic(plus: GenPoly, minus: GenPoly, eps_symbol: str = "e") -> str
     """Symbolic-sign rendering built from both runs, e.g.
     ``(n^2 - 3n + 3)x^2 + (n - 5)e x + 1``."""
     pairs = eps_split(plus, minus)
-    parts: list[str] = []
-    for j in range(len(pairs) - 1, -1, -1):
-        even, odd = pairs[j]
-        xpart = "" if j == 0 else ("x" if j == 1 else f"x^{j}")
-        for poly, marker in ((even, ""), (odd, eps_symbol)):
-            if poly.is_zero():
-                continue
-            negative = False
-            if poly.degree <= 0:
-                value = poly.coeff(0)
-                mag = abs(value)
-                negative = value < 0
-                if mag == 1 and (marker or xpart):
-                    coeff_txt = ""
-                else:
-                    coeff_txt = str(mag)
-            else:
-                coeff_txt = f"({poly.render('n')})"
-            body = coeff_txt + marker
-            if xpart:
-                body = body + (" " if marker else "") + xpart if body else xpart
-            if not body:
-                body = "1"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+    return _join_signed(
+        _signed_term(poly, " ".join(filter(None, (marker, _power("x", j)))))
+        for j in range(len(pairs) - 1, -1, -1)
+        for poly, marker in zip(pairs[j], ("", eps_symbol))
+        if poly
+    )
 
 
 @dataclass(frozen=True)

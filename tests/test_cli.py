@@ -34,6 +34,19 @@ GOLDEN_STDOUT = {
 }
 
 
+# SHA-256 of the file `tables --no-cache` writes, per (format, kmax, eps)
+GOLDEN_TABLES = {
+    ("text", 0, "1"): "3f0a5abcf17966f7cfb9b01f9e50118e7d98b25697e58a0a472fc8ff9ab84a8a",
+    ("text", 0, "-1"): "af41fa749342a6cf466ab4cb9684771b32a8f3767e530e006cbc45d688cd5361",
+    ("text", 5, "1"): "637b2e4ab122d56de4f73c6d88a03ac7f93c3e583532a8b5243fbb1cccff66d3",
+    ("text", 5, "-1"): "1b1153a202c118bc26846416716be9fd727e0029bae16b1ec4f331ecd0f3ffbb",
+    ("csv", 0, "1"): "225e422993ac21072d7e460e7e5b81afec458f0879457eb29b58d1e3536eb135",
+    ("csv", 0, "-1"): "225e422993ac21072d7e460e7e5b81afec458f0879457eb29b58d1e3536eb135",
+    ("csv", 5, "1"): "5c4acc5c3ea78ff0ca1f9f03134923d5248a44fb443f4bcd3d6e832067c75485",
+    ("csv", 5, "-1"): "5c4acc5c3ea78ff0ca1f9f03134923d5248a44fb443f4bcd3d6e832067c75485",
+}
+
+
 @pytest.fixture()
 def dirs(tmp_path):
     out = tmp_path / "out"
@@ -117,6 +130,42 @@ def test_tables_csv(dirs):
     assert lines[0] == "k,u,v"
     assert lines[4] == "4,-2,-5"
     assert not list(cache.glob("*"))  # --no-cache really skips the cache
+
+
+@pytest.mark.parametrize("fmt, kmax, eps", list(GOLDEN_TABLES))
+def test_tables_file_is_pinned(fmt, kmax, eps, dirs, capsys):
+    out, cache = dirs
+    assert run(["tables", "--kmax", kmax, "--eps", eps, "--format", fmt, "--out", out,
+                "--no-cache"]) == 0
+    (path,) = out.iterdir()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TABLES[fmt, kmax, eps]
+
+
+# a missing b-file, and output or cache directories under a regular file
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda regular: ["seq-compare", "U-1", "--bfile", regular.parent / "missing.txt"],
+        lambda regular: ["tables", "--kmax", 1, "--out", regular / "out"],
+        lambda regular: ["tables", "--kmax", 1, "--out", regular.parent,
+                         "--cache-dir", regular / "cache"],
+    ],
+    ids=["missing-bfile", "out-under-file", "cache-under-file"],
+)
+def test_io_errors_exit_2(argv, tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert run(argv(regular)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_telescope_refuses_negative_count(capsys):
+    assert run(["verify", "telescope", "--count", -3]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be >= 0, got -3\n"
 
 
 def test_verify_suites_exit_zero(capsys):

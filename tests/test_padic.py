@@ -166,3 +166,33 @@ def test_term_val_profile_zero_series():
     profile = term_val_profile(lambda n: Fraction(0), P3, 10)
     assert profile.converges
     assert all(v.is_infinite for v in profile.valuations)
+
+
+def test_padic_functions_refuse_floats():
+    calls = (
+        lambda: val_rat(0.5, P2),
+        lambda: expand(0.5, P2, 4),
+        lambda: padic_norm(0.5, P2),
+        lambda: in_convergence_domain(0.5, P2, ConvergenceParams(1, 1)),
+        lambda: term_val_profile(lambda n: 0.5**n, P2, 4),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_valuation_order_is_one_key():
+    values = (Valuation(-1), Valuation(0), Valuation(3), Valuation.INFINITE, -2, 0, Fraction(5, 2))
+    key = lambda v: v._key() if isinstance(v, Valuation) else v
+    for a in values[:4]:
+        for b in values:
+            assert (a < b, a <= b, a == b, a != b, a > b, a >= b) == (
+                key(a) < key(b), key(a) <= key(b), key(a) == key(b),
+                key(a) != key(b), key(a) > key(b), key(a) >= key(b),
+            )
+    # a foreign type is not comparable: equality is False, ordering raises
+    assert (Valuation(1) == "a") is False
+    with pytest.raises(TypeError):
+        Valuation(1) < "a"
+    with pytest.raises(TypeError):
+        Valuation(1) >= 0.5

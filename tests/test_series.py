@@ -225,6 +225,14 @@ def test_telescope_spec_validation():
         TelescopeSpec(**{**good, "x": 0.1})
 
 
+def test_telescope_spec_stores_integral_x_as_int():
+    base = dict(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, aux=RatPoly.one())
+    spec = TelescopeSpec(**base, x=Fraction(2))
+    assert type(spec.x) is int and spec.x == 2
+    assert TelescopeSpec(**base, x=Fraction(1, 2)).x == Fraction(1, 2)
+    assert all(type(c) is int for c in construct_telescope_poly(spec, Fraction(2)).coeffs)
+
+
 def test_telescope_checks_raise_on_perturbed_term():
     class OffByOne(TelescopeSpec):
         def term(self, n):

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/tracer.py) still binds every name it
+traces, and a traced run prints what an untraced one prints."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PADSUM_CACHE_DIR": str(cwd / "cache")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify padic --kmax 1 --nmax 3 --primes 3 --x-values 1 --format json",
+        "tables --kmax 2 --no-cache",
+    ],
+)
+def test_traced_run_matches_untraced(argv, tmp_path):
+    plain = _python(["-m", "padsum.cli", *argv.split()], tmp_path)
+    stats = tmp_path / "stats.json"
+    traced = _python([str(ROOT / "perfbench" / "tracer.py"), str(stats), *argv.split()], tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(stats.read_text())["counts"]["cli.main"] == 1
