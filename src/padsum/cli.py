@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fps import check_first_order_ode, check_second_order_ode
-from .padic import Prime, expand
+from .padic import Prime
 from .poly import RatPoly
 from .series import (
     SeriesSpec,
@@ -33,6 +33,7 @@ from .series import (
 )
 from .tables import (
     CrossCheckError,
+    IntPairTable,
     TableSet,
     bundle_from_json,
     bundle_to_json,
@@ -111,80 +112,72 @@ def _cache_file(cache_dir: Path, kmax: int, eps: int) -> Path:
     return cache_dir / f"tables_{key}.json"
 
 
-_BUNDLE_KEYS = {"eps", "kmax", "A", "U", "V", "u", "v"}
+def load_or_build_bundle(
+    kmax: int, eps: int, cache_dir: Path, use_cache: bool
+) -> tuple[TableSet, IntPairTable | None]:
+    """Tables and integer pairs for (kmax, eps), from the on-disk cache when warm.
 
-
-def _read_cached_bundle(cache_file: Path, kmax: int, eps: int) -> dict | None:
-    """The cached bundle for (kmax, eps), or None when the entry is missing,
-    does not parse, lacks the bundle keys or belongs to another request."""
-    try:
-        bundle = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
-        return None
-    keys_ok = isinstance(bundle, dict) and bundle.keys() == _BUNDLE_KEYS
-    return bundle if keys_ok and (bundle["kmax"], bundle["eps"]) == (kmax, eps) else None
-
-
-def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path, use_cache: bool) -> dict:
-    """Table bundle for (kmax, eps), from the on-disk cache when warm.
-
-    All cross-checks run on a cold build; the cache key includes the
-    artifact version, so stale layouts can never be picked up.  An unusable
-    cache entry is a miss and is rebuilt; entries are written to a temporary
-    file and renamed into place, so a reader never sees half a file.
+    The cache key includes the artifact version, so stale layouts can never
+    be picked up.  An entry that :func:`bundle_from_json` refuses, or that
+    holds another (kmax, eps), is a miss and is rebuilt; entries are written
+    to a temporary file and renamed into place, so a reader never sees half
+    a file.
     """
     cache_file = _cache_file(cache_dir, kmax, eps)
     if use_cache:
-        cached = _read_cached_bundle(cache_file, kmax, eps)
-        if cached is not None:
-            return cached
-    tables = TableSet.build(kmax, eps, cross_check=True)
-    pairs = int_pairs(kmax, cross_check=True) if kmax >= 1 else None
-    bundle = bundle_to_json(tables, pairs)
+        try:
+            tables, pairs = bundle_from_json(json.loads(cache_file.read_text()))
+            if (tables.kmax, tables.eps) == (kmax, eps):
+                return tables, pairs
+        except (OSError, ValueError, RecursionError):  # json.loads: nesting too deep
+            pass
+    tables = TableSet.build(kmax, eps)
+    pairs = int_pairs(kmax) if kmax >= 1 else None
     if use_cache:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(_dumps(bundle))
+            tmp.write_text(_dumps(bundle_to_json(tables, pairs)))
             os.replace(tmp, cache_file)
         finally:
             tmp.unlink(missing_ok=True)
-    return bundle
+    return tables, pairs
 
 
-def _render_tables_text(bundle: dict) -> str:
-    tables, pairs = bundle_from_json(bundle)
+def _render_tables_text(tables: TableSet, pairs: IntPairTable | None) -> str:
     lines = [f"# tables for eps = {tables.eps:+d}, kmax = {tables.kmax}"]
     if pairs is not None:
         lines += ["", "k u_k v_k"]
         lines += [f"{k} {u} {v}" for k, (u, v) in enumerate(zip(pairs.us, pairs.vs), 1)]
-    if tables.corr.kmax:
+    # a built TableSet also holds U/V at kmax+1, which the tables omit
+    ks = range(1, tables.kmax + 1)
+    if ks:
         lines.append("")
-        lines += [f"U_{k}(x) = {u.render('x')}" for k, u in enumerate(tables.corr.u_polys, 1)]
-        lines += [f"V_{k}(x) = {v.render('x')}" for k, v in enumerate(tables.corr.v_polys, 1)]
+        lines += [f"U_{k}(x) = {tables.corr.u_poly(k).render('x')}" for k in ks]
+        lines += [f"V_{k}(x) = {tables.corr.v_poly(k).render('x')}" for k in ks]
     lines.append("")
     lines += [f"A_{k}(n;x) = {a.render()}" for k, a in enumerate(tables.gen.polys)]
     return "\n".join(lines) + "\n"
 
 
-def _render_tables_csv(bundle: dict) -> str:
+def _render_tables_csv(pairs: IntPairTable | None) -> str:
     lines = ["k,u,v"]
-    for i, (u, v) in enumerate(zip(bundle["u"], bundle["v"]), 1):
-        lines.append(f"{i},{u},{v}")
+    if pairs is not None:
+        lines += [f"{k},{u},{v}" for k, (u, v) in enumerate(zip(pairs.us, pairs.vs), 1)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_tables(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    bundle = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
+    tables, pairs = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
     if args.format == "json":
-        content = _dumps(bundle)
+        content = _dumps(bundle_to_json(tables, pairs))
         ext = "json"
     elif args.format == "csv":
-        content = _render_tables_csv(bundle)
+        content = _render_tables_csv(pairs)
         ext = "csv"
     else:
-        content = _render_tables_text(bundle)
+        content = _render_tables_text(tables, pairs)
         ext = "txt"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,10 +264,7 @@ def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict
                     total += 1
                     verdict = padic_sum_verify(profile, p)
                     wrong = padic_sum_verify(perturbed, p)
-                    params = {"k": k, "eps": eps, "x": str(x)}
-                    report = verdict.report(params)
-                    report["claimed"] = str(claimed)
-                    report["claimed_expansion"] = expand(claimed, p, precision).render()
+                    report = verdict.report({"k": k, "eps": eps, "x": str(x)}, claimed, precision)
                     report["perturbed_verdict"] = "FAIL" if not wrong.passed else "PASS"
                     reports.append(report)
                     if verdict.passed:
@@ -312,10 +302,7 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
     for p in args.primes:
         verdict = padic_sum_verify(profile, p)
         params = {"k": args.k, "eps": args.eps, "x": str(args.x)}
-        report = verdict.report(params)
-        report["claimed"] = str(claimed)
-        report["claimed_expansion"] = expand(claimed, p, args.precision).render()
-        reports.append(report)
+        reports.append(verdict.report(params, claimed, args.precision))
         if verdict.passed:
             lines.append(f"PASS padic: claim {claimed} holds to N={args.nmax} at p={p}")
         else:

@@ -23,6 +23,7 @@ from .padic import (
     Prime,
     Valuation,
     convergence_threshold,
+    expand,
     in_convergence_domain,
     val_factorial,
     val_rat,
@@ -483,9 +484,10 @@ class PadicVerdict:
     passed: bool
     first_violation: int | None
     valuations: tuple[Valuation, ...]
-    bounds: tuple[Valuation, ...]
 
-    def report(self, params: dict) -> dict:
+    def report(self, params: dict, claimed: Fraction | int, precision: int) -> dict:
+        """The JSON report of this verdict on ``claimed``, with ``precision``
+        digits of its p-adic expansion."""
         return {
             "check": "padic-sum",
             "params": params,
@@ -493,6 +495,8 @@ class PadicVerdict:
             "n_max": len(self.valuations),
             "first_violation": self.first_violation,
             "verdict": "PASS" if self.passed else "FAIL",
+            "claimed": str(claimed),
+            "claimed_expansion": expand(claimed, self.prime, precision).render(),
         }
 
 
@@ -517,13 +521,11 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     if not vx > threshold:
         raise ConvergenceDomainError(x, p, threshold)
     valuations: list[Valuation] = []
-    bounds: list[Valuation] = []
     first_violation: int | None = None
     for n, (err, factor) in enumerate(zip(profile.errors, profile.remainder_factors), 1):
         bound = val_factorial(n, p) + vx * n + val_rat(factor, p)
         value = val_rat(err, p)
         valuations.append(value)
-        bounds.append(bound)
         if first_violation is None and not value >= bound:
             first_violation = n
-    return PadicVerdict(p, first_violation is None, first_violation, tuple(valuations), tuple(bounds))
+    return PadicVerdict(p, first_violation is None, first_violation, tuple(valuations))

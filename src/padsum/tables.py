@@ -144,12 +144,11 @@ class CorrectionPolys:
         return self.v_polys[k - 1]
 
 
-def derive_corrections(table: GenPolyTable, cross_check: bool = True) -> CorrectionPolys:
+def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
     """U_k and V_k for k = 1..kmax+1, read off the generating polynomials.
 
-    With ``cross_check`` the result is compared, polynomial for polynomial,
-    against the self-contained recurrence route; disagreement is a hard
-    failure.
+    The result is compared, polynomial for polynomial, against the
+    self-contained recurrence route; disagreement is a hard failure.
     """
     eps = table.eps
     x = RatPoly.monomial(1)
@@ -161,21 +160,15 @@ def derive_corrections(table: GenPolyTable, cross_check: bool = True) -> Correct
         at_zero = a.at_n(0)
         u_list.append(x * at_one - eps * at_zero)
         v_list.append(-eps * at_zero)
-    derived = CorrectionPolys(eps, tuple(u_list), tuple(v_list))
-    if cross_check:
-        direct = corrections_by_recurrence(table.kmax + 1, eps)
-        for k in range(1, derived.kmax + 1):
-            if derived.u_poly(k) != direct.u_poly(k):
+    direct = corrections_by_recurrence(table.kmax + 1, eps)
+    for name, ours, theirs in (("U", u_list, direct.u_polys), ("V", v_list, direct.v_polys)):
+        for k, (a, b) in enumerate(zip(ours, theirs), 1):
+            if a != b:
                 raise CrossCheckError(
-                    f"U_{k} mismatch (eps={eps:+d}): table route {derived.u_poly(k)!r}"
-                    f" vs recurrence route {direct.u_poly(k)!r}"
+                    f"{name}_{k} mismatch (eps={eps:+d}): table route {a!r}"
+                    f" vs recurrence route {b!r}"
                 )
-            if derived.v_poly(k) != direct.v_poly(k):
-                raise CrossCheckError(
-                    f"V_{k} mismatch (eps={eps:+d}): table route {derived.v_poly(k)!r}"
-                    f" vs recurrence route {direct.v_poly(k)!r}"
-                )
-    return derived
+    return CorrectionPolys(eps, tuple(u_list), tuple(v_list))
 
 
 def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
@@ -235,15 +228,13 @@ class IntPairTable:
         return self.vs[k - 1]
 
 
-def int_pairs(kmax: int, cross_check: bool = True) -> IntPairTable:
+def int_pairs(kmax: int) -> IntPairTable:
     """(u_k, v_k) for k = 1..kmax by their binomial recurrences.
 
         u_{k+1} = -k*u_k - sum_{l=1}^{k-1} C(k+1, l) u_l + 1,   u_1 = 0
         v_{k+1} = -k*v_k - sum_{l=1}^{k-1} C(k+1, l) v_l,       v_1 = -1
 
-    With ``cross_check`` (the default) the result must agree with
-    U_k(1), V_k(1) from the generating-polynomial route at eps = +1;
-    switch it off for long evidence sweeps where only the integers matter.
+    Every :meth:`TableSet.build` checks its U/V against these integers.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -254,19 +245,23 @@ def int_pairs(kmax: int, cross_check: bool = True) -> IntPairTable:
         sv = sum(binomial(k + 1, l) * v[l] for l in range(1, k))
         u[k + 1] = -k * u[k] - su + 1
         v[k + 1] = -k * v[k] - sv
-    table = IntPairTable(
+    return IntPairTable(
         tuple(u[k] for k in range(1, kmax + 1)),
         tuple(v[k] for k in range(1, kmax + 1)),
     )
-    if cross_check:
-        corr = derive_corrections(gen_poly_table(kmax - 1, 1), cross_check=False)
-        for k in range(1, kmax + 1):
-            if table.u(k) != corr.u_poly(k)(1) or table.v(k) != corr.v_poly(k)(1):
-                raise CrossCheckError(
-                    f"(u_{k}, v_{k}) = ({table.u(k)}, {table.v(k)}) disagrees with"
-                    f" (U_{k}(1), V_{k}(1)) = ({corr.u_poly(k)(1)}, {corr.v_poly(k)(1)})"
-                )
-    return table
+
+
+def _pairs_of(corr: CorrectionPolys) -> IntPairTable:
+    """(u_k, v_k) = eps^k (U_k(eps), V_k(eps)) for k = 1..corr.kmax.
+
+    The eps = -1 series at x is the eps = +1 series at -x, so both signs
+    give the same integer pairs.
+    """
+    eps = corr.eps
+    return IntPairTable(
+        tuple(eps**k * u(eps) for k, u in enumerate(corr.u_polys, 1)),
+        tuple(eps**k * v(eps) for k, v in enumerate(corr.v_polys, 1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -402,15 +397,15 @@ def sequence_slice(which: str, kmax: int) -> list[int]:
     """Evaluate a named family at its fixed point.
 
     A-families run over k = 0..kmax, U-families over k = 1..kmax.  All
-    values are integers.
+    values are integers, read off tables checked by :meth:`TableSet.build`.
     """
     family, eps, n, x = _sequence_params(which)
     if family == "A":
-        table = gen_poly_table(kmax, eps)
+        table = TableSet.build(kmax, eps).gen
         return [as_int(table.poly(k).eval(n, x)) for k in range(kmax + 1)]
     if kmax < 1:
         raise ValueError(f"U-sequences need kmax >= 1, got {kmax}")
-    corr = derive_corrections(gen_poly_table(kmax - 1, eps), cross_check=False)
+    corr = TableSet.build(kmax - 1, eps).corr
     return [as_int(corr.u_poly(k)(x)) for k in range(1, kmax + 1)]
 
 
@@ -458,20 +453,28 @@ class TableSet:
         return self.gen.kmax
 
     @classmethod
-    def build(cls, kmax: int, eps: int, cross_check: bool = True) -> "TableSet":
-        """Generate A_0..A_kmax plus U/V through kmax+1.
+    def build(cls, kmax: int, eps: int) -> "TableSet":
+        """Generate A_0..A_kmax plus U/V through kmax+1, and check them.
 
-        With ``cross_check`` the table is re-substituted into its recurrence
-        and the corrections are compared against their independent route.
+        The table is re-substituted into its recurrence, the corrections are
+        compared against their independent route, and eps^k (U_k(eps),
+        V_k(eps)) against the integer pairs (u_k, v_k), k = 1..kmax+1.
         """
         table = gen_poly_table(kmax, eps)
-        if cross_check:
-            report = recurrence_residuals(table)
-            if not report.ok:
+        report = recurrence_residuals(table)
+        if not report.ok:
+            raise CrossCheckError(
+                f"generating-polynomial residual nonzero at k={report.first_bad_k}"
+            )
+        corr = derive_corrections(table)
+        pairs, derived = int_pairs(kmax + 1), _pairs_of(corr)
+        for k in range(1, kmax + 2):
+            if (pairs.u(k), pairs.v(k)) != (derived.u(k), derived.v(k)):
                 raise CrossCheckError(
-                    f"generating-polynomial residual nonzero at k={report.first_bad_k}"
+                    f"(u_{k}, v_{k}) = ({pairs.u(k)}, {pairs.v(k)}) disagrees with"
+                    f" eps^{k} (U_{k}(eps), V_{k}(eps)) = ({derived.u(k)}, {derived.v(k)})"
+                    f" at eps={eps:+d}"
                 )
-        corr = derive_corrections(table, cross_check=cross_check)
         return cls(table, corr)
 
 
@@ -503,16 +506,22 @@ def bundle_to_json(tables: TableSet, pairs: IntPairTable | None) -> dict:
 
 
 def bundle_from_json(data: dict) -> tuple[TableSet, IntPairTable | None]:
-    """Rebuild a bundle produced by :func:`bundle_to_json` (no re-generation)."""
-    eps = data["eps"]
-    polys = tuple(
-        GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"]
-    )
-    gen = GenPolyTable(eps, polys)
-    corr = CorrectionPolys(
-        eps,
-        tuple(RatPoly(c) for c in data["U"]),
-        tuple(RatPoly(c) for c in data["V"]),
-    )
-    pairs = IntPairTable(tuple(data["u"]), tuple(data["v"])) if data["u"] else None
-    return TableSet(gen, corr), pairs
+    """Decode a bundle written by :func:`bundle_to_json` (no re-generation).
+
+    Anything ``bundle_to_json`` could not have written raises ``ValueError``:
+    the pairs are derived from U/V, encoding the decoded bundle again must
+    give ``data`` back, and no number may be a float (``RatPoly`` refuses
+    one in A/U/V; the other fields must be ``int``, not a float equal to one).
+    """
+    try:
+        eps = data["eps"]
+        polys = tuple(GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"])
+        corr = CorrectionPolys(eps, tuple(map(RatPoly, data["U"])), tuple(map(RatPoly, data["V"])))
+        tables = TableSet(GenPolyTable(eps, polys), corr)
+        pairs = _pairs_of(corr) if corr.kmax else None
+        scalars = (eps, data["kmax"], *data["u"], *data["v"])
+        if any(type(s) is not int for s in scalars) or bundle_to_json(tables, pairs) != data:
+            raise ValueError("it is not the encoding of its own tables")
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a table bundle: {exc}") from None
+    return tables, pairs

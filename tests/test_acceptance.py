@@ -52,7 +52,7 @@ def announce(number: int, label: str):
 
 
 def test_criterion_01_integer_pair_table():
-    pairs = int_pairs(11, cross_check=True)
+    pairs = int_pairs(11)
     assert pairs.us == (0, 1, -1, -2, 9, -9, -50, 267, -413, -2180, 17731)
     assert pairs.vs == (-1, 1, 1, -5, 5, 21, -105, 141, 777, -5513, 13209)
     announce(1, "first eleven integer pairs (u_k, v_k) reproduced exactly")
@@ -138,7 +138,7 @@ def test_criterion_05_route_independence(tables_plus, tables_minus):
             assert tables.corr.u_poly(k) == direct.u_poly(k), (tables.eps, k)
             assert tables.corr.v_poly(k) == direct.v_poly(k), (tables.eps, k)
     # route C: the integer recurrences, evaluated at x = 1, eps = +1
-    pairs = int_pairs(15, cross_check=False)
+    pairs = int_pairs(15)
     for k in range(1, 16):
         assert pairs.u(k) == tables_plus.corr.u_poly(k)(1), k
         assert pairs.v(k) == tables_plus.corr.v_poly(k)(1), k
@@ -229,7 +229,7 @@ def test_criterion_10_ode_residuals():
 
 
 def test_criterion_11_nonvanishing_evidence():
-    pairs = int_pairs(200, cross_check=False)
+    pairs = int_pairs(200)
     assert pairs.u(1) == 0
     for k in range(2, 201):
         assert pairs.u(k) != 0, k

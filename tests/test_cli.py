@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from padsum.cli import (
     parse_rational,
 )
 from padsum.tables import TableSet
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 # Exit code and SHA-256 of the stdout of small runs of each verify path;
 # any change to what they print must show here.
@@ -86,15 +89,24 @@ def test_tables_json_and_warm_cache(dirs, capsys):
     assert len(list(cache.glob("tables_*.json"))) == 1
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda text: text[: len(text) // 2],
-        lambda text: '{"eps": 1}',
-        lambda text: json.dumps({**json.loads(text), "kmax": 2}),
-    ],
-    ids=["truncated", "missing-keys", "other-kmax"],
-)
+def _changed(key, change):
+    """A corruption that replaces the entry's ``key`` by ``change`` of its value."""
+    return lambda text: json.dumps({**json.loads(text), key: change(json.loads(text)[key])})
+
+
+# ways to spoil the cache entry of `tables --kmax 3 --eps 1`
+CORRUPTIONS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "missing-keys": lambda text: '{"eps": 1}',
+    "other-kmax": lambda text: json.dumps({**json.loads(text), "kmax": 2}),
+    "float-coefficient": _changed("A", lambda a: [[[1.5]]] + a[1:]),  # A_0 = 1.5
+    "tampered-pair": _changed("u", lambda u: [99] + u[1:]),  # u_1 = 99
+    "short-U": _changed("U", lambda u: u[:-1]),
+    "deep-nesting": lambda text: "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
 def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
     out, cache = dirs
     args = ["tables", "--kmax", 3, "--format", "json", "--out", out, "--cache-dir", cache]
@@ -107,6 +119,38 @@ def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
     assert path.read_bytes() == fresh
     assert entry.read_bytes() == fresh  # rebuilt in place, no temporary file left
     assert list(cache.iterdir()) == [entry]
+
+
+def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):
+    # a float coefficient in a warm entry must not reach the text renderer
+    out, cache = dirs
+    args = ["tables", "--kmax", 3, "--format", "text", "--out", out]
+    assert run([*args, "--no-cache"]) == 0
+    path = out / "tables_k3_p1.txt"
+    fresh = path.read_bytes()
+    assert run([*args, "--cache-dir", cache]) == 0
+    (entry,) = cache.iterdir()
+    entry.write_text(CORRUPTIONS["float-coefficient"](entry.read_text()))
+    assert run([*args, "--cache-dir", cache]) == 0
+    assert path.read_bytes() == fresh
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_tables_cold_and_warm_match_benchmark_digests(eps, dirs, capsys, monkeypatch):
+    # the benchmark's own tables-cold-warm steps and reference digests, read only
+    argv = ["tables", "--kmax", "30", "--eps", eps, "--format", "json",
+            "--out", "{out}", "--cache-dir", "{cache}"]
+    expected = json.loads(REFERENCES.read_text())["outputs"][" ".join(argv)]
+    out, cache = dirs
+    args = [{"{out}": out, "{cache}": cache}.get(arg, arg) for arg in argv]
+    path = out / f"tables_k30_{'p1' if eps == '1' else 'm1'}.json"
+    assert run(args) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+    path.unlink()
+    monkeypatch.setattr(TableSet, "build", None)  # the warm run must not build
+    assert run(args) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def test_tables_text_negative_sign(dirs, capsys):
@@ -212,7 +256,7 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
     build = TableSet.build
     monkeypatch.setattr(
         TableSet, "build",
-        staticmethod(lambda kmax, eps, cross_check=True: tamper_v1(build(kmax, eps, cross_check))),
+        staticmethod(lambda kmax, eps: tamper_v1(build(kmax, eps))),
     )
     assert run(["verify", "finite", "--kmax", 2, "--nmax", 3]) == 1
     assert capsys.readouterr().out == (

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import padsum.tables
 from padsum.poly import GenPoly, RatPoly
 from padsum.tables import (
     CrossCheckError,
     GenPolyTable,
+    IntPairTable,
     TableSet,
     aux_poly,
     bell_numbers,
@@ -129,7 +131,7 @@ def test_aux_poly_small_systems():
 
 def test_aux_poly_matches_table_route():
     table = gen_poly_table(7, 1)
-    pairs = int_pairs(8, cross_check=False)
+    pairs = int_pairs(8)
     for k in range(1, 9):
         solution = aux_poly(k)
         assert solution.poly == table.poly(k - 1).at_x(1)
@@ -172,6 +174,35 @@ def test_sequence_slices():
     assert sequence_slice("U-1", 6) == [2, -5, 15, -52, 203, -877]
     with pytest.raises(ValueError):
         sequence_slice("A+2,1", 5)
+
+
+def test_sequence_slice_checks_its_table(monkeypatch):
+    honest = padsum.tables.gen_poly_table
+
+    def corrupted(kmax, eps):  # A_1 replaced by (n - 1)x + 1
+        table = honest(kmax, eps)
+        bad = GenPoly(eps, (RatPoly.constant(1), RatPoly((-1, 1))))
+        return GenPolyTable(eps, (table.poly(0), bad) + table.polys[2:])
+
+    monkeypatch.setattr(padsum.tables, "gen_poly_table", corrupted)
+    with pytest.raises(CrossCheckError):
+        sequence_slice("U-1", 6)
+    with pytest.raises(CrossCheckError):
+        sequence_slice("A+0,1", 5)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_build_checks_integer_pairs(monkeypatch, eps):
+    honest = padsum.tables.int_pairs
+
+    def shifted(kmax):
+        pairs = honest(kmax)
+        return IntPairTable(pairs.us[:2] + (pairs.us[2] + 1,) + pairs.us[3:], pairs.vs)
+
+    TableSet.build(4, eps)  # the pairs agree with eps^k (U_k(eps), V_k(eps)) for both signs
+    monkeypatch.setattr(padsum.tables, "int_pairs", shifted)
+    with pytest.raises(CrossCheckError, match=r"^\(u_3, v_3\) = "):
+        TableSet.build(4, eps)
 
 
 def test_sequence_sign_symmetry():
