@@ -33,11 +33,9 @@ from .series import (
 )
 from .tables import (
     CrossCheckError,
-    IntPairTable,
     TableSet,
     bundle_from_json,
     bundle_to_json,
-    int_pairs,
     sequence_slice,
     sequence_start_index,
     SEQUENCE_IDS,
@@ -114,44 +112,47 @@ def _cache_file(cache_dir: Path, kmax: int, eps: int) -> Path:
 
 def load_or_build_bundle(
     kmax: int, eps: int, cache_dir: Path, use_cache: bool
-) -> tuple[TableSet, IntPairTable | None]:
-    """Tables and integer pairs for (kmax, eps), from the on-disk cache when warm.
+) -> tuple[TableSet, str]:
+    """Checked tables for (kmax, eps) and their JSON text, from the on-disk
+    cache when warm.
 
     The cache key includes the artifact version, so stale layouts can never
     be picked up.  An entry that :func:`bundle_from_json` refuses, or that
     holds another (kmax, eps), is a miss and is rebuilt; entries are written
     to a temporary file and renamed into place, so a reader never sees half
-    a file.
+    a file.  The bundle is serialised once per run: from the built tables
+    on a miss (the text the cache gets), from the verified entry on a hit.
     """
     cache_file = _cache_file(cache_dir, kmax, eps)
     if use_cache:
         try:
-            tables, pairs = bundle_from_json(json.loads(cache_file.read_text()))
+            data = json.loads(cache_file.read_text())
+            tables = bundle_from_json(data)
             if (tables.kmax, tables.eps) == (kmax, eps):
-                return tables, pairs
+                return tables, _dumps(data)
         except (OSError, ValueError, RecursionError):  # json.loads: nesting too deep
             pass
     tables = TableSet.build(kmax, eps)
-    pairs = int_pairs(kmax) if kmax >= 1 else None
+    text = _dumps(bundle_to_json(tables))
     if use_cache:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(_dumps(bundle_to_json(tables, pairs)))
+            tmp.write_text(text)
             os.replace(tmp, cache_file)
         finally:
             tmp.unlink(missing_ok=True)
-    return tables, pairs
+    return tables, text
 
 
-def _render_tables_text(tables: TableSet, pairs: IntPairTable | None) -> str:
+def _render_tables_text(tables: TableSet) -> str:
     lines = [f"# tables for eps = {tables.eps:+d}, kmax = {tables.kmax}"]
-    if pairs is not None:
-        lines += ["", "k u_k v_k"]
-        lines += [f"{k} {u} {v}" for k, (u, v) in enumerate(zip(pairs.us, pairs.vs), 1)]
-    # a built TableSet also holds U/V at kmax+1, which the tables omit
+    # a TableSet also holds U/V and the pairs at kmax+1, which the tables omit
     ks = range(1, tables.kmax + 1)
     if ks:
+        pairs = tables.pairs
+        lines += ["", "k u_k v_k"]
+        lines += [f"{k} {pairs.u(k)} {pairs.v(k)}" for k in ks]
         lines.append("")
         lines += [f"U_{k}(x) = {tables.corr.u_poly(k).render('x')}" for k in ks]
         lines += [f"V_{k}(x) = {tables.corr.v_poly(k).render('x')}" for k in ks]
@@ -160,24 +161,24 @@ def _render_tables_text(tables: TableSet, pairs: IntPairTable | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_tables_csv(pairs: IntPairTable | None) -> str:
+def _render_tables_csv(tables: TableSet) -> str:
+    pairs = tables.pairs
     lines = ["k,u,v"]
-    if pairs is not None:
-        lines += [f"{k},{u},{v}" for k, (u, v) in enumerate(zip(pairs.us, pairs.vs), 1)]
+    lines += [f"{k},{pairs.u(k)},{pairs.v(k)}" for k in range(1, tables.kmax + 1)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_tables(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    tables, pairs = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
+    tables, bundle_text = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
     if args.format == "json":
-        content = _dumps(bundle_to_json(tables, pairs))
+        content = bundle_text
         ext = "json"
     elif args.format == "csv":
-        content = _render_tables_csv(pairs)
+        content = _render_tables_csv(tables)
         ext = "csv"
     else:
-        content = _render_tables_text(tables, pairs)
+        content = _render_tables_text(tables)
         ext = "txt"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

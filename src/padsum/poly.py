@@ -1,7 +1,7 @@
 """Dense exact polynomial arithmetic.
 
 Two layers: ``RatPoly`` is an ordinary univariate polynomial over the
-rationals; ``GenPoly`` is a polynomial in x whose coefficients
+rationals; ``GenPoly`` is a read-only polynomial in x whose coefficients
 are ``RatPoly`` values in n, carrying a fixed sign eps in {+1, -1}.  The
 sign is data, not a symbol: quantities that are usually written with a
 symbolic sign are obtained by running both concrete signs and recombining
@@ -220,8 +220,9 @@ class GenPoly:
     """Polynomial in x whose x^j coefficient is a polynomial in n.
 
     The sign eps is fixed per instance, so identities like eps**2 = 1 hold
-    numerically and never need symbolic simplification.  Mixed-sign
-    arithmetic is refused.
+    numerically and never need symbolic simplification.  A ``GenPoly`` is a
+    read-only value: it is built from its coefficients, compared, evaluated
+    and rendered, but has no arithmetic of its own.
     """
 
     __slots__ = ("eps", "coeffs")
@@ -235,20 +236,6 @@ class GenPoly:
         self.eps = eps
         self.coeffs: tuple[RatPoly, ...] = tuple(cs)
 
-    @classmethod
-    def zero(cls, eps: int) -> "GenPoly":
-        return cls(eps)
-
-    @classmethod
-    def constant(cls, eps: int, c: Union[RatPoly, Scalar]) -> "GenPoly":
-        return cls(eps, (c,))
-
-    @classmethod
-    def monomial(cls, eps: int, xpower: int, npoly: Union[RatPoly, Scalar]) -> "GenPoly":
-        if xpower < 0:
-            raise ValueError(f"xpower must be >= 0, got {xpower}")
-        return cls(eps, (RatPoly.zero(),) * xpower + (npoly if isinstance(npoly, RatPoly) else RatPoly.constant(npoly),))
-
     @property
     def degree_x(self) -> int:
         return len(self.coeffs) - 1
@@ -261,10 +248,6 @@ class GenPoly:
             return self.coeffs[j]
         return RatPoly.zero()
 
-    def _check_sign(self, other: "GenPoly") -> None:
-        if self.eps != other.eps:
-            raise ValueError("mixed-sign arithmetic: operands carry different eps")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenPoly):
             return NotImplemented
@@ -272,52 +255,6 @@ class GenPoly:
 
     def __hash__(self) -> int:
         return hash((self.eps, self.coeffs))
-
-    def __add__(self, other) -> "GenPoly":
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        self._check_sign(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return GenPoly(self.eps, out)
-
-    def __neg__(self) -> "GenPoly":
-        return GenPoly(self.eps, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "GenPoly":
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "GenPoly":
-        if isinstance(other, (int, Fraction, RatPoly)):
-            return GenPoly(self.eps, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        self._check_sign(other)
-        if not self.coeffs or not other.coeffs:
-            return GenPoly(self.eps)
-        out = [RatPoly.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return GenPoly(self.eps, out)
-
-    __rmul__ = __mul__
-
-    def mul_xpow(self, m: int) -> "GenPoly":
-        """Multiply by x**m."""
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        if not self.coeffs:
-            return self
-        return GenPoly(self.eps, (RatPoly.zero(),) * m + self.coeffs)
 
     def eval(self, n: Scalar, x: Scalar) -> Scalar:
         """Substitute both variables, exactly (Horner in x)."""

@@ -119,7 +119,7 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     for its top term gives an independent route to S_{k+1}; it must agree
     with the direct sum exactly.  Requires x != 0.
     """
-    x = Fraction(x)
+    x = Fraction(_exact_scalar(x))
     if x == 0:
         raise ValueError("the recurrence route needs x != 0")
     s = [power_sum(l, eps, x, n) for l in range(k + 1)]

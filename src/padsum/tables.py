@@ -96,21 +96,34 @@ class RecurrenceReport:
     first_bad_k: int | None
 
 
+def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
+    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
+    acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs, shift):
+        acc[i] += scale * c
+
+
 def recurrence_residuals(table: GenPolyTable) -> RecurrenceReport:
     """Re-substitute the whole family into its defining recurrence.
 
-    This is an independent route from the generator: it works with whole
-    two-variable polynomials rather than solving coefficient by
-    coefficient.  A nonzero residual pinpoints the offending k.
+    This is an independent route from the generator: it sums whole
+    two-variable polynomials, as exact coefficient arrays acc[j][i] of
+    n^i x^j, rather than solving coefficient by coefficient.  A nonzero
+    residual pinpoints the offending k.
     """
     eps = table.eps
+    rows = [[c.coeffs for c in a.coeffs] for a in table.polys]
     residuals: list[GenPoly] = []
     first_bad = None
     for k in range(1, table.kmax + 1):
-        acc = GenPoly.zero(eps)
-        for l in range(1, k + 2):
-            acc = acc + (table.poly(l - 1) * binomial(k + 1, l)).mul_xpow(k + 1 - l)
-        residual = acc - table.poly(k - 1) * eps - GenPoly.monomial(eps, k, RatPoly.monomial(k))
+        terms = [(rows[l - 1], binomial(k + 1, l), k + 1 - l) for l in range(1, k + 2)]
+        terms += [(rows[k - 1], -eps, 0), ([(0,) * k + (-1,)], 1, k)]  # - eps A_{k-1} - n^k x^k
+        acc: list[list] = []
+        for row, scale, shift in terms:
+            acc.extend([] for _ in range(shift + len(row) - len(acc)))
+            for j, coeffs in enumerate(row, shift):
+                _add_shifted(acc[j], coeffs, scale)
+        residual = GenPoly(eps, map(RatPoly, acc))
         residuals.append(residual)
         if first_bad is None and not residual.is_zero():
             first_bad = k
@@ -179,28 +192,27 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
 
         U_{k+1} = x^(k+1) + eps*U_k - sum_{l=1}^{k} C(k+1, l) x^(k+1-l) U_l
         V_{k+1} =           eps*V_k - sum_{l=1}^{k} C(k+1, l) x^(k+1-l) V_l
+
+    Both recurrences run on integer coefficient lists.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    u: dict[int, RatPoly] = {1: RatPoly((-eps, 1))}
-    v: dict[int, RatPoly] = {1: RatPoly.constant(-eps)}
+    u: list[list] = [[-eps, 1]]
+    v: list[list] = [[-eps]]
     for k in range(1, kmax):
-        acc_u = RatPoly.zero()
-        acc_v = RatPoly.zero()
+        next_u = [0] * (k + 1) + [1]
+        next_v: list = []
+        _add_shifted(next_u, u[k - 1], eps)
+        _add_shifted(next_v, v[k - 1], eps)
         for l in range(1, k + 1):
-            xpow = RatPoly.monomial(k + 1 - l)
-            coef = binomial(k + 1, l)
-            acc_u = acc_u + coef * xpow * u[l]
-            acc_v = acc_v + coef * xpow * v[l]
-        u[k + 1] = RatPoly.monomial(k + 1) + eps * u[k] - acc_u
-        v[k + 1] = eps * v[k] - acc_v
-    return CorrectionPolys(
-        eps,
-        tuple(u[k] for k in range(1, kmax + 1)),
-        tuple(v[k] for k in range(1, kmax + 1)),
-    )
+            scale = -binomial(k + 1, l)
+            _add_shifted(next_u, u[l - 1], scale, k + 1 - l)
+            _add_shifted(next_v, v[l - 1], scale, k + 1 - l)
+        u.append(next_u)
+        v.append(next_v)
+    return CorrectionPolys(eps, tuple(map(RatPoly, u)), tuple(map(RatPoly, v)))
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ def int_pairs(kmax: int) -> IntPairTable:
         u_{k+1} = -k*u_k - sum_{l=1}^{k-1} C(k+1, l) u_l + 1,   u_1 = 0
         v_{k+1} = -k*v_k - sum_{l=1}^{k-1} C(k+1, l) v_l,       v_1 = -1
 
-    Every :meth:`TableSet.build` checks its U/V against these integers.
+    Every :meth:`TableSet.checked` compares its U/V with these integers.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -248,19 +260,6 @@ def int_pairs(kmax: int) -> IntPairTable:
     return IntPairTable(
         tuple(u[k] for k in range(1, kmax + 1)),
         tuple(v[k] for k in range(1, kmax + 1)),
-    )
-
-
-def _pairs_of(corr: CorrectionPolys) -> IntPairTable:
-    """(u_k, v_k) = eps^k (U_k(eps), V_k(eps)) for k = 1..corr.kmax.
-
-    The eps = -1 series at x is the eps = +1 series at -x, so both signs
-    give the same integer pairs.
-    """
-    eps = corr.eps
-    return IntPairTable(
-        tuple(eps**k * u(eps) for k, u in enumerate(corr.u_polys, 1)),
-        tuple(eps**k * v(eps) for k, v in enumerate(corr.v_polys, 1)),
     )
 
 
@@ -439,7 +438,11 @@ def render_symbolic(plus: GenPoly, minus: GenPoly, eps_symbol: str = "e") -> str
 
 @dataclass(frozen=True)
 class TableSet:
-    """A generating-polynomial table with its derived corrections."""
+    """A generating-polynomial table with its derived corrections.
+
+    Build one with :meth:`checked` (or :meth:`build`, which generates the
+    table first), so that every table in use has passed the same checks.
+    """
 
     gen: GenPolyTable
     corr: CorrectionPolys
@@ -452,45 +455,64 @@ class TableSet:
     def kmax(self) -> int:
         return self.gen.kmax
 
+    @property
+    def pairs(self) -> IntPairTable:
+        """(u_k, v_k) = eps^k (U_k(eps), V_k(eps)) for k = 1..kmax+1.
+
+        The eps = -1 series at x is the eps = +1 series at -x, so both signs
+        give the same integer pairs.
+        """
+        eps = self.eps
+        return IntPairTable(
+            tuple(eps**k * u(eps) for k, u in enumerate(self.corr.u_polys, 1)),
+            tuple(eps**k * v(eps) for k, v in enumerate(self.corr.v_polys, 1)),
+        )
+
     @classmethod
-    def build(cls, kmax: int, eps: int) -> "TableSet":
-        """Generate A_0..A_kmax plus U/V through kmax+1, and check them.
+    def checked(cls, gen: GenPolyTable) -> "TableSet":
+        """A_0..A_kmax plus U/V through kmax+1, after checking them.
 
         The table is re-substituted into its recurrence, the corrections are
-        compared against their independent route, and eps^k (U_k(eps),
-        V_k(eps)) against the integer pairs (u_k, v_k), k = 1..kmax+1.
+        compared against their independent route, and the pairs against the
+        integer recurrence (u_k, v_k), k = 1..kmax+1.  Any disagreement
+        raises :class:`CrossCheckError`.
         """
-        table = gen_poly_table(kmax, eps)
-        report = recurrence_residuals(table)
+        report = recurrence_residuals(gen)
         if not report.ok:
             raise CrossCheckError(
                 f"generating-polynomial residual nonzero at k={report.first_bad_k}"
             )
-        corr = derive_corrections(table)
-        pairs, derived = int_pairs(kmax + 1), _pairs_of(corr)
-        for k in range(1, kmax + 2):
+        tables = cls(gen, derive_corrections(gen))
+        pairs, derived = int_pairs(gen.kmax + 1), tables.pairs
+        for k in range(1, gen.kmax + 2):
             if (pairs.u(k), pairs.v(k)) != (derived.u(k), derived.v(k)):
                 raise CrossCheckError(
                     f"(u_{k}, v_{k}) = ({pairs.u(k)}, {pairs.v(k)}) disagrees with"
                     f" eps^{k} (U_{k}(eps), V_{k}(eps)) = ({derived.u(k)}, {derived.v(k)})"
-                    f" at eps={eps:+d}"
+                    f" at eps={gen.eps:+d}"
                 )
-        return cls(table, corr)
+        return tables
+
+    @classmethod
+    def build(cls, kmax: int, eps: int) -> "TableSet":
+        """Generate A_0..A_kmax and return them :meth:`checked`."""
+        return cls.checked(gen_poly_table(kmax, eps))
 
 
 def _poly_ints(poly: RatPoly) -> list[int]:
     return [as_int(c) for c in poly.coeffs]
 
 
-def bundle_to_json(tables: TableSet, pairs: IntPairTable | None) -> dict:
+def bundle_to_json(tables: TableSet) -> dict:
     """JSON-ready dict for a table bundle.
 
     Layout: A[k][j][i] is the n^i coefficient of the x^j coefficient of
-    A_k; U[k-1] / V[k-1] are the x-coefficients of U_k / V_k (trimmed to
-    k <= kmax so that kmax = 0 carries A_0 alone); u/v are the integer
-    pairs.  All coefficients are exact integers.
+    A_k; U[k-1] / V[k-1] are the x-coefficients of U_k / V_k and u/v the
+    integer pairs, all trimmed to k <= kmax so that kmax = 0 carries A_0
+    alone.  All coefficients are exact integers.
     """
     kmax = tables.kmax
+    pairs = tables.pairs
     return {
         "eps": tables.eps,
         "kmax": kmax,
@@ -500,28 +522,29 @@ def bundle_to_json(tables: TableSet, pairs: IntPairTable | None) -> dict:
         ],
         "U": [_poly_ints(tables.corr.u_poly(k)) for k in range(1, kmax + 1)],
         "V": [_poly_ints(tables.corr.v_poly(k)) for k in range(1, kmax + 1)],
-        "u": list(pairs.us) if pairs is not None else [],
-        "v": list(pairs.vs) if pairs is not None else [],
+        "u": list(pairs.us[:kmax]),
+        "v": list(pairs.vs[:kmax]),
     }
 
 
-def bundle_from_json(data: dict) -> tuple[TableSet, IntPairTable | None]:
-    """Decode a bundle written by :func:`bundle_to_json` (no re-generation).
+def bundle_from_json(data: dict) -> TableSet:
+    """Decode a bundle written by :func:`bundle_to_json`.
 
+    Only A is decoded; it goes through :meth:`TableSet.checked`, so the
+    result is exactly what a cold build returns, after the same checks.
     Anything ``bundle_to_json`` could not have written raises ``ValueError``:
-    the pairs are derived from U/V, encoding the decoded bundle again must
-    give ``data`` back, and no number may be a float (``RatPoly`` refuses
-    one in A/U/V; the other fields must be ``int``, not a float equal to one).
+    a table that fails a check, an encoding of the checked tables (U, V, u,
+    v, kmax) that differs from ``data``, or a float anywhere (``RatPoly``
+    refuses one in A; the other fields must be ``int``, not a float equal
+    to one).
     """
     try:
         eps = data["eps"]
         polys = tuple(GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"])
-        corr = CorrectionPolys(eps, tuple(map(RatPoly, data["U"])), tuple(map(RatPoly, data["V"])))
-        tables = TableSet(GenPolyTable(eps, polys), corr)
-        pairs = _pairs_of(corr) if corr.kmax else None
+        tables = TableSet.checked(GenPolyTable(eps, polys))
         scalars = (eps, data["kmax"], *data["u"], *data["v"])
-        if any(type(s) is not int for s in scalars) or bundle_to_json(tables, pairs) != data:
+        if any(type(s) is not int for s in scalars) or bundle_to_json(tables) != data:
             raise ValueError("it is not the encoding of its own tables")
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, CrossCheckError) as exc:
         raise ValueError(f"not a table bundle: {exc}") from None
-    return tables, pairs
+    return tables

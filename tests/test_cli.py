@@ -94,6 +94,19 @@ def _changed(key, change):
     return lambda text: json.dumps({**json.loads(text), key: change(json.loads(text)[key])})
 
 
+def _edited(path, value):
+    """A corruption that sets the entry's item at ``path`` (keys and indices) to ``value``."""
+    def corrupt(text):
+        data = json.loads(text)
+        *outer, last = path
+        node = data
+        for key in outer:
+            node = node[key]
+        node[last] = value
+        return json.dumps(data)
+    return corrupt
+
+
 # ways to spoil the cache entry of `tables --kmax 3 --eps 1`
 CORRUPTIONS = {
     "truncated": lambda text: text[: len(text) // 2],
@@ -103,6 +116,9 @@ CORRUPTIONS = {
     "tampered-pair": _changed("u", lambda u: [99] + u[1:]),  # u_1 = 99
     "short-U": _changed("U", lambda u: u[:-1]),
     "deep-nesting": lambda text: "[" * 100_000,
+    "tampered-A": _edited(("A", 1, 1, 0), -3),  # A_1 = (n - 3)x + 1
+    # A_2's x^1 coefficient n - 5 -> n^2 - 5 leaves A_2(0; x), A_2(1; x), U and V as they were
+    "A-off-recurrence": _edited(("A", 2, 1), [-5, 0, 1]),
 }
 
 

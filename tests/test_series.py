@@ -61,6 +61,8 @@ def test_power_sum_recurrence_examples():
     assert power_sum_via_recurrence(0, 1, 1, 4) == 23  # recovers S_1 = 4! - 1
     assert power_sum_via_recurrence(1, 1, 1, 3) == 9
     assert power_sum_via_recurrence(3, -1, Fraction(1, 2), 0) == 0
+    with pytest.raises(TypeError):
+        power_sum_via_recurrence(1, 1, 0.1, 4)
 
 
 def test_power_sum_two_routes_agree():

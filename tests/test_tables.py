@@ -227,10 +227,17 @@ def test_eps_split_and_symbolic_rendering():
 
 
 def test_bundle_round_trip():
-    tables = TableSet.build(4, -1)
-    pairs = int_pairs(4)
-    bundle = bundle_to_json(tables, pairs)
-    restored, restored_pairs = bundle_from_json(bundle)
-    assert restored.gen.polys == tables.gen.polys
-    assert restored.corr.u_polys == tables.corr.u_polys[:4]
-    assert restored_pairs.us == pairs.us
+    # a warm read returns exactly what a cold build returns, U/V through kmax+1 included
+    for eps in (1, -1):
+        for kmax in (0, 4):
+            tables = TableSet.build(kmax, eps)
+            assert bundle_from_json(bundle_to_json(tables)) == tables
+
+
+def test_bundle_with_A_off_its_recurrence_is_refused():
+    # A_2's x^1 coefficient n - 5 -> n^2 - 5: same at n = 0 and 1, so U and V agree
+    bundle = bundle_to_json(TableSet.build(3, 1))
+    assert bundle["A"][2][1] == [-5, 1]
+    bundle["A"][2][1] = [-5, 0, 1]
+    with pytest.raises(ValueError, match="residual nonzero at k=2"):
+        bundle_from_json(bundle)

@@ -34,3 +34,16 @@ def test_traced_run_matches_untraced(argv, tmp_path):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     assert json.loads(stats.read_text())["counts"]["cli.main"] == 1
+
+
+def test_traced_warm_read_runs_the_checks(tmp_path):
+    argv = "tables --kmax 2 --format json".split()
+    cold = _python(["-m", "padsum.cli", *argv], tmp_path)
+    stats = tmp_path / "stats.json"
+    warm = _python([str(ROOT / "perfbench" / "tracer.py"), str(stats), *argv], tmp_path)
+    assert cold.returncode == 0, cold.stderr
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    counts = json.loads(stats.read_text())["counts"]
+    assert counts["tables.TableSet.build"] == 0  # a cache hit for the benchmark
+    assert counts["tables.recurrence_residuals"] == 1  # the cached A was checked
