@@ -17,6 +17,7 @@ never as definitions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -474,9 +475,13 @@ class TableSet:
 
         The table is re-substituted into its recurrence, the corrections are
         compared against their independent route, and the pairs against the
-        integer recurrence (u_k, v_k), k = 1..kmax+1.  Any disagreement
-        raises :class:`CrossCheckError`.
+        integer recurrence (u_k, v_k), k = 1..kmax+1.  The residuals start at
+        k = 1, so the seed A_0 = 1 is pinned separately; with it fixed, the
+        recurrence fixes every later row.  Any disagreement raises
+        :class:`CrossCheckError`.
         """
+        if gen.polys[:1] != (GenPoly(gen.eps, (RatPoly.one(),)),):
+            raise CrossCheckError("A_0 is not 1")
         report = recurrence_residuals(gen)
         if not report.ok:
             raise CrossCheckError(
@@ -533,17 +538,15 @@ def bundle_from_json(data: dict) -> TableSet:
     Only A is decoded; it goes through :meth:`TableSet.checked`, so the
     result is exactly what a cold build returns, after the same checks.
     Anything ``bundle_to_json`` could not have written raises ``ValueError``:
-    a table that fails a check, an encoding of the checked tables (U, V, u,
-    v, kmax) that differs from ``data``, or a float anywhere (``RatPoly``
-    refuses one in A; the other fields must be ``int``, not a float equal
-    to one).
+    a table that fails a check, or ``data`` that differs from the encoding
+    of the checked tables.  The two are compared as JSON text, so that a
+    ``1.0`` or ``true`` standing for 1 anywhere is a difference too.
     """
     try:
         eps = data["eps"]
         polys = tuple(GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"])
         tables = TableSet.checked(GenPolyTable(eps, polys))
-        scalars = (eps, data["kmax"], *data["u"], *data["v"])
-        if any(type(s) is not int for s in scalars) or bundle_to_json(tables) != data:
+        if json.dumps(bundle_to_json(tables), sort_keys=True) != json.dumps(data, sort_keys=True):
             raise ValueError("it is not the encoding of its own tables")
     except (LookupError, TypeError, ValueError, CrossCheckError) as exc:
         raise ValueError(f"not a table bundle: {exc}") from None

@@ -89,20 +89,16 @@ def test_tables_json_and_warm_cache(dirs, capsys):
     assert len(list(cache.glob("tables_*.json"))) == 1
 
 
-def _changed(key, change):
-    """A corruption that replaces the entry's ``key`` by ``change`` of its value."""
-    return lambda text: json.dumps({**json.loads(text), key: change(json.loads(text)[key])})
-
-
-def _edited(path, value):
-    """A corruption that sets the entry's item at ``path`` (keys and indices) to ``value``."""
+def _edited(path, change):
+    """A corruption that replaces the entry's item at ``path`` (keys and
+    indices) by ``change`` of its value."""
     def corrupt(text):
         data = json.loads(text)
         *outer, last = path
         node = data
         for key in outer:
             node = node[key]
-        node[last] = value
+        node[last] = change(node[last])
         return json.dumps(data)
     return corrupt
 
@@ -111,14 +107,16 @@ def _edited(path, value):
 CORRUPTIONS = {
     "truncated": lambda text: text[: len(text) // 2],
     "missing-keys": lambda text: '{"eps": 1}',
-    "other-kmax": lambda text: json.dumps({**json.loads(text), "kmax": 2}),
-    "float-coefficient": _changed("A", lambda a: [[[1.5]]] + a[1:]),  # A_0 = 1.5
-    "tampered-pair": _changed("u", lambda u: [99] + u[1:]),  # u_1 = 99
-    "short-U": _changed("U", lambda u: u[:-1]),
+    "other-kmax": _edited(("kmax",), lambda k: 2),
+    "float-coefficient": _edited(("A", 0), lambda a0: [[1.5]]),  # A_0 = 1.5
+    "float-in-U": _edited(("U", 0, 1), float),  # 1 -> 1.0
+    "true-in-A": _edited(("A", 0, 0, 0), bool),  # 1 -> true
+    "tampered-pair": _edited(("u", 0), lambda u1: 99),  # u_1 = 99
+    "short-U": _edited(("U",), lambda u: u[:-1]),
     "deep-nesting": lambda text: "[" * 100_000,
-    "tampered-A": _edited(("A", 1, 1, 0), -3),  # A_1 = (n - 3)x + 1
+    "tampered-A": _edited(("A", 1, 1, 0), lambda c: c - 1),  # A_1 = (n - 3)x + 1
     # A_2's x^1 coefficient n - 5 -> n^2 - 5 leaves A_2(0; x), A_2(1; x), U and V as they were
-    "A-off-recurrence": _edited(("A", 2, 1), [-5, 0, 1]),
+    "A-off-recurrence": _edited(("A", 2, 1), lambda c: [c[0], 0, c[1]]),
 }
 
 

@@ -241,3 +241,12 @@ def test_bundle_with_A_off_its_recurrence_is_refused():
     bundle["A"][2][1] = [-5, 0, 1]
     with pytest.raises(ValueError, match="residual nonzero at k=2"):
         bundle_from_json(bundle)
+
+
+def test_bundle_with_another_seed_A_0_is_refused():
+    # the recurrence fixes A_1.. only once A_0 = 1 is fixed; kmax 0 has no residuals at all
+    bundle = bundle_to_json(TableSet.build(0, 1))
+    assert bundle["A"] == [[[1]]]
+    bundle["A"] = [[[1, -1, 1]]]  # A_0 = n^2 - n + 1, still 1 at n = 0 and 1
+    with pytest.raises(ValueError, match="A_0 is not 1"):
+        bundle_from_json(bundle)
