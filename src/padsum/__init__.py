@@ -7,7 +7,8 @@ integer-pair tables of the summation identity
 
 by recurrence, cross-checks every table along an independent route, and
 verifies the identities three ways: exact finite residuals, telescoping
-boundary identities, and p-adic valuation growth of partial-sum errors.
+boundary identities, and p-adic checks of partial-sum errors against the
+exact remainder.
 """
 
 from .fps import (

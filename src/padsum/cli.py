@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fps import check_first_order_ode, check_second_order_ode
-from .padic import Prime
+from .padic import Prime, val_rat
 from .poly import RatPoly
 from .series import (
     SeriesSpec,
@@ -311,9 +311,9 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
             lines.append(
                 f"FAIL padic: claim {claimed} violated at N={verdict.first_violation} (p={p})"
             )
-        for idx, v in enumerate(verdict.valuations):
-            partial = profile.errors[idx] + claimed
-            csv_rows.append(f"{idx + 1}/p={p},{partial},{v}")
+        if args.format == "csv":  # the only exact valuations, taken where printed
+            for n, err in enumerate(profile.errors, 1):
+                csv_rows.append(f"{n}/p={p},{err + claimed},{val_rat(err, p)}")
     return ok, lines, reports, csv_rows
 
 

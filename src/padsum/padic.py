@@ -2,7 +2,8 @@
 
 The valuation of zero is a genuine infinite value (``Valuation.INFINITE``),
 kept distinct from every finite exponent so that ultrametric comparisons
-can never be fooled by an integer sentinel.
+can never be fooled by an integer sentinel.  The p-adic verdict takes no
+valuation per term (``series.padic_sum_verify`` divides by the remainder).
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class Prime:
 class Valuation:
     """Exponent of the largest power of p dividing a value; infinite for 0.
 
-    Supports ordering and addition against other valuations and against
-    exact numbers (int or Fraction), and scaling by a positive integer,
-    which is all the ultrametric bookkeeping the verifiers need.
+    A value only: it is ordered against other valuations and against exact
+    numbers (int or Fraction), and read through ``exponent``.  It has no
+    arithmetic, since no verdict adds valuations.
     """
 
     __slots__ = ("exponent",)
@@ -87,28 +88,6 @@ class Valuation:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def __add__(self, other) -> "Valuation":
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return Valuation.INFINITE
-        return Valuation(self.exponent + other.exponent)
-
-    __radd__ = __add__
-
-    def __mul__(self, factor: int) -> "Valuation":
-        if not isinstance(factor, int):
-            return NotImplemented
-        if factor <= 0:
-            raise ValueError(f"valuation scaling needs a positive factor, got {factor}")
-        if self.is_infinite:
-            return Valuation.INFINITE
-        return Valuation(self.exponent * factor)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Valuation({self.exponent!r})"
@@ -278,11 +257,14 @@ def term_val_profile(
     (minimum) valuation over the second half of the window must exceed the
     worst over the first half, since terms of a convergent series must push
     the valuation floor upward.  Non-convergence is a verdict, never an
-    exception.
+    exception; a window of fewer than two terms has no halves to compare
+    and raises ``ValueError``.
     """
+    if n_max - start + 1 < 2:
+        raise ValueError(f"a trend needs at least two terms, got n = {start}..{n_max}")
     vals = tuple(val_rat(term(n), p) for n in range(start, n_max + 1))
     half = len(vals) // 2
-    lo_head = min(vals[:half], default=Valuation.INFINITE)
-    lo_tail = min(vals[half:], default=Valuation.INFINITE)
+    lo_head = min(vals[:half])
+    lo_tail = min(vals[half:])
     converges = lo_tail > lo_head or lo_head == lo_tail == Valuation.INFINITE
     return ValuationProfile(vals, converges)

@@ -4,9 +4,9 @@ p-adic verification of claimed infinite sums.
 Every check here is exact: partial sums, boundary terms and closed-form
 constants are all computed as big rationals, and an identity either has a
 zero residual or the check fails loudly.  The only graded outcome is the
-p-adic verdict, which compares the valuation growth of the partial-sum
-error against the exact remainder bound.  The finite checks, their
-sweeps and the p-adic error profiles all read one engine, :func:`partial_sums`.
+p-adic verdict, which asks whether the partial-sum error over the exact
+remainder is a p-adic integer.  The finite checks, their sweeps and the
+p-adic error profiles all read one engine, :func:`partial_sums`.
 """
 
 from __future__ import annotations
@@ -14,20 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from typing import Callable, Iterator, Sequence
 
 from .kernel import binomial, factorial, rising_block
-from .padic import (
-    ConvergenceParams,
-    Prime,
-    Valuation,
-    convergence_threshold,
-    expand,
-    in_convergence_domain,
-    val_factorial,
-    val_rat,
-)
+from .padic import ConvergenceParams, Prime, convergence_threshold, expand, in_convergence_domain
 from .poly import RatPoly, _exact_scalar
 from .tables import TableSet
 
@@ -202,26 +193,31 @@ def _summand(terms: tuple[tuple, ...], i: int) -> Fraction:
 def partial_sums(
     spec: SeriesSpec, n_max: int, tables: TableSet
 ) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """(N, S_N, R_N) for N = 1..n_max, one term of the sum per step.
+    """(N, S_N, B_N) for N = 1..n_max, one term of the sum per step.
 
-    S_N = sum_{i<N} eps^i i! P(i; x) x^i is the partial sum and
-    R_N = sum_j C_j A_{j-1}(N; x) the remainder factor of the identity
+    S_N = sum_{i<N} eps^i i! P(i; x) x^i is the partial sum and B_N the
+    exact remainder of the identity
 
-        S_N = sum_j C_j V_j(x) + eps^(N-1) N! x^N R_N.
+        S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N sum_j C_j A_{j-1}(N; x).
 
-    R_N comes without its factor eps^(N-1) N! x^N so that the p-adic bound
-    can take v_p(N!) by Legendre's formula instead of valuing a big product.
+    The factor eps^(N-1) N! x^N is eps times the weight of the next term,
+    so no factorial or power is computed beside the running weights.
     n_max < 1 and too small tables raise here, before the first step.
     """
     if n_max < 1:
         raise ValueError(f"n must be >= 1, got {n_max}")
     terms = _summand_terms(spec, tables)
-    x = spec.x
-    summands = (w * _summand(terms, i) for i, w in zip(range(n_max), _weights(spec.eps, x)))
-    return (
-        (n, s, sum(c * a.eval(n, x) for _, _, _, c, a in terms))
-        for n, s in enumerate(accumulate(summands), 1)
-    )
+    eps, x = spec.eps, spec.x
+
+    def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
+        weights = _weights(eps, x)
+        s, w = 0, next(weights)
+        for n in range(1, n_max + 1):
+            s += w * _summand(terms, n - 1)
+            w = next(weights)
+            yield n, s, eps * w * sum(c * a.eval(n, x) for _, _, _, c, a in terms)
+
+    return steps()
 
 
 def _checked_sweep(
@@ -231,11 +227,9 @@ def _checked_sweep(
     checked exactly; raises on the first nonzero residual."""
     sums = partial_sums(spec, n_max, tables)
     rhs = spec.claimed_sum(tables)
-    results: list[PartialSumResult] = []
-    for n, s, r in sums:
-        boundary = spec.eps ** (n - 1) * factorial(n) * spec.x**n * r
-        results.append(_checked(PartialSumResult(n, s, rhs, boundary), what, f"{where} n={n}"))
-    return results
+    return [
+        _checked(PartialSumResult(n, s, rhs, b), what, f"{where} n={n}") for n, s, b in sums
+    ]
 
 
 def finite_identity_sweep(
@@ -439,15 +433,16 @@ def construct_telescope_poly(
 class SeriesErrorProfile:
     """Exact partial-sum errors of a series against a claimed sum.
 
-    errors[N-1] = partial_sum(N) - claimed and remainder_factors[N-1] =
-    sum_j C_j A_{j-1}(N; x), for N = 1..n_max.  Computing the profile once
-    lets several primes (or a perturbed claim) reuse the same big rationals.
+    errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
+    remainder of :func:`partial_sums`, for N = 1..n_max.  Computing the
+    profile once lets several primes (or a perturbed claim) reuse the same
+    big rationals.
     """
 
     spec: SeriesSpec
     claimed: Fraction | int
     errors: tuple[Fraction | int, ...]
-    remainder_factors: tuple[Fraction | int, ...]
+    remainders: tuple[Fraction | int, ...]
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
         delta = _exact_scalar(delta)
@@ -455,35 +450,36 @@ class SeriesErrorProfile:
             self.spec,
             self.claimed + delta,
             tuple(e - delta for e in self.errors),
-            self.remainder_factors,
+            self.remainders,
         )
 
 
 def series_error_profile(
     spec: SeriesSpec, claimed: Fraction | int, n_max: int, tables: TableSet
 ) -> SeriesErrorProfile:
-    """Partial-sum errors and remainder factors for N = 1..n_max; raises
-    for n_max < 1, where there would be nothing to check."""
+    """Partial-sum errors and remainders for N = 1..n_max; raises for
+    n_max < 1, where there would be nothing to check."""
     claimed = _exact_scalar(claimed)
     sums = list(partial_sums(spec, n_max, tables))
     return SeriesErrorProfile(
-        spec, claimed, tuple(s - claimed for _, s, _ in sums), tuple(r for _, _, r in sums)
+        spec, claimed, tuple(s - claimed for _, s, _ in sums), tuple(b for _, _, b in sums)
     )
 
 
 @dataclass(frozen=True)
 class PadicVerdict:
-    """Outcome of the valuation-growth check of a claimed sum.
+    """Outcome of the p-adic check of a claimed sum up to N = n_max.
 
-    PASS means v_p(partial_sum(N) - claimed) met the exact remainder bound
-    v_p(N!) + N*v_p(x) + v_p(remainder factor) at every sampled N; the
-    bound diverges, so a wrong claim must eventually violate it.
+    PASS means (S_N - claimed) / B_N was a p-adic integer, that is
+    v_p(S_N - claimed) >= v_p(B_N), at every N = 1..n_max.  Inside the
+    convergence domain v_p(B_N) grows without bound, so a wrong claim must
+    eventually fail.
     """
 
     prime: Prime
     passed: bool
     first_violation: int | None
-    valuations: tuple[Valuation, ...]
+    n_max: int
 
     def report(self, params: dict, claimed: Fraction | int, precision: int) -> dict:
         """The JSON report of this verdict on ``claimed``, with ``precision``
@@ -492,7 +488,7 @@ class PadicVerdict:
             "check": "padic-sum",
             "params": params,
             "p": self.prime.value,
-            "n_max": len(self.valuations),
+            "n_max": self.n_max,
             "first_violation": self.first_violation,
             "verdict": "PASS" if self.passed else "FAIL",
             "claimed": str(claimed),
@@ -501,31 +497,22 @@ class PadicVerdict:
 
 
 def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
-    """Verify the profile's claimed sum by p-adic valuation growth of its
-    partial-sum errors.
+    """Verify the profile's claimed sum p-adically: at every N = 1..n_max
+    of the profile, the error S_N - claimed over the exact remainder B_N
+    must have no p in its denominator, and where B_N = 0 the error must be
+    0.  The first violating N is reported on FAIL.  A profile is
+    prime-independent, so one profile serves every prime.
 
-    For every N = 1..n_max of the profile the error partial_sum(N) - claimed
-    must have valuation at least v_p(N!) + N*v_p(x) + v_p(sum_j C_j
-    A_{j-1}(N; x)), the exact valuation of the known remainder.  The first
-    violating N is reported on FAIL.  A profile is prime-independent, so
-    one profile serves every prime.
-
-    Outside the series' convergence domain, v_p(x) <= -1/(p-1), the bound
+    Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
     stops growing and no claim could be rejected, so the check refuses to
     run there and raises :class:`ConvergenceDomainError`.
     """
     x = profile.spec.x
-    vx = val_rat(x, p)
-    # in_convergence_domain for one factorial and x^n, reusing v_p(x)
-    threshold = convergence_threshold(ConvergenceParams(alpha=1, mu_lambda_sum=1), p)
-    if not vx > threshold:
-        raise ConvergenceDomainError(x, p, threshold)
-    valuations: list[Valuation] = []
-    first_violation: int | None = None
-    for n, (err, factor) in enumerate(zip(profile.errors, profile.remainder_factors), 1):
-        bound = val_factorial(n, p) + vx * n + val_rat(factor, p)
-        value = val_rat(err, p)
-        valuations.append(value)
-        if first_violation is None and not value >= bound:
-            first_violation = n
-    return PadicVerdict(p, first_violation is None, first_violation, tuple(valuations))
+    params = ConvergenceParams(alpha=1, mu_lambda_sum=1)
+    if not in_convergence_domain(x, p, params):
+        raise ConvergenceDomainError(x, p, convergence_threshold(params, p))
+    n_max = len(profile.errors)
+    for n, (err, b) in enumerate(zip(profile.errors, profile.remainders), 1):
+        if err != 0 if b == 0 else Fraction(err, b).denominator % p.value == 0:
+            return PadicVerdict(p, False, n, n_max)
+    return PadicVerdict(p, True, None, n_max)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padsum.kernel import factorial
 from padsum.padic import Prime, term_val_profile, val_rat
@@ -287,7 +288,7 @@ def test_padic_sum_verify_true_and_false_claims(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
     verdict = padic_sum_verify(series_error_profile(spec, Fraction(-1), 80, tables_plus), Prime(2))
     assert verdict.passed
-    assert len(verdict.valuations) == 80
+    assert verdict.n_max == 80
     # wrong claim: the error N! - 1 is odd for N >= 2, so p = 2 rejects fast
     wrong = padic_sum_verify(series_error_profile(spec, Fraction(0), 80, tables_plus), Prime(2))
     assert not wrong.passed
@@ -320,6 +321,50 @@ def test_padic_profile_reuse_and_shift(tables_plus):
     for p in (2, 3, 7):
         assert padic_sum_verify(profile, Prime(p)).passed
         assert not padic_sum_verify(shifted, Prime(p)).passed
+
+
+def test_padic_sum_verify_zero_remainder(tables_plus):
+    # A_1(1; 1) = 0, so B_1 = 0: only an exact error of 0 passes at N = 1
+    spec = SeriesSpec(eps=1, x=1, k=2)
+    profile = series_error_profile(spec, spec.claimed_sum(tables_plus), 10, tables_plus)
+    assert profile.remainders[0] == 0 and profile.errors[0] == 0
+    assert padic_sum_verify(profile, Prime(2)).passed
+    wrong = padic_sum_verify(profile.shifted_claim(2**40), Prime(2))
+    assert (wrong.passed, wrong.first_violation) == (False, 1)
+
+
+@given(
+    eps=st.sampled_from([1, -1]),
+    k=st.integers(min_value=1, max_value=6),
+    a=st.integers(min_value=-12, max_value=12),
+    b=st.sampled_from([1, 3, 5, 7]),
+    p=st.sampled_from([2, 3, 5, 7]),
+    e=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    n_max=st.integers(min_value=1, max_value=40),
+)
+def test_padic_sum_verify_matches_valuation_oracle(
+    tables_plus, tables_minus, eps, k, a, b, p, e, n_max
+):
+    # oracle: the first N with v_p(S_N - claim) < v_p(B_N), where S_N is
+    # summed term by term and B_N = eps^(N-1) N! x^N A_{k-1}(N; x) directly
+    tables = tables_plus if eps == 1 else tables_minus
+    prime, x = Prime(p), Fraction(a, b)
+    spec = SeriesSpec(eps=eps, x=x, k=k)
+    claim = spec.claimed_sum(tables) + (0 if e is None else p**e)
+    try:
+        verdict = padic_sum_verify(series_error_profile(spec, claim, n_max, tables), prime)
+    except ConvergenceDomainError:
+        return
+    term, a_poly = spec.term_callable(tables), tables.gen.poly(k - 1)
+    expected, partial = None, 0
+    for n in range(1, n_max + 1):
+        partial += term(n - 1)
+        remainder = eps ** (n - 1) * factorial(n) * x**n * a_poly.eval(n, x)
+        if val_rat(partial - claim, prime) < val_rat(remainder, prime):
+            expected = n
+            break
+    assert verdict.first_violation == expected
+    assert verdict.passed == (expected is None)
 
 
 def test_series_error_profile_needs_a_term(tables_plus):

@@ -47,3 +47,15 @@ def test_traced_warm_read_runs_the_checks(tmp_path):
     counts = json.loads(stats.read_text())["counts"]
     assert counts["tables.TableSet.build"] == 0  # a cache hit for the benchmark
     assert counts["tables.recurrence_residuals"] == 1  # the cached A was checked
+
+
+def test_traced_padic_verdict_takes_no_valuation_per_n(tmp_path):
+    # one val_rat per verdict (the convergence gate) and one per report (the
+    # claim's expansion); the verdict itself divides by B_N instead
+    argv = "verify padic --kmax 1 --nmax 3 --primes 3 --x-values 1 --format json".split()
+    stats = tmp_path / "stats.json"
+    traced = _python([str(ROOT / "perfbench" / "tracer.py"), str(stats), *argv], tmp_path)
+    assert traced.returncode == 0, traced.stderr
+    counts = json.loads(stats.read_text())["counts"]
+    assert counts["padic.val_rat"] == counts["series.padic_sum_verify"] + counts["padic.expand"]
+    assert counts["padic.val_factorial"] == 0
