@@ -66,12 +66,16 @@ class BFileError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational literal: 'p' or 'p/q'.  Decimal floats are refused."""
+    """Exact rational literal: 'p' or 'p/q' with q != 0.  Decimal floats
+    are refused."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def parse_eps(text: str) -> int:

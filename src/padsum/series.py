@@ -2,11 +2,13 @@
 p-adic verification of claimed infinite sums.
 
 Every check here is exact: partial sums, boundary terms and closed-form
-constants are all computed as big rationals, and an identity either has a
-zero residual or the check fails loudly.  The only graded outcome is the
-p-adic verdict, which asks whether the partial-sum error over the exact
-remainder is a p-adic integer.  The finite checks, their sweeps and the
-p-adic error profiles all read one engine, :func:`partial_sums`.
+constants are all exact rationals, and an identity either has a zero
+residual or the check fails loudly.  The only graded outcome is the p-adic
+verdict, which asks whether the partial-sum error over the exact remainder
+is a p-adic integer.  The finite checks, their sweeps and the p-adic error
+profiles all read one engine, :func:`partial_sums`, which builds a spec's
+polynomials once at x = a/b and takes each step in integers, carrying the
+power of b beside them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .kernel import binomial, factorial, rising_block
@@ -165,29 +168,42 @@ class SeriesSpec:
 
     def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
         """term(i) = eps^i i! P(i; x) x^i, for valuation profiling."""
-        terms = _summand_terms(self, tables)
+        summand = _summand_poly(self, tables)
 
         def term(i: int) -> Fraction:
-            return self.eps**i * factorial(i) * self.x**i * _summand(terms, i)
+            return self.eps**i * factorial(i) * self.x**i * summand(i)
 
         return term
 
 
-def _summand_terms(spec: SeriesSpec, tables: TableSet) -> tuple[tuple, ...]:
-    """(j, C_j x^j, C_j U_j(x), C_j, A_{j-1}) for each nonzero C_j:
-    everything P(i; x) and the remainder factor need, once per spec."""
+def _summand_poly(spec: SeriesSpec, tables: TableSet) -> RatPoly:
+    """P(i) = sum_j C_j [x^j i^j + U_j(x)] at the spec's x, as one
+    polynomial in i."""
     if tables.corr.kmax < spec.order:
         raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
     x = spec.x
-    return tuple(
-        (j, c * x**j, c * tables.corr.u_poly(j)(x), c, tables.gen.poly(j - 1))
-        for j, c in enumerate(spec.coeffs, 1) if c
-    )
+    constant = sum(c * tables.corr.u_poly(j)(x) for j, c in enumerate(spec.coeffs, 1) if c)
+    return RatPoly((constant, *(c * x**j for j, c in enumerate(spec.coeffs, 1))))
 
 
-def _summand(terms: tuple[tuple, ...], i: int) -> Fraction:
-    """P(i; x) = sum_j C_j [i^j x^j + U_j(x)]; ``terms`` is never empty."""
-    return sum(i**j * cxj + cu for j, cxj, cu, _, _ in terms)
+def _integral(poly: RatPoly) -> tuple[tuple[int, ...], int]:
+    """(m * poly's coefficients, highest degree first, as ints; m) for the
+    least m >= 1 that clears their denominators."""
+    m = lcm(*(c.denominator for c in poly.coeffs))
+    return tuple(int(c * m) for c in reversed(poly.coeffs)), m
+
+
+def _horner(coeffs: tuple[int, ...], t: int) -> int:
+    """The integer polynomial with ``coeffs`` (highest degree first) at t."""
+    total = 0
+    for c in coeffs:
+        total = total * t + c
+    return total
+
+
+def _quotient(num: int, den: int) -> Fraction | int:
+    """num / den exactly: an int when den is 1, else a Fraction."""
+    return num if den == 1 else Fraction(num, den)
 
 
 def partial_sums(
@@ -198,24 +214,38 @@ def partial_sums(
     S_N = sum_{i<N} eps^i i! P(i; x) x^i is the partial sum and B_N the
     exact remainder of the identity
 
-        S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N sum_j C_j A_{j-1}(N; x).
+        S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N R(N),
 
-    The factor eps^(N-1) N! x^N is eps times the weight of the next term,
-    so no factorial or power is computed beside the running weights.
+    with R(n) = sum_j C_j A_{j-1}(n; x).  P and R are built once at x = a/b
+    and scaled by the least e and d that make e P and d R integral, so with
+    the integer weights W_n = eps^n n! a^n each step is integer arithmetic:
+
+        T_N = b T_{N-1} + W_{N-1} (e P)(N-1),   S_N = T_N / (b^(N-1) e),
+        B_N = eps W_N (d R)(N) / (b^N d).
+
+    The power of b is carried, and a Fraction is built only where a
+    denominator is not 1, so an integer x with integer C_j yields ints.
     n_max < 1 and too small tables raise here, before the first step.
     """
     if n_max < 1:
         raise ValueError(f"n must be >= 1, got {n_max}")
-    terms = _summand_terms(spec, tables)
-    eps, x = spec.eps, spec.x
+    summand = _summand_poly(spec, tables)  # checks the tables' size first
+    remainder = sum(
+        (c * tables.gen.poly(j - 1).at_x(spec.x) for j, c in enumerate(spec.coeffs, 1) if c),
+        RatPoly.zero(),
+    )
+    p_int, e = _integral(summand)
+    r_int, d = _integral(remainder)
+    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
 
     def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
-        weights = _weights(eps, x)
-        s, w = 0, next(weights)
+        t, w, b_pow = 0, 1, 1  # T_{N-1}, W_{N-1}, b^(N-1)
         for n in range(1, n_max + 1):
-            s += w * _summand(terms, n - 1)
-            w = next(weights)
-            yield n, s, eps * w * sum(c * a.eval(n, x) for _, _, _, c, a in terms)
+            t = b * t + w * _horner(p_int, n - 1)
+            w *= eps * n * a
+            s = _quotient(t, b_pow * e)
+            b_pow *= b
+            yield n, s, _quotient(eps * w * _horner(r_int, n), b_pow * d)
 
     return steps()
 

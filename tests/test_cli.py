@@ -71,9 +71,18 @@ def test_rational_literals_round_trip():
 def test_rational_literal_rejects_floats():
     import argparse
 
-    for bad in ("0.5", "1e3", "1/2.0", "nan"):
+    for bad in ("0.5", "1e3", "1/2.0", "nan", "1/0", "-3/0"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("flag", ["--x-values", "--x", "--claim"])
+def test_zero_denominator_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "padic", f"{flag}=1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zero denominator in '1/0'" in err and "Traceback" not in err
 
 
 def test_tables_json_and_warm_cache(dirs, capsys):

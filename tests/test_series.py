@@ -49,6 +49,22 @@ def brute_power_sum(k, eps, x, n):
     return total
 
 
+def reference_partial_sums(spec, n_max, tables):
+    """(N, S_N, B_N) for N = 1..n_max without the engine: S_N summed term
+    by term from factorial(i), x**i and U_j(x), and
+    B_N = eps^(N-1) N! x^N sum_j C_j A_{j-1}(N; x) from GenPoly.eval."""
+    eps, x = spec.eps, Fraction(spec.x)
+    terms = [(j, c) for j, c in enumerate(spec.coeffs, 1) if c]
+    rows, partial = [], 0
+    for n in range(1, n_max + 1):
+        i = n - 1
+        summand = sum(c * (i**j * x**j + tables.corr.u_poly(j)(x)) for j, c in terms)
+        partial += eps**i * factorial(i) * x**i * summand
+        factor = sum(c * tables.gen.poly(j - 1).eval(n, x) for j, c in terms)
+        rows.append((n, partial, eps ** (n - 1) * factorial(n) * x**n * factor))
+    return rows
+
+
 def test_power_sum_examples():
     assert power_sum(1, 1, 1, 4) == 23  # 0 + 1 + 4 + 18 = 4! - 1
     assert power_sum(0, 1, Fraction(2, 3), 1) == 1  # lone i = 0 term, 0^0 = 1
@@ -118,6 +134,37 @@ def test_finite_checks_raise_on_tampered_table(tables_plus, tamper_v1):
         with pytest.raises(VerificationError) as err:
             check()
         assert err.value.result.residual == -1
+
+
+def test_finite_sweep_reads_A_from_the_table(tables_plus, tamper_a1):
+    tampered = tamper_a1(tables_plus)
+    for x in (Fraction(1, 2), 2):
+        with pytest.raises(VerificationError) as err:
+            finite_identity_sweep(2, 1, x, 5, tampered)
+        assert (err.value.result.n_terms, err.value.result.residual) == (1, -x)
+
+
+@given(
+    eps=st.sampled_from([1, -1]),
+    coeffs=st.lists(
+        st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda cs: cs[-1] != 0),
+    a=st.integers(min_value=-6, max_value=6),
+    b=st.sampled_from([1, 2, 3, 4, 7]),
+    n_max=st.integers(min_value=1, max_value=30),
+)
+def test_partial_sums_match_reference(tables_plus, tables_minus, eps, coeffs, a, b, n_max):
+    tables = tables_plus if eps == 1 else tables_minus
+    spec = SeriesSpec(eps=eps, x=Fraction(a, b), coeffs=tuple(coeffs))
+    sums = list(partial_sums(spec, n_max, tables))
+    assert sums == reference_partial_sums(spec, n_max, tables)
+    if type(spec.x) is int and all(type(c) is int for c in spec.coeffs):
+        assert all(type(s) is int and type(r) is int for _, s, r in sums)
 
 
 def test_general_sum_single_power_reduction(tables_plus):
@@ -345,8 +392,8 @@ def test_padic_sum_verify_zero_remainder(tables_plus):
 def test_padic_sum_verify_matches_valuation_oracle(
     tables_plus, tables_minus, eps, k, a, b, p, e, n_max
 ):
-    # oracle: the first N with v_p(S_N - claim) < v_p(B_N), where S_N is
-    # summed term by term and B_N = eps^(N-1) N! x^N A_{k-1}(N; x) directly
+    # oracle: the first N with v_p(S_N - claim) < v_p(B_N), with S_N and
+    # B_N from the engine-free reference_partial_sums
     tables = tables_plus if eps == 1 else tables_minus
     prime, x = Prime(p), Fraction(a, b)
     spec = SeriesSpec(eps=eps, x=x, k=k)
@@ -355,11 +402,8 @@ def test_padic_sum_verify_matches_valuation_oracle(
         verdict = padic_sum_verify(series_error_profile(spec, claim, n_max, tables), prime)
     except ConvergenceDomainError:
         return
-    term, a_poly = spec.term_callable(tables), tables.gen.poly(k - 1)
-    expected, partial = None, 0
-    for n in range(1, n_max + 1):
-        partial += term(n - 1)
-        remainder = eps ** (n - 1) * factorial(n) * x**n * a_poly.eval(n, x)
+    expected = None
+    for n, partial, remainder in reference_partial_sums(spec, n_max, tables):
         if val_rat(partial - claim, prime) < val_rat(remainder, prime):
             expected = n
             break

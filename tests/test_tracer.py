@@ -59,3 +59,13 @@ def test_traced_padic_verdict_takes_no_valuation_per_n(tmp_path):
     counts = json.loads(stats.read_text())["counts"]
     assert counts["padic.val_rat"] == counts["series.padic_sum_verify"] + counts["padic.expand"]
     assert counts["padic.val_factorial"] == 0
+
+
+def test_traced_finite_sweep_evaluates_no_genpoly_per_n(tmp_path):
+    # the remainder factor is built once per spec as a polynomial in n, so
+    # no step substitutes x into A again
+    argv = "verify finite --kmax 2 --nmax 3 --format json".split()
+    stats = tmp_path / "stats.json"
+    traced = _python([str(ROOT / "perfbench" / "tracer.py"), str(stats), *argv], tmp_path)
+    assert traced.returncode == 0, traced.stderr
+    assert json.loads(stats.read_text())["counts"]["poly.GenPoly.eval"] == 0
