@@ -13,7 +13,6 @@ exact remainder.
 
 from .fps import (
     OdeCheck,
-    TruncatedPS,
     apply_diff_operator,
     check_first_order_ode,
     check_second_order_ode,

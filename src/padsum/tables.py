@@ -59,25 +59,34 @@ class GenPolyTable:
         return self.polys[k]
 
 
+def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
+    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
+    acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs, shift):
+        acc[i] += scale * c
+
+
 def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
-    """Generate A_0..A_kmax by the column-by-column recurrence."""
+    """Generate A_0..A_kmax by the column-by-column recurrence.
+
+    Each A_kj is solved for on its integer coefficient list in n, as
+    eps * A_{k-1,j} (n^k for j = k) minus the C(k+1, m) A_{k-m,j-m} terms,
+    and each row becomes a ``GenPoly`` once, at the end.
+    """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    rows: list[list[RatPoly]] = [[RatPoly.one()]]
+    rows: list[list[list]] = [[[1]]]
     for k in range(1, kmax + 1):
-        row: list[RatPoly] = []
+        row: list[list] = []
         for j in range(k + 1):
-            acc = RatPoly.zero()
+            coeffs = [eps * c for c in rows[k - 1][j]] if j < k else [0] * k + [1]
             for m in range(1, j + 1):
-                acc = acc + binomial(k + 1, m) * rows[k - m][j - m]
-            if j < k:
-                row.append(eps * rows[k - 1][j] - acc)
-            else:
-                row.append(RatPoly.monomial(k) - acc)
+                _add_shifted(coeffs, rows[k - m][j - m], -binomial(k + 1, m))
+            row.append(coeffs)
         rows.append(row)
-    return GenPolyTable(eps, tuple(GenPoly(eps, row) for row in rows))
+    return GenPolyTable(eps, tuple(GenPoly(eps, map(RatPoly, row)) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -95,13 +104,6 @@ class RecurrenceReport:
     residuals: tuple[GenPoly, ...]
     ok: bool
     first_bad_k: int | None
-
-
-def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
-    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
-    acc.extend([0] * (shift + len(coeffs) - len(acc)))
-    for i, c in enumerate(coeffs, shift):
-        acc[i] += scale * c
 
 
 def recurrence_residuals(table: GenPolyTable) -> RecurrenceReport:
@@ -544,6 +546,8 @@ def bundle_from_json(data: dict) -> TableSet:
     """
     try:
         eps = data["eps"]
+        if type(eps) is not int:  # a ``true`` would pass as 1 and be echoed back
+            raise TypeError(f"eps must be an integer, got {eps!r}")
         polys = tuple(GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"])
         tables = TableSet.checked(GenPolyTable(eps, polys))
         if json.dumps(bundle_to_json(tables), sort_keys=True) != json.dumps(data, sort_keys=True):

@@ -120,6 +120,7 @@ CORRUPTIONS = {
     "float-coefficient": _edited(("A", 0), lambda a0: [[1.5]]),  # A_0 = 1.5
     "float-in-U": _edited(("U", 0, 1), float),  # 1 -> 1.0
     "true-in-A": _edited(("A", 0, 0, 0), bool),  # 1 -> true
+    "true-eps": _edited(("eps",), bool),  # 1 -> true
     "tampered-pair": _edited(("u", 0), lambda u1: 99),  # u_1 = 99
     "short-U": _edited(("U",), lambda u: u[:-1]),
     "deep-nesting": lambda text: "[" * 100_000,

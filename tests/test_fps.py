@@ -1,11 +1,9 @@
-"""Truncated power series and the factorial-series ODE residuals."""
-
-from fractions import Fraction
+"""The truncated factorial series and its ODE residuals."""
 
 import pytest
 
+import padsum.fps
 from padsum.fps import (
-    TruncatedPS,
     apply_diff_operator,
     check_first_order_ode,
     check_second_order_ode,
@@ -32,19 +30,9 @@ def test_series_ratio_invariant():
             assert series.coeff(n + 1) / series.coeff(n) == (n + 1) * poly(n + 1) / poly(n)
 
 
-def test_diff_and_truncating_products():
-    series = TruncatedPS((1, 1, 2))
-    assert series.diff().coeffs == (1, 4)  # d/dx (1 + x + 2x^2)
-    # x^2 * (1 + x) truncated at order 2 leaves just x^2
-    assert TruncatedPS((1, 1, 0)).mul_xpow(2).coeffs == (0, 0, 1)
-    assert TruncatedPS((1, 1, 0)).mul_poly(RatPoly.monomial(2)).coeffs == (0, 0, 1)
-    assert (series + TruncatedPS((1, 0))).coeffs == (2, 1)
-    assert series.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1, 2), 1)
-
-
 def test_derivative_of_plain_factorial_series():
     # (n+1)! shifted down: 1, 4, 18, 96
-    derivative = factorial_series(RatPoly.one(), 5).diff()
+    derivative = factorial_series(RatPoly.one(), 5).derivative()
     assert derivative.coeffs[:4] == (1, 4, 18, 96)
 
 
@@ -59,10 +47,8 @@ def test_first_order_residual_detects_corruption():
     # degree 2 becomes 2*1 - 3 = -1
     coeffs = [factorial(n) for n in range(6)]
     coeffs[2] = 3
-    corrupted = TruncatedPS(coeffs)
-    residual = apply_diff_operator(
-        corrupted, [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)], out_order=6
-    ) + TruncatedPS.from_poly(RatPoly.one(), 6)
+    terms = [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]
+    residual = apply_diff_operator(RatPoly(coeffs), terms) + 1
     assert residual.coeff(2) == -1
 
 
@@ -79,7 +65,6 @@ def test_second_order_rejects_wrong_series():
     residual = apply_diff_operator(
         wrong,
         [(RatPoly.monomial(2), 2), (RatPoly((-1, 3)), 1), (RatPoly.one(), 0)],
-        out_order=7,
     )
     assert residual.coeff(0) != 0 or residual.coeff(1) != 0
 
@@ -90,15 +75,24 @@ def test_ode_checks_over_a_range():
         assert check_second_order_ode(order).ok
 
 
+@pytest.mark.parametrize("offset", (0, 1))
+def test_second_order_artifacts_are_pinned(monkeypatch, offset):
+    # x^m coefficient (m+1)^2 m! - (m+1) c_(m+1): the truncation leaves
+    # (N+1) * (N+1)! at degree N and 0 at degree N+1
+    order = 7
+    assert check_second_order_ode(order).artifacts == {order: 8 * factorial(8), order + 1: 0}
+    spoiled = second_order_residual(order) + RatPoly.monomial(order + offset)
+    monkeypatch.setattr(padsum.fps, "second_order_residual", lambda n: spoiled)
+    check = check_second_order_ode(order)
+    assert (check.ok, check.bad_degree) == (False, order + offset)
+
+
 def test_operator_linearity():
     terms = [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]
     f = factorial_series(RatPoly.one(), 8)
     g = factorial_series(RatPoly.monomial(1), 8)
-    combined = TruncatedPS(tuple(3 * a + 2 * b for a, b in zip(f.coeffs, g.coeffs)))
-    lhs = apply_diff_operator(combined, terms, out_order=9)
-    rhs_f = apply_diff_operator(f, terms, out_order=9)
-    rhs_g = apply_diff_operator(g, terms, out_order=9)
-    assert lhs.coeffs == tuple(3 * a + 2 * b for a, b in zip(rhs_f.coeffs, rhs_g.coeffs))
+    lhs = apply_diff_operator(3 * f + 2 * g, terms)
+    assert lhs == 3 * apply_diff_operator(f, terms) + 2 * apply_diff_operator(g, terms)
 
 
 def test_order_bookkeeping():
@@ -106,7 +100,3 @@ def test_order_bookkeeping():
         first_order_residual(1)
     with pytest.raises(ValueError):
         second_order_residual(2)
-    with pytest.raises(ValueError):
-        TruncatedPS(())
-    with pytest.raises(IndexError):
-        TruncatedPS((1, 2)).coeff(5)

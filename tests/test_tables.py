@@ -60,6 +60,19 @@ def test_first_generating_polys():
     assert minus.poly(1) == GenPoly(-1, (RatPoly.constant(-1), RatPoly((-2, 1))))
 
 
+@pytest.mark.parametrize("eps", (1, -1))
+def test_generator_does_no_polynomial_arithmetic(monkeypatch, eps):
+    # the recurrence steps on integer coefficient lists; RatPoly only wraps rows
+    expected = gen_poly_table(8, eps)
+
+    def refuse(*args):
+        raise AssertionError("gen_poly_table did RatPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatPoly, name, refuse)
+    assert gen_poly_table(8, eps) == expected
+
+
 def test_structural_shape():
     # coefficient of x^j has degree exactly j with leading coefficient eps^(k+j)
     for eps in (1, -1):
