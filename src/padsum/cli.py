@@ -9,8 +9,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import random
 import re
@@ -34,14 +32,13 @@ from .series import (
 from .tables import (
     CrossCheckError,
     TableSet,
-    bundle_from_json,
-    bundle_to_json,
+    _dumps,
+    bundle_from_text,
+    bundle_text,
     sequence_slice,
     sequence_start_index,
     SEQUENCE_IDS,
 )
-
-ARTIFACT_VERSION = "1"
 
 FINITE_X_SET = (
     Fraction(-3),
@@ -104,40 +101,29 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "padsum"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _cache_file(cache_dir: Path, kmax: int, eps: int) -> Path:
-    key_src = f"padsum:v{ARTIFACT_VERSION}:tables:kmax={kmax}:eps={eps}"
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    return cache_dir / f"tables_{key}.json"
-
-
 def load_or_build_bundle(
     kmax: int, eps: int, cache_dir: Path, use_cache: bool
 ) -> tuple[TableSet, str]:
-    """Checked tables for (kmax, eps) and their JSON text, from the on-disk
-    cache when warm.
+    """Checked tables for (kmax, eps) and their :func:`bundle_text`, from
+    the on-disk cache when warm.
 
-    The cache key includes the artifact version, so stale layouts can never
-    be picked up.  An entry that :func:`bundle_from_json` refuses, or that
-    holds another (kmax, eps), is a miss and is rebuilt; entries are written
-    to a temporary file and renamed into place, so a reader never sees half
-    a file.  The bundle is serialised once per run: from the built tables
-    on a miss (the text the cache gets), from the verified entry on a hit.
+    The entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a hit, served as
+    is, when it equals byte for byte the bundle of its own checked A
+    (:func:`bundle_from_text`) and that A has this (kmax, eps).  Anything
+    else, an older layout included, is rebuilt: written to a temporary file
+    and renamed into place, so a reader never sees half a file.
     """
-    cache_file = _cache_file(cache_dir, kmax, eps)
+    cache_file = cache_dir / f"tables_kmax{kmax}_eps{eps:+d}.json"
     if use_cache:
         try:
-            data = json.loads(cache_file.read_text())
-            tables = bundle_from_json(data)
+            text = cache_file.read_text()
+            tables = bundle_from_text(text)
             if (tables.kmax, tables.eps) == (kmax, eps):
-                return tables, _dumps(data)
-        except (OSError, ValueError, RecursionError):  # json.loads: nesting too deep
+                return tables, text
+        except (OSError, ValueError):
             pass
     tables = TableSet.build(kmax, eps)
-    text = _dumps(bundle_to_json(tables))
+    text = bundle_text(tables)
     if use_cache:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
@@ -174,9 +160,9 @@ def _render_tables_csv(tables: TableSet) -> str:
 
 def cmd_tables(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    tables, bundle_text = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
+    tables, text = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
     if args.format == "json":
-        content = bundle_text
+        content = text
         ext = "json"
     elif args.format == "csv":
         content = _render_tables_csv(tables)

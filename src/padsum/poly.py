@@ -32,6 +32,13 @@ def _exact_scalar(c) -> Scalar:
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
+def _sign(eps) -> int:
+    """``eps`` if it is the int +1 or -1 (not ``True``, ``1.0``, ...); else ValueError."""
+    if type(eps) is not int or eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+    return eps
+
+
 def _power(var: str, i: int) -> str:
     """``var^i`` as printed: empty for i = 0 and bare ``var`` for i = 1."""
     return "" if i == 0 else var if i == 1 else f"{var}^{i}"
@@ -228,12 +235,10 @@ class GenPoly:
     __slots__ = ("eps", "coeffs")
 
     def __init__(self, eps: int, coeffs: Iterable[Union[RatPoly, Scalar]] = ()):
-        if eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {eps}")
+        self.eps = _sign(eps)
         cs = [c if isinstance(c, RatPoly) else RatPoly.constant(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.eps = eps
         self.coeffs: tuple[RatPoly, ...] = tuple(cs)
 
     @property

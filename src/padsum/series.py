@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 from .kernel import binomial, factorial, rising_block
 from .padic import ConvergenceParams, Prime, convergence_threshold, expand, in_convergence_domain
-from .poly import RatPoly, _exact_scalar
+from .poly import RatPoly, _exact_scalar, _sign
 from .tables import TableSet
 
 
@@ -96,8 +96,7 @@ def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
     """
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    _sign(eps)
     weights = _weights(eps, _exact_scalar(x))
     return sum(w * i**k for i, w in zip(range(n), weights))
 
@@ -142,8 +141,7 @@ class SeriesSpec:
     coeffs: tuple[Fraction | int, ...] | None = None
 
     def __post_init__(self, k: int | None) -> None:
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        _sign(self.eps)
         object.__setattr__(self, "x", _exact(self.x))
         if (k is None) == (self.coeffs is None):
             raise ValueError("exactly one of k and coeffs must be given")
@@ -164,6 +162,7 @@ class SeriesSpec:
 
     def claimed_sum(self, tables: TableSet) -> Fraction | int:
         """The closed-form value sum_j C_j V_j(x)."""
+        _check_tables(self, tables)
         return sum(c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c)
 
     def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
@@ -176,11 +175,18 @@ class SeriesSpec:
         return term
 
 
+def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
+    """ValueError unless ``tables`` have the spec's sign (U, V depend on it) and order."""
+    if tables.eps != spec.eps:
+        raise ValueError(f"tables are for eps={tables.eps:+d}, the series has eps={spec.eps:+d}")
+    if tables.corr.kmax < spec.order:
+        raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
+
+
 def _summand_poly(spec: SeriesSpec, tables: TableSet) -> RatPoly:
     """P(i) = sum_j C_j [x^j i^j + U_j(x)] at the spec's x, as one
     polynomial in i."""
-    if tables.corr.kmax < spec.order:
-        raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
+    _check_tables(spec, tables)
     x = spec.x
     constant = sum(c * tables.corr.u_poly(j)(x) for j, c in enumerate(spec.coeffs, 1) if c)
     return RatPoly((constant, *(c * x**j for j, c in enumerate(spec.coeffs, 1))))
@@ -225,11 +231,11 @@ def partial_sums(
 
     The power of b is carried, and a Fraction is built only where a
     denominator is not 1, so an integer x with integer C_j yields ints.
-    n_max < 1 and too small tables raise here, before the first step.
+    n_max < 1 and tables that do not fit the spec raise here, before the first step.
     """
     if n_max < 1:
         raise ValueError(f"n must be >= 1, got {n_max}")
-    summand = _summand_poly(spec, tables)  # checks the tables' size first
+    summand = _summand_poly(spec, tables)  # checks the tables' sign and size first
     remainder = sum(
         (c * tables.gen.poly(j - 1).at_x(spec.x) for j, c in enumerate(spec.coeffs, 1) if c),
         RatPoly.zero(),
@@ -342,8 +348,7 @@ class TelescopeSpec:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        _sign(self.eps)
         if not isinstance(self.aux, RatPoly):
             raise TypeError("aux must be a RatPoly")
         if not self.aux.is_integral():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import binomial
-from .poly import GenPoly, RatPoly, _join_signed, _power, _signed_term
+from .poly import GenPoly, RatPoly, _join_signed, _power, _sign, _signed_term
 
 
 class CrossCheckError(RuntimeError):
@@ -75,8 +75,7 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    _sign(eps)
     rows: list[list[list]] = [[[1]]]
     for k in range(1, kmax + 1):
         row: list[list] = []
@@ -200,8 +199,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    _sign(eps)
     u: list[list] = [[-eps, 1]]
     v: list[list] = [[-eps]]
     for k in range(1, kmax):
@@ -350,8 +348,7 @@ def linear_closed_form(k: int, eps: int) -> RatPoly:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    _sign(eps)
     sign = eps ** (k + 1)
     return RatPoly([-k * (k + 3) // 2 * sign, sign])
 
@@ -534,24 +531,31 @@ def bundle_to_json(tables: TableSet) -> dict:
     }
 
 
-def bundle_from_json(data: dict) -> TableSet:
-    """Decode a bundle written by :func:`bundle_to_json`.
+def _dumps(obj) -> str:  # the JSON style of every file padsum writes
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
-    Only A is decoded; it goes through :meth:`TableSet.checked`, so the
-    result is exactly what a cold build returns, after the same checks.
-    Anything ``bundle_to_json`` could not have written raises ``ValueError``:
-    a table that fails a check, or ``data`` that differs from the encoding
-    of the checked tables.  The two are compared as JSON text, so that a
-    ``1.0`` or ``true`` standing for 1 anywhere is a difference too.
+
+def bundle_text(tables: TableSet) -> str:
+    """The bundle's one serialisation: ``tables --format json`` and the cache."""
+    return _dumps(bundle_to_json(tables))
+
+
+def bundle_from_text(text: str) -> TableSet:
+    """Decode a bundle written by :func:`bundle_text`.
+
+    Only ``eps`` and A are decoded, and A goes through :meth:`TableSet.checked`,
+    so the result is exactly what a cold build returns.  Anything else
+    raises ``ValueError``: text that does not parse (or nests too deep), a
+    table that fails a check (named by it), or text that differs, byte for
+    byte, from ``bundle_text`` of the checked tables (a ``1.0`` or ``true``
+    for 1, another layout of the same data).
     """
     try:
-        eps = data["eps"]
-        if type(eps) is not int:  # a ``true`` would pass as 1 and be echoed back
-            raise TypeError(f"eps must be an integer, got {eps!r}")
-        polys = tuple(GenPoly(eps, [RatPoly(coeffs) for coeffs in row]) for row in data["A"])
-        tables = TableSet.checked(GenPolyTable(eps, polys))
-        if json.dumps(bundle_to_json(tables), sort_keys=True) != json.dumps(data, sort_keys=True):
+        data = json.loads(text)
+        polys = tuple(GenPoly(data["eps"], map(RatPoly, row)) for row in data["A"])
+        tables = TableSet.checked(GenPolyTable(data["eps"], polys))
+        if bundle_text(tables) != text:
             raise ValueError("it is not the encoding of its own tables")
-    except (LookupError, TypeError, ValueError, CrossCheckError) as exc:
+    except (LookupError, TypeError, ValueError, RecursionError, CrossCheckError) as exc:
         raise ValueError(f"not a table bundle: {exc}") from None
     return tables

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +16,10 @@ from padsum.cli import (
     parse_bfile,
     parse_rational,
 )
-from padsum.tables import TableSet
+from padsum.tables import TableSet, _dumps
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = ROOT / "perfbench" / "references.json"
 
 # Exit code and SHA-256 of the stdout of small runs of each verify path;
 # any change to what they print must show here.
@@ -100,7 +104,8 @@ def test_tables_json_and_warm_cache(dirs, capsys):
 
 def _edited(path, change):
     """A corruption that replaces the entry's item at ``path`` (keys and
-    indices) by ``change`` of its value."""
+    indices) by ``change`` of its value, in the entry's own JSON style, so
+    that the edit is the only difference."""
     def corrupt(text):
         data = json.loads(text)
         *outer, last = path
@@ -108,7 +113,7 @@ def _edited(path, change):
         for key in outer:
             node = node[key]
         node[last] = change(node[last])
-        return json.dumps(data)
+        return _dumps(data)
     return corrupt
 
 
@@ -127,6 +132,7 @@ CORRUPTIONS = {
     "tampered-A": _edited(("A", 1, 1, 0), lambda c: c - 1),  # A_1 = (n - 3)x + 1
     # A_2's x^1 coefficient n - 5 -> n^2 - 5 leaves A_2(0; x), A_2(1; x), U and V as they were
     "A-off-recurrence": _edited(("A", 2, 1), lambda c: [c[0], 0, c[1]]),
+    "reformatted": lambda text: json.dumps(json.loads(text)),  # same data, other bytes
 }
 
 
@@ -143,6 +149,16 @@ def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
     assert path.read_bytes() == fresh
     assert entry.read_bytes() == fresh  # rebuilt in place, no temporary file left
     assert list(cache.iterdir()) == [entry]
+
+
+def test_cli_import_loads_no_hashlib():
+    # the cache entry is named by (kmax, eps) alone, so no padsum process
+    # pays for loading hashlib (and OpenSSL) at start-up
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, padsum.cli; assert 'hashlib' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from padsum.kernel import factorial
 from padsum.padic import Prime, term_val_profile, val_rat
-from padsum.poly import RatPoly
+from padsum.poly import GenPoly, RatPoly
 from padsum.series import (
     ConvergenceDomainError,
     SeriesSpec,
@@ -27,7 +27,7 @@ from padsum.series import (
     telescope_check,
     telescope_sweep,
 )
-from padsum.tables import TableSet
+from padsum.tables import TableSet, corrections_by_recurrence, gen_poly_table, linear_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,41 @@ def test_tables_too_small_for_spec():
     ):
         with pytest.raises(ValueError, match="tables cover k <= 2, need 3"):
             check()
+
+
+def test_tables_of_the_other_sign_are_refused(tables_plus):
+    # the eps = -1 sum at x = 1, k = 1 is 1; the eps = +1 tables would claim -1
+    spec = SeriesSpec(eps=-1, x=1, k=1)
+    for check in (
+        lambda: spec.claimed_sum(tables_plus),
+        lambda: series_error_profile(spec, 1, 5, tables_plus),
+        lambda: finite_identity_sweep(1, -1, 1, 5, tables_plus),
+    ):
+        with pytest.raises(ValueError, match="tables are for eps=\\+1, the series has eps=-1"):
+            check()
+
+
+@pytest.mark.parametrize("eps", [True, 1.0, Fraction(1)], ids=["True", "1.0", "Fraction(1)"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eps: GenPoly(eps, (1,)),
+        lambda eps: gen_poly_table(2, eps),
+        lambda eps: TableSet.build(2, eps),
+        lambda eps: corrections_by_recurrence(2, eps),
+        lambda eps: linear_closed_form(2, eps),
+        lambda eps: power_sum(1, eps, 1, 3),
+        lambda eps: SeriesSpec(eps=eps, x=1, k=1),
+        lambda eps: TelescopeSpec(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=eps,
+                                  x=1, aux=RatPoly.one()),
+    ],
+    ids=["GenPoly", "gen_poly_table", "TableSet.build", "corrections_by_recurrence",
+         "linear_closed_form", "power_sum", "SeriesSpec", "TelescopeSpec"],
+)
+def test_sign_equal_to_1_but_not_the_int_is_refused(make, eps):
+    # each equals 1, so a gate of `eps in (1, -1)` lets it through
+    with pytest.raises(ValueError, match="eps must be \\+1 or -1"):
+        make(eps)
 
 
 def test_series_spec_stores_integral_values_as_int(tables_plus):
