@@ -9,76 +9,14 @@ by recurrence, cross-checks every table along an independent route, and
 verifies the identities three ways: exact finite residuals, telescoping
 boundary identities, and p-adic checks of partial-sum errors against the
 exact remainder.
+
+``import padsum`` exports only the names of the README's quick tour;
+everything else is imported from its module (``padsum.tables``,
+``padsum.series``, ...).
 """
 
-from .fps import (
-    OdeCheck,
-    apply_diff_operator,
-    check_first_order_ode,
-    check_second_order_ode,
-    factorial_series,
-    first_order_residual,
-    second_order_residual,
-)
-from .kernel import binomial, digit_sum, factorial, rising_block
-from .padic import (
-    ConvergenceParams,
-    PadicApprox,
-    Prime,
-    Valuation,
-    ValuationProfile,
-    convergence_threshold,
-    expand,
-    in_convergence_domain,
-    padic_norm,
-    term_val_profile,
-    val_factorial,
-    val_int,
-    val_rat,
-)
-from .poly import GenPoly, RatPoly
-from .series import (
-    ConvergenceDomainError,
-    PadicVerdict,
-    PartialSumResult,
-    SeriesErrorProfile,
-    SeriesSpec,
-    TelescopeSpec,
-    VerificationError,
-    construct_telescope_poly,
-    finite_identity_check,
-    finite_identity_sweep,
-    general_sum_check,
-    padic_sum_verify,
-    partial_sums,
-    power_sum,
-    power_sum_via_recurrence,
-    random_telescope_spec,
-    series_error_profile,
-    telescope_check,
-    telescope_sweep,
-)
-from .tables import (
-    AuxSolution,
-    CorrectionPolys,
-    CrossCheckError,
-    GenPolyTable,
-    IntPairTable,
-    RecurrenceReport,
-    TableSet,
-    aux_poly,
-    bell_numbers,
-    closed_forms,
-    corrections_by_recurrence,
-    derive_corrections,
-    diagonal_closed_form,
-    eps_split,
-    gen_poly_table,
-    int_pairs,
-    linear_closed_form,
-    recurrence_residuals,
-    render_symbolic,
-    sequence_slice,
-)
+from .padic import Prime
+from .series import SeriesSpec, finite_identity_sweep, padic_sum_verify, series_error_profile
+from .tables import TableSet, bell_numbers, int_pairs
 
 __version__ = "0.1.0"

@@ -223,8 +223,8 @@ def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str]
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
-    specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)]
-    specs.extend(_named_telescope_specs())
+    named = _named_telescope_specs()
+    specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)] + named
     for name, spec in specs:
         try:
             telescope_sweep(spec, nmax)
@@ -233,7 +233,7 @@ def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str]
             return False, [line], [{"check": "telescope", "verdict": "FAIL", "detail": str(exc)}]
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
-        f" (seed {seed}) + {len(_named_telescope_specs())} named instances, N<={nmax}"
+        f" (seed {seed}) + {len(named)} named instances, N<={nmax}"
     )
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]
 
@@ -281,11 +281,11 @@ def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict
     return ok, lines, reports
 
 
-def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
+def _padic_single_claim(args, nmax: int) -> tuple[bool, list[str], list[dict], list[str]]:
     spec = SeriesSpec(eps=args.eps, x=args.x, k=args.k)
     tables = TableSet.build(args.k, args.eps)
     claimed = args.claim
-    profile = series_error_profile(spec, claimed, args.nmax, tables)
+    profile = series_error_profile(spec, claimed, nmax, tables)
     lines: list[str] = []
     reports: list[dict] = []
     csv_rows = ["N,partial,valuation"]
@@ -295,7 +295,7 @@ def _padic_single_claim(args) -> tuple[bool, list[str], list[dict], list[str]]:
         params = {"k": args.k, "eps": args.eps, "x": str(args.x)}
         reports.append(verdict.report(params, claimed, args.precision))
         if verdict.passed:
-            lines.append(f"PASS padic: claim {claimed} holds to N={args.nmax} at p={p}")
+            lines.append(f"PASS padic: claim {claimed} holds to N={nmax} at p={p}")
         else:
             ok = False
             lines.append(
@@ -328,7 +328,7 @@ def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list
 
 
 # suite -> (runner, default kmax, default nmax), in the order ``verify all``
-# runs them; ``verify all`` always uses the defaults, ignoring --kmax/--nmax.
+# runs them; None for a suite that takes no kmax.
 VERIFY_SUITES = {
     "finite": (_suite_finite, 15, 25),
     "telescope": (_suite_telescope, None, 15),
@@ -338,22 +338,23 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
-    csv_rows: list[str] | None = None
-    if args.suite == "padic" and args.claim is not None:
-        ok, lines, reports, csv_rows = _padic_single_claim(args)
-    else:
-        ok, lines, reports = True, [], []
-        for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
-            run, kmax_default, nmax = VERIFY_SUITES[suite]
-            kmax = kmax_default
-            if args.suite != "all":
-                kmax, nmax = args.kmax, args.nmax
-            if kmax_default is not None and kmax < 1:
-                raise ValueError(f"kmax must be >= 1, got {kmax}")
-            sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
-            ok &= sub_ok
-            lines += sub_lines
-            reports += sub_reports
+    ok, lines, reports, csv_rows = True, [], [], None
+    for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
+        run, kmax, nmax = VERIFY_SUITES[suite]
+        if args.suite != "all":  # a flag given replaces its default; ``verify all`` takes none
+            if kmax is not None and args.kmax is not None:
+                kmax = args.kmax
+            if args.nmax is not None:
+                nmax = args.nmax
+        if args.suite == "padic" and args.claim is not None:
+            ok, lines, reports, csv_rows = _padic_single_claim(args, nmax)
+            continue
+        if kmax is not None and kmax < 1:
+            raise ValueError(f"kmax must be >= 1, got {kmax}")
+        sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
+        ok &= sub_ok
+        lines += sub_lines
+        reports += sub_reports
 
     if args.format == "json":
         print(_dumps(reports), end="")
@@ -509,21 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_verify_defaults(args) -> None:
-    if args.command != "verify":
-        return
-    if args.suite in VERIFY_SUITES:
-        _, kmax_default, nmax_default = VERIFY_SUITES[args.suite]
-        if args.kmax is None:
-            args.kmax = kmax_default
-        if args.nmax is None:
-            args.nmax = nmax_default
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_verify_defaults(args)
     try:
         return args.func(args)
     except (CrossCheckError, VerificationError) as exc:

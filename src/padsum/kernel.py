@@ -1,4 +1,4 @@
-"""Exact integer primitives: factorials, binomials, rising blocks, digit sums.
+"""Exact integer primitives: factorials, rising blocks, digit sums.
 
 Everything here is pure and exact.  Integers are plain Python ints
 (arbitrary precision), and they stay ints through the rest of the package:
@@ -8,7 +8,6 @@ where an input is fractional or a division happens.
 
 from __future__ import annotations
 
-import math
 import threading
 
 _factorials = [1]
@@ -29,11 +28,6 @@ def factorial(n: int) -> int:
             while len(_factorials) <= n:
                 _factorials.append(_factorials[-1] * len(_factorials))
     return _factorials[n]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    return math.comb(n, k)
 
 
 def rising_block(base: int, width: int, power: int) -> int:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable
 
 from .kernel import digit_sum
 from .poly import _exact_scalar
@@ -130,14 +129,6 @@ def val_rat(q: RationalLike, p: Prime) -> Valuation:
     return Valuation(num.exponent - den.exponent)
 
 
-def padic_norm(q: RationalLike, p: Prime) -> Fraction:
-    """|q|_p = p**(-v_p(q)); zero for q = 0."""
-    v = val_rat(q, p)
-    if v.is_infinite:
-        return Fraction(0)
-    return Fraction(p.value) ** (-v.exponent)
-
-
 @dataclass(frozen=True)
 class PadicApprox:
     """Truncated base-p expansion of a rational.
@@ -160,28 +151,9 @@ class PadicApprox:
         if self.digits[0] == 0 and any(self.digits):
             raise ValueError("leading digit must be nonzero for a nonzero value")
 
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.digits)
-
-    def reconstruct(self) -> Fraction:
-        """The rational p**offset * sum(digits[i] * p**i)."""
-        p = self.prime.value
-        unit = 0
-        for d in reversed(self.digits):
-            unit = unit * p + d
-        return Fraction(p) ** self.offset * unit
-
     def render(self) -> str:
         body = ",".join(str(d) for d in self.digits)
         return f"p={self.prime.value} val={self.offset} digits=[{body}]"
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.prime.value, "val": self.offset, "digits": list(self.digits)}
 
 
 def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> PadicApprox:
@@ -237,34 +209,3 @@ def convergence_threshold(params: ConvergenceParams, p: Prime) -> Fraction:
 def in_convergence_domain(x: RationalLike, p: Prime, params: ConvergenceParams) -> bool:
     """Whether v_p(x) clears the (strict) convergence threshold."""
     return val_rat(x, p) > convergence_threshold(params, p)
-
-
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Per-term valuations of a series plus an empirical convergence verdict."""
-
-    valuations: tuple[Valuation, ...]
-    converges: bool
-
-
-def term_val_profile(
-    term: Callable[[int], RationalLike], p: Prime, n_max: int, start: int = 1
-) -> ValuationProfile:
-    """Valuations of term(n) for n = start..n_max, with a trend verdict.
-
-    ``term`` is any callable n -> exact rational; series and telescoping
-    specs expose such callables.  The verdict is empirical: the worst
-    (minimum) valuation over the second half of the window must exceed the
-    worst over the first half, since terms of a convergent series must push
-    the valuation floor upward.  Non-convergence is a verdict, never an
-    exception; a window of fewer than two terms has no halves to compare
-    and raises ``ValueError``.
-    """
-    if n_max - start + 1 < 2:
-        raise ValueError(f"a trend needs at least two terms, got n = {start}..{n_max}")
-    vals = tuple(val_rat(term(n), p) for n in range(start, n_max + 1))
-    half = len(vals) // 2
-    lo_head = min(vals[:half])
-    lo_tail = min(vals[half:])
-    converges = lo_tail > lo_head or lo_head == lo_tail == Valuation.INFINITE
-    return ValuationProfile(vals, converges)

@@ -11,7 +11,7 @@ Coefficients and values are exact: a plain ``int`` or a
 ``fractions.Fraction``, whichever the arithmetic produces.  Python's
 numeric tower mixes the two exactly, so integral tables stay ``int`` end
 to end and a ``Fraction`` appears only where an input is fractional or a
-division happens.  Floats are refused.
+division happens.  Floats and ``bool`` values are refused.
 
 Degrees stay small (a few hundred at most), so dense storage wins over any
 sparse machinery.
@@ -26,8 +26,9 @@ Scalar = Union[int, Fraction]
 
 
 def _exact_scalar(c) -> Scalar:
-    """``c`` unchanged when it is exact (an int or a Fraction); else TypeError."""
-    if isinstance(c, (int, Fraction)):
+    """``c`` unchanged when it is exact (an int or a Fraction, not a ``bool``);
+    else TypeError."""
+    if isinstance(c, (int, Fraction)) and type(c) is not bool:
         return c
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 

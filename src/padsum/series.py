@@ -17,10 +17,10 @@ import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
-from typing import Callable, Iterator, Sequence
+from math import comb, lcm
+from typing import Iterator, Sequence
 
-from .kernel import binomial, factorial, rising_block
+from .kernel import factorial, rising_block
 from .padic import ConvergenceParams, Prime, convergence_threshold, expand, in_convergence_domain
 from .poly import RatPoly, _exact_scalar, _sign
 from .tables import TableSet
@@ -118,7 +118,7 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     s = [power_sum(l, eps, x, n) for l in range(k + 1)]
     delta = 1 if k == 0 else 0
     acc = s[k] - delta - eps * x * s[0]
-    acc -= eps * x * sum(binomial(k + 1, l) * s[l] for l in range(1, k + 1))
+    acc -= eps * x * sum(comb(k + 1, l) * s[l] for l in range(1, k + 1))
     tail = eps**n * factorial(n) * n**k * x**n
     return (acc + tail) / (eps * x)
 
@@ -164,15 +164,6 @@ class SeriesSpec:
         """The closed-form value sum_j C_j V_j(x)."""
         _check_tables(self, tables)
         return sum(c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c)
-
-    def term_callable(self, tables: TableSet) -> Callable[[int], Fraction]:
-        """term(i) = eps^i i! P(i; x) x^i, for valuation profiling."""
-        summand = _summand_poly(self, tables)
-
-        def term(i: int) -> Fraction:
-            return self.eps**i * factorial(i) * self.x**i * summand(i)
-
-        return term
 
 
 def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
@@ -278,14 +269,6 @@ def finite_identity_sweep(
     return _checked_sweep(
         spec, n_max, tables, "finite identity", f"k={k} eps={eps:+d} x={spec.x}"
     )
-
-
-def finite_identity_check(
-    k: int, eps: int, x: Fraction | int, n: int, tables: TableSet
-) -> PartialSumResult:
-    """The finite identity at n terms: the last entry of its sweep, so
-    every smaller n is checked on the way."""
-    return finite_identity_sweep(k, eps, x, n, tables)[-1]
 
 
 def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumResult:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .kernel import binomial
-from .poly import GenPoly, RatPoly, _join_signed, _power, _sign, _signed_term
+from .poly import GenPoly, RatPoly, _sign
 
 
 class CrossCheckError(RuntimeError):
@@ -82,54 +82,38 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
         for j in range(k + 1):
             coeffs = [eps * c for c in rows[k - 1][j]] if j < k else [0] * k + [1]
             for m in range(1, j + 1):
-                _add_shifted(coeffs, rows[k - m][j - m], -binomial(k + 1, m))
+                _add_shifted(coeffs, rows[k - m][j - m], -comb(k + 1, m))
             row.append(coeffs)
         rows.append(row)
     return GenPolyTable(eps, tuple(GenPoly(eps, map(RatPoly, row)) for row in rows))
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Substitution residuals of the generating-polynomial recurrence.
-
-    residuals[k-1] is, for each k = 1..kmax, the two-variable polynomial
+def recurrence_residuals(table: GenPolyTable) -> int | None:
+    """Re-substitute the whole family into its defining recurrence: the
+    first k = 1..kmax whose residual, the two-variable polynomial
 
         sum_{l=1}^{k+1} C(k+1, l) x^(k+1-l) A_{l-1}(n; x)
-            - eps * A_{k-1}(n; x) - n^k x^k
+            - eps * A_{k-1}(n; x) - n^k x^k,
 
-    which must vanish identically for a correctly generated table.
-    """
-
-    residuals: tuple[GenPoly, ...]
-    ok: bool
-    first_bad_k: int | None
-
-
-def recurrence_residuals(table: GenPolyTable) -> RecurrenceReport:
-    """Re-substitute the whole family into its defining recurrence.
+    is not identically zero, or None when every residual vanishes.
 
     This is an independent route from the generator: it sums whole
     two-variable polynomials, as exact coefficient arrays acc[j][i] of
-    n^i x^j, rather than solving coefficient by coefficient.  A nonzero
-    residual pinpoints the offending k.
+    n^i x^j, rather than solving coefficient by coefficient.
     """
     eps = table.eps
     rows = [[c.coeffs for c in a.coeffs] for a in table.polys]
-    residuals: list[GenPoly] = []
-    first_bad = None
     for k in range(1, table.kmax + 1):
-        terms = [(rows[l - 1], binomial(k + 1, l), k + 1 - l) for l in range(1, k + 2)]
+        terms = [(rows[l - 1], comb(k + 1, l), k + 1 - l) for l in range(1, k + 2)]
         terms += [(rows[k - 1], -eps, 0), ([(0,) * k + (-1,)], 1, k)]  # - eps A_{k-1} - n^k x^k
         acc: list[list] = []
         for row, scale, shift in terms:
             acc.extend([] for _ in range(shift + len(row) - len(acc)))
             for j, coeffs in enumerate(row, shift):
                 _add_shifted(acc[j], coeffs, scale)
-        residual = GenPoly(eps, map(RatPoly, acc))
-        residuals.append(residual)
-        if first_bad is None and not residual.is_zero():
-            first_bad = k
-    return RecurrenceReport(tuple(residuals), first_bad is None, first_bad)
+        if any(any(coeffs) for coeffs in acc):
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -208,7 +192,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
         _add_shifted(next_u, u[k - 1], eps)
         _add_shifted(next_v, v[k - 1], eps)
         for l in range(1, k + 1):
-            scale = -binomial(k + 1, l)
+            scale = -comb(k + 1, l)
             _add_shifted(next_u, u[l - 1], scale, k + 1 - l)
             _add_shifted(next_v, v[l - 1], scale, k + 1 - l)
         u.append(next_u)
@@ -254,8 +238,8 @@ def int_pairs(kmax: int) -> IntPairTable:
     u: dict[int, int] = {1: 0}
     v: dict[int, int] = {1: -1}
     for k in range(1, kmax):
-        su = sum(binomial(k + 1, l) * u[l] for l in range(1, k))
-        sv = sum(binomial(k + 1, l) * v[l] for l in range(1, k))
+        su = sum(comb(k + 1, l) * u[l] for l in range(1, k))
+        sv = sum(comb(k + 1, l) * v[l] for l in range(1, k))
         u[k + 1] = -k * u[k] - su + 1
         v[k + 1] = -k * v[k] - sv
     return IntPairTable(
@@ -311,7 +295,7 @@ def aux_poly(k: int) -> AuxSolution:
     rhs = [Fraction(0)] * size
     for j in range(size):
         for i in range(k):
-            matrix[j][i] = Fraction(binomial(i + 1, j) - (1 if i == j else 0))
+            matrix[j][i] = Fraction(comb(i + 1, j) - (1 if i == j else 0))
         matrix[j][k] = Fraction(-1) if j == 0 else Fraction(0)
         rhs[j] = Fraction(1) if j == k else Fraction(0)
     solution = _solve_exact(matrix, rhs)
@@ -329,7 +313,7 @@ def bell_numbers(kmax: int) -> tuple[int, ...]:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     b = [1]
     for k in range(kmax):
-        b.append(sum(binomial(k, l) * b[l] for l in range(k + 1)))
+        b.append(sum(comb(k, l) * b[l] for l in range(k + 1)))
     return tuple(b)
 
 
@@ -338,7 +322,7 @@ def diagonal_closed_form(k: int) -> RatPoly:
     (-1)^(k+i) C(k+1, i+1), independent of the sign eps."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return RatPoly([(-1) ** (k + i) * binomial(k + 1, i + 1) for i in range(k + 1)])
+    return RatPoly([(-1) ** (k + i) * comb(k + 1, i + 1) for i in range(k + 1)])
 
 
 def linear_closed_form(k: int, eps: int) -> RatPoly:
@@ -411,8 +395,8 @@ def sequence_slice(which: str, kmax: int) -> list[int]:
 def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
     """Recombine the two concrete-sign runs into (even, odd) parts per x^j.
 
-    ``even + sign * odd`` reproduces either run; this is how symbolic-sign
-    output is reconstructed without any symbolic algebra.
+    ``even + sign * odd`` reproduces either run, so the pairs are the
+    symbolic-sign form, obtained without any symbolic algebra.
     """
     if plus.eps != 1 or minus.eps != -1:
         raise ValueError("expected a (+1)-run and a (-1)-run, in that order")
@@ -422,18 +406,6 @@ def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
         ((plus.coeff(j) + minus.coeff(j)) * half, (plus.coeff(j) - minus.coeff(j)) * half)
         for j in range(deg + 1)
     ]
-
-
-def render_symbolic(plus: GenPoly, minus: GenPoly, eps_symbol: str = "e") -> str:
-    """Symbolic-sign rendering built from both runs, e.g.
-    ``(n^2 - 3n + 3)x^2 + (n - 5)e x + 1``."""
-    pairs = eps_split(plus, minus)
-    return _join_signed(
-        _signed_term(poly, " ".join(filter(None, (marker, _power("x", j)))))
-        for j in range(len(pairs) - 1, -1, -1)
-        for poly, marker in zip(pairs[j], ("", eps_symbol))
-        if poly
-    )
 
 
 @dataclass(frozen=True)
@@ -481,11 +453,9 @@ class TableSet:
         """
         if gen.polys[:1] != (GenPoly(gen.eps, (RatPoly.one(),)),):
             raise CrossCheckError("A_0 is not 1")
-        report = recurrence_residuals(gen)
-        if not report.ok:
-            raise CrossCheckError(
-                f"generating-polynomial residual nonzero at k={report.first_bad_k}"
-            )
+        bad_k = recurrence_residuals(gen)
+        if bad_k is not None:
+            raise CrossCheckError(f"generating-polynomial residual nonzero at k={bad_k}")
         tables = cls(gen, derive_corrections(gen))
         pairs, derived = int_pairs(gen.kmax + 1), tables.pairs
         for k in range(1, gen.kmax + 2):

@@ -292,6 +292,20 @@ def test_verify_ignores_kmax_where_unused(argv, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_all_runs_the_defaults(capsys):
+    # --kmax and --nmax select a single suite's size; ``verify all`` ignores them
+    assert run(["verify", "all", "--kmax", 1, "--nmax", 1]) == 0
+    out = capsys.readouterr().out
+    for limits in ("(k<=15, eps=+-1, 8 x values, n<=25)", "named instances, N<=15",
+                   "(k<=8, x in {1,-1,2}, p in {2,3,5,7,11}, N<=200)", "orders 3..50"):
+        assert limits in out
+
+
+def test_verify_single_claim_defaults_to_nmax_200(capsys):
+    assert run(["verify", "padic", "--claim=-1", "--k", 1, "--primes", 5, "--format", "json"]) == 0
+    assert [r["n_max"] for r in json.loads(capsys.readouterr().out)] == [200]
+
+
 def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
     build = TableSet.build
     monkeypatch.setattr(

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from padsum.kernel import binomial, digit_sum, factorial, rising_block
+from padsum.kernel import digit_sum, factorial, rising_block
 
 
 def product_block_oracle(base: int, width: int, power: int) -> int:
@@ -41,19 +41,6 @@ def test_factorial_rejects_negative():
 @given(st.integers(min_value=1, max_value=300))
 def test_factorial_recurrence(n):
     assert factorial(n) == n * factorial(n - 1)
-
-
-def test_binomial_examples():
-    assert binomial(4, 2) == 6
-    assert binomial(3, 5) == 0  # k > n convention
-    for k in (0, 1, 7, 40):
-        assert binomial(k, 0) == 1
-
-
-@given(st.integers(min_value=2, max_value=60), st.data())
-def test_binomial_pascal_rule(n, data):
-    k = data.draw(st.integers(min_value=1, max_value=n - 1))
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 def test_rising_block_examples():

@@ -35,6 +35,17 @@ def test_rejects_floats():
         GenPoly(1, (1, RatPoly((0, 1)))).eval(1, 0.5)
 
 
+def test_rejects_bools():
+    # bool subclasses int, but True is no exact coefficient or argument
+    for call in (
+        lambda: RatPoly([True, 2]),
+        lambda: GenPoly(1, (True,)),
+        lambda: RatPoly((1, 2))(False),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_integer_data_stays_int():
     assert type(RatPoly((1, 2, 3))(5)) is int
     assert RatPoly((1, 2, 3))(5) == 86

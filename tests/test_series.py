@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padsum.kernel import factorial
-from padsum.padic import Prime, term_val_profile, val_rat
+from padsum.padic import Prime, val_rat
 from padsum.poly import GenPoly, RatPoly
 from padsum.series import (
     ConvergenceDomainError,
@@ -15,7 +15,6 @@ from padsum.series import (
     TelescopeSpec,
     VerificationError,
     construct_telescope_poly,
-    finite_identity_check,
     finite_identity_sweep,
     general_sum_check,
     padic_sum_verify,
@@ -101,7 +100,7 @@ def test_power_sum_recurrence_needs_nonzero_x():
 def test_finite_identity_factorial_times_n(tables_plus):
     # sum_{i<n} i! * i = -1 + n! with a trivial boundary polynomial
     for n in range(1, 8):
-        result = finite_identity_check(1, 1, 1, n, tables_plus)
+        result = finite_identity_sweep(1, 1, 1, n, tables_plus)[-1]
         assert result.value == factorial(n) - 1
         assert result.rhs_constant == -1
         assert result.boundary == factorial(n)
@@ -109,7 +108,7 @@ def test_finite_identity_factorial_times_n(tables_plus):
 
 def test_finite_identity_hand_case(tables_minus):
     # k=1, eps=-1, x=1, n=2: 2 - 3 = 1 + (-2), by enumeration
-    result = finite_identity_check(1, -1, 1, 2, tables_minus)
+    result = finite_identity_sweep(1, -1, 1, 2, tables_minus)[-1]
     assert result.value == -1
     assert result.rhs_constant == 1
     assert result.boundary == -2
@@ -118,7 +117,7 @@ def test_finite_identity_hand_case(tables_minus):
 def test_finite_identity_sweep_matches_single(tables_plus):
     swept = finite_identity_sweep(2, 1, Fraction(1, 2), 10, tables_plus)
     assert len(swept) == 10
-    single = finite_identity_check(2, 1, Fraction(1, 2), 7, tables_plus)
+    single = finite_identity_sweep(2, 1, Fraction(1, 2), 7, tables_plus)[-1]
     assert swept[6] == single
 
 
@@ -127,7 +126,6 @@ def test_finite_checks_raise_on_tampered_table(tables_plus, tamper_v1):
     spec = SeriesSpec(eps=1, x=Fraction(2), coeffs=(Fraction(1), Fraction(1, 2)))
     checks = (
         lambda: finite_identity_sweep(1, 1, 2, 5, tampered),
-        lambda: finite_identity_check(1, 1, 2, 5, tampered),
         lambda: general_sum_check(spec, 5, tampered),
     )
     for check in checks:
@@ -170,7 +168,7 @@ def test_partial_sums_match_reference(tables_plus, tables_minus, eps, coeffs, a,
 def test_general_sum_single_power_reduction(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), coeffs=(Fraction(1),))
     combined = general_sum_check(spec, 6, tables_plus)
-    single = finite_identity_check(1, 1, 1, 6, tables_plus)
+    single = finite_identity_sweep(1, 1, 1, 6, tables_plus)[-1]
     assert combined.value == single.value
     assert combined.rhs_constant == single.rhs_constant
     assert combined.boundary == single.boundary
@@ -188,8 +186,8 @@ def test_general_sum_square_plus_one(tables_plus):
 def test_general_sum_rational_mix_is_average(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(2), coeffs=(Fraction(1, 2), Fraction(1, 2)))
     mixed = general_sum_check(spec, 7, tables_plus)
-    first = finite_identity_check(1, 1, 2, 7, tables_plus)
-    second = finite_identity_check(2, 1, 2, 7, tables_plus)
+    first = finite_identity_sweep(1, 1, 2, 7, tables_plus)[-1]
+    second = finite_identity_sweep(2, 1, 2, 7, tables_plus)[-1]
     assert mixed.value == (first.value + second.value) / 2
     assert mixed.boundary == (first.boundary + second.boundary) / 2
 
@@ -251,6 +249,11 @@ def test_series_spec_stores_integral_values_as_int(tables_plus):
     assert SeriesSpec(eps=1, x=Fraction(1, 2), k=1).x == Fraction(1, 2)
     with pytest.raises(TypeError):
         SeriesSpec(eps=1, x=0.1, k=1)  # would silently become 3602879701896397/2**55
+
+
+def test_series_spec_refuses_bool_x():
+    with pytest.raises(TypeError):
+        SeriesSpec(eps=1, x=True, k=1)
 
 
 def test_series_spec_validation():
@@ -462,12 +465,3 @@ def test_padic_error_equals_boundary(tables_plus):
     for idx, err in enumerate(profile.errors):
         n = idx + 1
         assert err == Fraction((-1) ** (n - 1)) * factorial(n) * a.eval(n, 1)
-
-
-def test_series_term_callable_profiles(tables_plus):
-    spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
-    profile = term_val_profile(spec.term_callable(tables_plus), Prime(2), 40)
-    assert profile.converges
-    # the k = 1 term at x = 1 is n! * n exactly
-    term = spec.term_callable(tables_plus)
-    assert [term(n) for n in range(5)] == [0, 1, 4, 18, 96]

@@ -26,7 +26,6 @@ from padsum.tables import (
     int_pairs,
     linear_closed_form,
     recurrence_residuals,
-    render_symbolic,
     sequence_slice,
 )
 
@@ -90,18 +89,13 @@ def test_structural_shape():
 
 def test_recurrence_residuals_pass_and_fault_injection():
     table = gen_poly_table(5, 1)
-    report = recurrence_residuals(table)
-    assert report.ok and report.first_bad_k is None
-    assert all(r.is_zero() for r in report.residuals)
+    assert recurrence_residuals(table) is None
 
     corrupted_entry = GenPoly(1, (RatPoly.constant(1), RatPoly((-1, 1))))  # (n-1)x + 1
     corrupted = GenPolyTable(1, (table.poly(0), corrupted_entry) + table.polys[2:])
-    bad_report = recurrence_residuals(corrupted)
-    assert not bad_report.ok
-    assert bad_report.first_bad_k == 1
+    assert recurrence_residuals(corrupted) == 1
 
-    vacuous = recurrence_residuals(gen_poly_table(0, 1))
-    assert vacuous.ok and vacuous.residuals == ()
+    assert recurrence_residuals(gen_poly_table(0, 1)) is None  # no k to check
 
 
 def test_corrections_first_values():
@@ -235,10 +229,10 @@ def test_eps_split_and_symbolic_rendering():
     plus = gen_poly_table(2, 1)
     minus = gen_poly_table(2, -1)
     split = eps_split(plus.poly(2), minus.poly(2))
-    even, odd = split[1]
-    assert even.is_zero() and odd == RatPoly((-5, 1))
-    assert render_symbolic(plus.poly(2), minus.poly(2)) == "(n^2 - 3n + 3)x^2 + (n - 5)e x + 1"
-    assert render_symbolic(plus.poly(1), minus.poly(1)) == "(n - 2)x + e"
+    # A_2 = (n^2 - 3n + 3)x^2 + (n - 5)eps x + 1 and A_1 = (n - 2)x + eps
+    zero, one = RatPoly.zero(), RatPoly.one()
+    assert split == [(one, zero), (zero, RatPoly((-5, 1))), (RatPoly((3, -3, 1)), zero)]
+    assert eps_split(plus.poly(1), minus.poly(1)) == [(zero, one), (RatPoly((-2, 1)), zero)]
 
 
 def test_bundle_round_trip():
