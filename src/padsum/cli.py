@@ -338,6 +338,10 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.claim is not None and args.suite != "padic":
+        raise ValueError("--claim applies only to verify padic")
+    if args.claim is not None and args.kmax is not None:
+        raise ValueError("--kmax does not apply to verify padic --claim; --k sizes its tables")
     ok, lines, reports, csv_rows = True, [], [], None
     for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
         run, kmax, nmax = VERIFY_SUITES[suite]
@@ -346,7 +350,7 @@ def cmd_verify(args) -> int:
                 kmax = args.kmax
             if args.nmax is not None:
                 nmax = args.nmax
-        if args.suite == "padic" and args.claim is not None:
+        if args.claim is not None:
             ok, lines, reports, csv_rows = _padic_single_claim(args, nmax)
             continue
         if kmax is not None and kmax < 1:

@@ -8,22 +8,24 @@ verdict, which asks whether the partial-sum error over the exact remainder
 is a p-adic integer.  The finite checks, their sweeps and the p-adic error
 profiles all read one engine, :func:`partial_sums`, which builds a spec's
 polynomials once at x = a/b and takes each step in integers, carrying the
-power of b beside them.
+power of b beside them.  A profile also takes, once per N, the reduced
+denominator of error over remainder, so a p-adic verdict at any prime is
+one integer ``%`` per N.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
 from .kernel import factorial, rising_block
 from .padic import ConvergenceParams, Prime, convergence_threshold, expand, in_convergence_domain
 from .poly import RatPoly, _exact_scalar, _sign
-from .tables import TableSet
+from .tables import TableSet, _add_shifted
 
 
 def _exact(value) -> Fraction | int:
@@ -203,6 +205,25 @@ def _quotient(num: int, den: int) -> Fraction | int:
     return num if den == 1 else Fraction(num, den)
 
 
+def _remainder_ints(spec: SeriesSpec, tables: TableSet) -> tuple[tuple[int, ...], int]:
+    """(d R's coefficients in n, highest degree first, as ints; d) for
+    R(n) = sum_j C_j A_{j-1}(n; x) at x = a/b and d = m b^(K-1), where K is
+    the spec's order and m the least common denominator of the C_j.
+
+    Built on the tables' integer rows: d R = sum_j (m C_j) sum_i a^i
+    b^(K-1-i) A_{j-1,i}(n), since A_{j-1} has x-degree at most j-1 <= K-1.
+    """
+    a, b, order = spec.x.numerator, spec.x.denominator, spec.order
+    m = lcm(*(c.denominator for c in spec.coeffs))
+    acc: list = []
+    for j, c in enumerate(spec.coeffs, 1):
+        if c:
+            mc = int(m * c)
+            for i, row in enumerate(tables.gen.poly(j - 1).coeffs):
+                _add_shifted(acc, row.coeffs, mc * a**i * b ** (order - 1 - i))
+    return tuple(reversed(acc)), m * b ** (order - 1)
+
+
 def partial_sums(
     spec: SeriesSpec, n_max: int, tables: TableSet
 ) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -213,9 +234,12 @@ def partial_sums(
 
         S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N R(N),
 
-    with R(n) = sum_j C_j A_{j-1}(n; x).  P and R are built once at x = a/b
-    and scaled by the least e and d that make e P and d R integral, so with
-    the integer weights W_n = eps^n n! a^n each step is integer arithmetic:
+    with R(n) = sum_j C_j A_{j-1}(n; x).  P is built once at x = a/b and
+    scaled by the least e that makes e P integral; d R is summed directly
+    from the tables' integer rows with d = m b^(K-1) (see
+    :func:`_remainder_ints`), so no polynomial in ``Fraction``s is formed for
+    it.  With the integer weights W_n = eps^n n! a^n each step is integer
+    arithmetic:
 
         T_N = b T_{N-1} + W_{N-1} (e P)(N-1),   S_N = T_N / (b^(N-1) e),
         B_N = eps W_N (d R)(N) / (b^N d).
@@ -227,12 +251,8 @@ def partial_sums(
     if n_max < 1:
         raise ValueError(f"n must be >= 1, got {n_max}")
     summand = _summand_poly(spec, tables)  # checks the tables' sign and size first
-    remainder = sum(
-        (c * tables.gen.poly(j - 1).at_x(spec.x) for j, c in enumerate(spec.coeffs, 1) if c),
-        RatPoly.zero(),
-    )
     p_int, e = _integral(summand)
-    r_int, d = _integral(remainder)
+    r_int, d = _remainder_ints(spec, tables)
     eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
 
     def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -447,20 +467,47 @@ def construct_telescope_poly(
     return block * spec.aux.shift(1) * t**spec.alpha - spec.eps * spec.aux
 
 
+def _verdict_denominators(
+    errors: tuple[Fraction | int, ...], remainders: tuple[Fraction | int, ...]
+) -> tuple[int, ...]:
+    """q_N for each pair (err, B) = (S_N - claimed, B_N): the reduced
+    denominator of err / B up to sign, taken as den // gcd(num, den) on the
+    cross products num = err's numerator times B's denominator and
+    den = err's denominator times B's numerator.  Where B = 0, q_N is 0 for
+    a nonzero error and 1 for a zero one, so p rejects at N exactly when p
+    divides q_N."""
+    qs = []
+    for err, b in zip(errors, remainders):
+        if b == 0:
+            qs.append(0 if err else 1)
+        else:
+            num, den = err.numerator * b.denominator, err.denominator * b.numerator
+            qs.append(den // gcd(num, den))
+    return tuple(qs)
+
+
 @dataclass(frozen=True)
 class SeriesErrorProfile:
     """Exact partial-sum errors of a series against a claimed sum.
 
     errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
-    remainder of :func:`partial_sums`, for N = 1..n_max.  Computing the
-    profile once lets several primes (or a perturbed claim) reuse the same
-    big rationals.
+    remainder of :func:`partial_sums`, for N = 1..n_max.  ``denominators``
+    holds q_N, the denominator of errors[N-1] / remainders[N-1] up to sign
+    (0 where B_N = 0 but the error is not); it is computed from the errors
+    at construction, one gcd per N, so every prime's verdict on the profile
+    is one ``%`` per N and a shifted claim gets its own.
     """
 
     spec: SeriesSpec
     claimed: Fraction | int
     errors: tuple[Fraction | int, ...]
     remainders: tuple[Fraction | int, ...]
+    denominators: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "denominators", _verdict_denominators(self.errors, self.remainders)
+        )
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
         delta = _exact_scalar(delta)
@@ -475,8 +522,9 @@ class SeriesErrorProfile:
 def series_error_profile(
     spec: SeriesSpec, claimed: Fraction | int, n_max: int, tables: TableSet
 ) -> SeriesErrorProfile:
-    """Partial-sum errors and remainders for N = 1..n_max; raises for
-    n_max < 1, where there would be nothing to check."""
+    """Partial-sum errors, remainders and verdict denominators for
+    N = 1..n_max; raises for n_max < 1, where there would be nothing to
+    check."""
     claimed = _exact_scalar(claimed)
     sums = list(partial_sums(spec, n_max, tables))
     return SeriesErrorProfile(
@@ -518,8 +566,9 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     """Verify the profile's claimed sum p-adically: at every N = 1..n_max
     of the profile, the error S_N - claimed over the exact remainder B_N
     must have no p in its denominator, and where B_N = 0 the error must be
-    0.  The first violating N is reported on FAIL.  A profile is
-    prime-independent, so one profile serves every prime.
+    0.  Both tests read the profile's q_N: the first N with p | q_N is
+    reported on FAIL.  A profile is prime-independent, so one profile
+    serves every prime, and a verdict is one ``%`` per N.
 
     Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
     stops growing and no claim could be rejected, so the check refuses to
@@ -529,8 +578,8 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     params = ConvergenceParams(alpha=1, mu_lambda_sum=1)
     if not in_convergence_domain(x, p, params):
         raise ConvergenceDomainError(x, p, convergence_threshold(params, p))
-    n_max = len(profile.errors)
-    for n, (err, b) in enumerate(zip(profile.errors, profile.remainders), 1):
-        if err != 0 if b == 0 else Fraction(err, b).denominator % p.value == 0:
+    n_max, pv = len(profile.denominators), p.value
+    for n, q in enumerate(profile.denominators, 1):
+        if q % pv == 0:
             return PadicVerdict(p, False, n, n_max)
     return PadicVerdict(p, True, None, n_max)

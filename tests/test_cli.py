@@ -301,6 +301,24 @@ def test_verify_all_runs_the_defaults(capsys):
         assert limits in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify all --claim=7 --k 1 --nmax 5 --kmax 1 --primes 5",
+         "--claim applies only to verify padic"),
+        ("verify finite --claim=7", "--claim applies only to verify padic"),
+        ("verify telescope --claim=7 --count 1 --nmax 2", "--claim applies only to verify padic"),
+        ("verify padic --claim=-1 --k 1 --kmax 3 --nmax 5 --primes 5",
+         "--kmax does not apply to verify padic --claim; --k sizes its tables"),
+    ],
+)
+def test_claim_outside_single_claim_mode_is_a_usage_error(argv, message, capsys):
+    # a claim no suite checks, or a --kmax the claim's tables ignore, must not pass silently
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_verify_single_claim_defaults_to_nmax_200(capsys):
     assert run(["verify", "padic", "--claim=-1", "--k", 1, "--primes", 5, "--format", "json"]) == 0
     assert [r["n_max"] for r in json.loads(capsys.readouterr().out)] == [200]

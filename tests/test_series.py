@@ -165,6 +165,18 @@ def test_partial_sums_match_reference(tables_plus, tables_minus, eps, coeffs, a,
         assert all(type(s) is int and type(r) is int for _, s, r in sums)
 
 
+def test_partial_sums_build_the_remainder_without_at_x(tables_plus, monkeypatch):
+    # the remainder comes from the tables' integer rows, not from a RatPoly
+    # Horner in Fractions over x
+    spec = SeriesSpec(eps=1, x=Fraction(-2, 3), coeffs=(Fraction(1, 2), 0, 3))
+    expected = reference_partial_sums(spec, 12, tables_plus)
+
+    def refuse(self, x):
+        raise AssertionError("partial_sums called GenPoly.at_x")
+
+    monkeypatch.setattr(GenPoly, "at_x", refuse)
+    assert list(partial_sums(spec, 12, tables_plus)) == expected
+
 def test_general_sum_single_power_reduction(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), coeffs=(Fraction(1),))
     combined = general_sum_check(spec, 6, tables_plus)
@@ -417,6 +429,48 @@ def test_padic_sum_verify_zero_remainder(tables_plus):
     wrong = padic_sum_verify(profile.shifted_claim(2**40), Prime(2))
     assert (wrong.passed, wrong.first_violation) == (False, 1)
 
+
+def _profiles(tables_plus, tables_minus):
+    """The B_1 = 0 profile of test_padic_sum_verify_zero_remainder and a
+    rational combination at eps = -1, each at its true sum."""
+    zero = SeriesSpec(eps=1, x=1, k=2)
+    mix = SeriesSpec(eps=-1, x=2, coeffs=(Fraction(1, 2), 0, 3))
+    return [
+        series_error_profile(spec, spec.claimed_sum(tables), 30, tables)
+        for spec, tables in ((zero, tables_plus), (mix, tables_minus))
+    ]
+
+
+def test_padic_sum_verify_builds_no_fraction(tables_plus, tables_minus, monkeypatch):
+    # a verdict reads the profile's q_N, one % per N, and builds no Fraction
+    runs = [
+        (profile.shifted_claim(delta), Prime(p))
+        for profile in _profiles(tables_plus, tables_minus)
+        for delta in (0, 1)
+        for p in (2, 3, 5, 7)
+    ]
+    expected = [padic_sum_verify(profile, p) for profile, p in runs]
+    assert any(v.passed for v in expected) and not all(v.passed for v in expected)
+
+    def refuse(*args):
+        raise AssertionError("padic_sum_verify built a Fraction")
+
+    monkeypatch.setattr("padsum.series.Fraction", refuse)
+    assert [padic_sum_verify(profile, p) for profile, p in runs] == expected
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["zero-remainder", "rational-mix"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shifted_claim_carries_its_own_denominators(tables_plus, tables_minus, which, p):
+    # a shifted profile must not reuse its parent's q_N: every verdict on it
+    # equals the verdict on a profile built afresh at the shifted claim
+    profile = _profiles(tables_plus, tables_minus)[which]
+    tables = tables_plus if profile.spec.eps == 1 else tables_minus
+    for delta in (1, Fraction(1, 3), p**5):
+        fresh = series_error_profile(profile.spec, profile.claimed + delta, 30, tables)
+        shifted = profile.shifted_claim(delta)
+        assert shifted.denominators == fresh.denominators
+        assert padic_sum_verify(shifted, Prime(p)) == padic_sum_verify(fresh, Prime(p))
 
 @given(
     eps=st.sampled_from([1, -1]),
