@@ -15,11 +15,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
-from .fps import check_first_order_ode, check_second_order_ode
-from .padic import Prime, val_rat
+from .fps import OdeCheck, check_first_order_ode, check_second_order_ode
+from .padic import Prime, expand, val_rat
 from .poly import RatPoly
 from .series import (
+    PadicVerdict,
+    SeriesErrorProfile,
     SeriesSpec,
     TelescopeSpec,
     VerificationError,
@@ -179,18 +182,24 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _suite_finite(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
-    checks = 0
+def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
+    """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
     for eps in (1, -1):
         tables = TableSet.build(kmax, eps)
         for k in range(1, kmax + 1):
-            for x in FINITE_X_SET:
-                try:
-                    finite_identity_sweep(k, eps, x, nmax, tables)
-                except VerificationError as exc:
-                    line = f"FAIL finite: {exc}"
-                    return False, [line], [{"check": "finite", "verdict": "FAIL", "detail": str(exc)}]
-                checks += nmax
+            for x in x_values:
+                yield eps, tables, k, x
+
+
+def _suite_finite(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+    checks = 0
+    for eps, tables, k, x in _grid(kmax, FINITE_X_SET):
+        try:
+            finite_identity_sweep(k, eps, x, nmax, tables)
+        except VerificationError as exc:
+            line = f"FAIL finite: {exc}"
+            return False, [line], [{"check": "finite", "verdict": "FAIL", "detail": str(exc)}]
+        checks += nmax
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
         f" (k<={kmax}, eps=+-1, {len(FINITE_X_SET)} x values, n<={nmax})"
@@ -238,73 +247,97 @@ def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str]
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]
 
 
+def _padic_report(verdict: PadicVerdict, profile: SeriesErrorProfile, precision: int) -> dict:
+    """``verdict`` on ``profile``'s claim, with ``precision`` digits of the claim's expansion."""
+    return {
+        "check": "padic-sum",
+        "params": {"k": profile.spec.order, "eps": profile.spec.eps, "x": str(profile.spec.x)},
+        "p": verdict.prime.value,
+        "n_max": verdict.n_max,
+        "first_violation": verdict.first_violation,
+        "verdict": "PASS" if verdict.passed else "FAIL",
+        "claimed": str(profile.claimed),
+        "claimed_expansion": expand(profile.claimed, verdict.prime, precision).render(),
+    }
+
+
 def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
-    primes, x_values, precision = args.primes, args.x_values, args.precision
+    """The grid of closed-form claims, or with ``--claim`` the one claimed
+    sum at ``--k``/``--eps``/``--x``; each mode refuses the other's flags."""
+    if args.claim is not None:
+        if args.x_values is not None:
+            raise ValueError("--x-values does not apply to verify padic --claim; --x is its point")
+        return _padic_claim(args, nmax)
+    stray = next((flag for flag in ("k", "eps", "x") if getattr(args, flag) is not None), None)
+    if stray:
+        raise ValueError(f"--{stray} applies only to verify padic --claim")
+    x_values = (1, -1, 2) if args.x_values is None else args.x_values
     reports: list[dict] = []
     failures: list[str] = []
-    passed = rejected = total = 0
-    for eps in (1, -1):
-        tables = TableSet.build(kmax, eps)
-        for k in range(1, kmax + 1):
-            for x in x_values:
-                spec = SeriesSpec(eps=eps, x=x, k=k)
-                claimed = spec.claimed_sum(tables)
-                profile = series_error_profile(spec, claimed, nmax, tables)
-                perturbed = profile.shifted_claim(1)
-                for p in primes:
-                    total += 1
-                    verdict = padic_sum_verify(profile, p)
-                    wrong = padic_sum_verify(perturbed, p)
-                    report = verdict.report({"k": k, "eps": eps, "x": str(x)}, claimed, precision)
-                    report["perturbed_verdict"] = "FAIL" if not wrong.passed else "PASS"
-                    reports.append(report)
-                    if verdict.passed:
-                        passed += 1
-                    else:
-                        failures.append(
-                            f"FAIL padic: claim {claimed} for k={k} eps={eps:+d} x={x}"
-                            f" p={p} violated at N={verdict.first_violation}"
-                        )
-                    if not wrong.passed:
-                        rejected += 1
-                    else:
-                        failures.append(
-                            f"FAIL padic: perturbed claim {claimed + 1} for k={k}"
-                            f" eps={eps:+d} x={x} p={p} was not rejected"
-                        )
-    ok = not failures
-    lines = failures or [
-        f"PASS padic: {passed}/{total} claims verified, {rejected}/{total}"
+    for eps, tables, k, x in _grid(kmax, x_values):
+        spec = SeriesSpec(eps=eps, x=x, k=k)
+        claimed = spec.claimed_sum(tables)
+        profile = series_error_profile(spec, claimed, nmax, tables)
+        perturbed = profile.shifted_claim(1)
+        for p in args.primes:
+            verdict = padic_sum_verify(profile, p)
+            wrong = padic_sum_verify(perturbed, p)
+            report = _padic_report(verdict, profile, args.precision)
+            report["perturbed_verdict"] = "PASS" if wrong.passed else "FAIL"
+            reports.append(report)
+            if not verdict.passed:
+                failures.append(
+                    f"FAIL padic: claim {claimed} for k={k} eps={eps:+d} x={x}"
+                    f" p={p} violated at N={verdict.first_violation}"
+                )
+            if wrong.passed:
+                failures.append(
+                    f"FAIL padic: perturbed claim {claimed + 1} for k={k}"
+                    f" eps={eps:+d} x={x} p={p} was not rejected"
+                )
+    if failures:
+        return False, failures, reports
+    # no failure: every report's claim passed and its perturbation was rejected
+    total = len(reports)
+    line = (
+        f"PASS padic: {total}/{total} claims verified, {total}/{total}"
         f" perturbations rejected (k<={kmax}, x in {{{','.join(map(str, x_values))}}},"
-        f" p in {{{','.join(str(p) for p in primes)}}}, N<={nmax})"
-    ]
-    return ok, lines, reports
+        f" p in {{{','.join(str(p) for p in args.primes)}}}, N<={nmax})"
+    )
+    return True, [line], reports
 
 
-def _padic_single_claim(args, nmax: int) -> tuple[bool, list[str], list[dict], list[str]]:
-    spec = SeriesSpec(eps=args.eps, x=args.x, k=args.k)
-    tables = TableSet.build(args.k, args.eps)
-    claimed = args.claim
-    profile = series_error_profile(spec, claimed, nmax, tables)
-    lines: list[str] = []
-    reports: list[dict] = []
-    csv_rows = ["N,partial,valuation"]
-    ok = True
+def _padic_claim(args, nmax: int) -> tuple[bool, list[str], list[dict]]:
+    """One verdict per prime on ``--claim``; under ``--format csv`` the lines
+    are the ``N,partial,valuation`` profile instead of the verdicts."""
+    k, eps, x = (1 if given is None else given for given in (args.k, args.eps, args.x))
+    spec = SeriesSpec(eps=eps, x=x, k=k)
+    profile = series_error_profile(spec, args.claim, nmax, TableSet.build(k, eps))
+    ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
         verdict = padic_sum_verify(profile, p)
-        params = {"k": args.k, "eps": args.eps, "x": str(args.x)}
-        reports.append(verdict.report(params, claimed, args.precision))
+        reports.append(_padic_report(verdict, profile, args.precision))
+        ok &= verdict.passed
         if verdict.passed:
-            lines.append(f"PASS padic: claim {claimed} holds to N={nmax} at p={p}")
+            lines.append(f"PASS padic: claim {args.claim} holds to N={nmax} at p={p}")
         else:
-            ok = False
             lines.append(
-                f"FAIL padic: claim {claimed} violated at N={verdict.first_violation} (p={p})"
+                f"FAIL padic: claim {args.claim} violated at N={verdict.first_violation} (p={p})"
             )
         if args.format == "csv":  # the only exact valuations, taken where printed
             for n, err in enumerate(profile.errors, 1):
-                csv_rows.append(f"{n}/p={p},{err + claimed},{val_rat(err, p)}")
-    return ok, lines, reports, csv_rows
+                rows.append(f"{n}/p={p},{err + args.claim},{val_rat(err, p)}")
+    return ok, rows if args.format == "csv" else lines, reports
+
+
+def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
+    return {
+        "check": check,
+        "params": {"order": order},
+        "bad_degree": result.bad_degree,
+        "artifacts": {str(d): str(v) for d, v in result.artifacts.items()},
+        "verdict": "PASS" if result.ok else "FAIL",
+    }
 
 
 def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
@@ -315,11 +348,11 @@ def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list
         first = check_first_order_ode(order)
         if not first.ok:
             line = f"FAIL ode: first-order residual at order {order}, degree {first.bad_degree}"
-            return False, [line], [first.report("ode-first", {"order": order})]
+            return False, [line], [_ode_report("ode-first", order, first)]
         second = check_second_order_ode(order)
         if not second.ok:
             line = f"FAIL ode: second-order residual at order {order}, degree {second.bad_degree}"
-            return False, [line], [second.report("ode-second", {"order": order})]
+            return False, [line], [_ode_report("ode-second", order, second)]
     line = (
         f"PASS ode: both residuals vanish through the stated degrees for"
         f" orders {nmin}..{nmax}; first-order artifact equals (N+1)!"
@@ -342,7 +375,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--claim applies only to verify padic")
     if args.claim is not None and args.kmax is not None:
         raise ValueError("--kmax does not apply to verify padic --claim; --k sizes its tables")
-    ok, lines, reports, csv_rows = True, [], [], None
+    ok, lines, reports = True, [], []
     for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
         run, kmax, nmax = VERIFY_SUITES[suite]
         if args.suite != "all":  # a flag given replaces its default; ``verify all`` takes none
@@ -350,9 +383,6 @@ def cmd_verify(args) -> int:
                 kmax = args.kmax
             if args.nmax is not None:
                 nmax = args.nmax
-        if args.claim is not None:
-            ok, lines, reports, csv_rows = _padic_single_claim(args, nmax)
-            continue
         if kmax is not None and kmax < 1:
             raise ValueError(f"kmax must be >= 1, got {kmax}")
         sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
@@ -362,8 +392,6 @@ def cmd_verify(args) -> int:
 
     if args.format == "json":
         print(_dumps(reports), end="")
-    elif args.format == "csv" and csv_rows is not None:
-        print("\n".join(csv_rows))
     else:
         for line in lines:
             print(line)
@@ -482,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, default=20, help="random telescoping specs")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
-    p_verify.add_argument("--x-values", type=parse_rational_list, default=parse_rational_list("1,-1,2"))
+    p_verify.add_argument("--x-values", type=parse_rational_list, default=None)
     p_verify.add_argument("--claim", type=parse_rational, default=None,
                           help="verify a single claimed sum instead of the grid")
-    p_verify.add_argument("--k", type=int, default=1, help="series power for --claim mode")
-    p_verify.add_argument("--eps", type=parse_eps, default=1)
-    p_verify.add_argument("--x", type=parse_rational, default=Fraction(1))
+    p_verify.add_argument("--k", type=int, default=None, help="series power for --claim mode")
+    p_verify.add_argument("--eps", type=parse_eps, default=None)
+    p_verify.add_argument("--x", type=parse_rational, default=None)
     p_verify.add_argument("--precision", type=int, default=16,
                           help="digits shown for p-adic expansions in reports")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -71,18 +71,8 @@ class OdeCheck:
     is wrong (if any), and the coefficients at the artifact degrees."""
 
     ok: bool
-    residual: RatPoly
     bad_degree: int | None
     artifacts: dict[int, Scalar]
-
-    def report(self, check: str, params: dict) -> dict:
-        return {
-            "check": check,
-            "params": params,
-            "bad_degree": self.bad_degree,
-            "artifacts": {str(d): str(v) for d, v in self.artifacts.items()},
-            "verdict": "PASS" if self.ok else "FAIL",
-        }
 
 
 def _verdict(residual: RatPoly, expected: dict[int, Scalar]) -> OdeCheck:
@@ -90,7 +80,7 @@ def _verdict(residual: RatPoly, expected: dict[int, Scalar]) -> OdeCheck:
     ``expected``, which must equal their expected values."""
     degrees = range(max(residual.degree, *expected) + 1)
     bad = next((d for d in degrees if residual.coeff(d) != expected.get(d, 0)), None)
-    return OdeCheck(bad is None, residual, bad, {d: residual.coeff(d) for d in expected})
+    return OdeCheck(bad is None, bad, {d: residual.coeff(d) for d in expected})
 
 
 def check_first_order_ode(order: int) -> OdeCheck:

@@ -1,4 +1,4 @@
-"""p-adic valuations, truncated expansions, and convergence-domain tests.
+"""p-adic valuations, truncated expansions, and the convergence-domain gate.
 
 The valuation of zero is a genuine infinite value (``Valuation.INFINITE``),
 kept distinct from every finite exponent so that ultrametric comparisons
@@ -178,34 +178,29 @@ def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> Padi
     return PadicApprox(p, v, tuple(digits))
 
 
-@dataclass(frozen=True)
-class ConvergenceParams:
-    """Exponent data of the factorial-series convergence domain.
+class ConvergenceDomainError(ValueError):
+    """An evaluation point lies outside the p-adic convergence domain."""
+
+    def __init__(self, x: RationalLike, prime: Prime, threshold: Fraction):
+        super().__init__(
+            f"x = {x} is outside the convergence domain for p = {prime}:"
+            f" v_p(x) must exceed {threshold}"
+        )
+        self.x = x
+        self.prime = prime
+        self.threshold = threshold
+
+
+def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: int) -> None:
+    """Raise :class:`ConvergenceDomainError` unless x lies in the p-adic
+    convergence domain of a factorial series.
 
     A series whose n-th term carries prod((mu_i*n + nu_i)!)**lambda_i and
-    x**(alpha*n + beta) converges p-adically iff
-    |x|_p < p**(S / ((p-1)*alpha)) with S = sum(mu_i * lambda_i).
+    x**(alpha*n + beta) converges p-adically iff v_p(x) > -S/((p-1)*alpha)
+    with S = ``mu_lambda_sum`` = sum(mu_i * lambda_i).  The threshold is
+    exclusive, and it is <= 0, so every integer x (valuation >= 0) lies in
+    the domain whenever S >= 1.
     """
-
-    alpha: int
-    mu_lambda_sum: int
-
-    def __post_init__(self) -> None:
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.mu_lambda_sum < 0:
-            raise ValueError(f"mu-lambda sum must be >= 0, got {self.mu_lambda_sum}")
-
-
-def convergence_threshold(params: ConvergenceParams, p: Prime) -> Fraction:
-    """Strict lower bound on v_p(x) for convergence: v_p(x) > -S/((p-1)*alpha).
-
-    The threshold is exclusive, and it is <= 0, so every integer x (valuation
-    >= 0) lies in the domain whenever S >= 1.
-    """
-    return Fraction(-params.mu_lambda_sum, (p.value - 1) * params.alpha)
-
-
-def in_convergence_domain(x: RationalLike, p: Prime, params: ConvergenceParams) -> bool:
-    """Whether v_p(x) clears the (strict) convergence threshold."""
-    return val_rat(x, p) > convergence_threshold(params, p)
+    threshold = Fraction(-mu_lambda_sum, (p.value - 1) * alpha)
+    if not val_rat(x, p) > threshold:
+        raise ConvergenceDomainError(x, p, threshold)

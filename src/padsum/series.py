@@ -23,7 +23,8 @@ from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
 from .kernel import factorial, rising_block
-from .padic import ConvergenceParams, Prime, convergence_threshold, expand, in_convergence_domain
+# ConvergenceDomainError is re-exported: the checks below raise it
+from .padic import ConvergenceDomainError, Prime, require_convergence
 from .poly import RatPoly, _exact_scalar, _sign
 from .tables import TableSet, _add_shifted
 
@@ -41,19 +42,6 @@ class VerificationError(RuntimeError):
     def __init__(self, message: str, result: "PartialSumResult | None" = None):
         super().__init__(message)
         self.result = result
-
-
-class ConvergenceDomainError(ValueError):
-    """An evaluation point lies outside the p-adic convergence domain."""
-
-    def __init__(self, x: Fraction, prime: Prime, threshold: Fraction):
-        super().__init__(
-            f"x = {x} is outside the convergence domain for p = {prime}:"
-            f" v_p(x) must exceed {threshold}"
-        )
-        self.x = x
-        self.prime = prime
-        self.threshold = threshold
 
 
 @dataclass(frozen=True)
@@ -357,9 +345,6 @@ class TelescopeSpec:
         if not self.aux.is_integral():
             raise ValueError(f"aux must have integer coefficients, got {self.aux!r}")
 
-    def convergence_params(self) -> ConvergenceParams:
-        return ConvergenceParams(self.alpha, sum(m * l for m, l in zip(self.mu, self.lam)))
-
     def factorial_product(self, n: int) -> int:
         prod = 1
         for m, v, l in zip(self.mu, self.nu, self.lam):
@@ -453,13 +438,12 @@ def construct_telescope_poly(
 
     as a polynomial in n.  For t != 0 its degree is
     deg(aux) + sum_i mu_i * lam_i.  Any supplied primes gate t against the
-    convergence domain; the first failing prime is reported.
+    convergence domain; the first failing prime raises.
     """
     t = _exact(t)
-    params = spec.convergence_params()
+    mu_lambda_sum = sum(m * l for m, l in zip(spec.mu, spec.lam))
     for p in primes:
-        if not in_convergence_domain(t, p, params):
-            raise ConvergenceDomainError(t, p, convergence_threshold(params, p))
+        require_convergence(t, p, spec.alpha, mu_lambda_sum)
     block = RatPoly.one()
     for m, v, l in zip(spec.mu, spec.nu, spec.lam):
         for s in range(1, m + 1):
@@ -547,37 +531,20 @@ class PadicVerdict:
     first_violation: int | None
     n_max: int
 
-    def report(self, params: dict, claimed: Fraction | int, precision: int) -> dict:
-        """The JSON report of this verdict on ``claimed``, with ``precision``
-        digits of its p-adic expansion."""
-        return {
-            "check": "padic-sum",
-            "params": params,
-            "p": self.prime.value,
-            "n_max": self.n_max,
-            "first_violation": self.first_violation,
-            "verdict": "PASS" if self.passed else "FAIL",
-            "claimed": str(claimed),
-            "claimed_expansion": expand(claimed, self.prime, precision).render(),
-        }
-
 
 def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     """Verify the profile's claimed sum p-adically: at every N = 1..n_max
     of the profile, the error S_N - claimed over the exact remainder B_N
     must have no p in its denominator, and where B_N = 0 the error must be
-    0.  Both tests read the profile's q_N: the first N with p | q_N is
-    reported on FAIL.  A profile is prime-independent, so one profile
+    0.  Both tests read the profile's q_N: the first N with p | q_N is the
+    verdict's ``first_violation``.  A profile is prime-independent, so one profile
     serves every prime, and a verdict is one ``%`` per N.
 
     Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
     stops growing and no claim could be rejected, so the check refuses to
-    run there and raises :class:`ConvergenceDomainError`.
+    run there: :func:`require_convergence` raises :class:`ConvergenceDomainError`.
     """
-    x = profile.spec.x
-    params = ConvergenceParams(alpha=1, mu_lambda_sum=1)
-    if not in_convergence_domain(x, p, params):
-        raise ConvergenceDomainError(x, p, convergence_threshold(params, p))
+    require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
     n_max, pv = len(profile.denominators), p.value
     for n, q in enumerate(profile.denominators, 1):
         if q % pv == 0:

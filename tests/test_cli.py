@@ -1,5 +1,6 @@
 """Command-line interface: formats, caching, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import padsum.fps
 from padsum.cli import (
     BFileError,
     main,
@@ -38,6 +40,11 @@ GOLDEN_STDOUT = {
     # 1/3 is the k = 2 sum at x = 2/3: fractional partial sums in the profile
     "verify padic --claim=1/3 --k 2 --x 2/3 --nmax 30 --primes 2,5 --format csv":
         (0, "8f70926a5d11355da83b391cfd2088b6ac48ffe34d7774c45b89a95cbd101c4d"),
+    # the text reports: one PASS line per suite, and the grid's counts and limits
+    "verify all":
+        (0, "0c4674618f53809cbb52f520916cd312e36728edd774bb2f81a4a24405ff14ff"),
+    "verify padic --kmax 2 --nmax 30 --primes 2,3":
+        (0, "63fc17f7fec006e3b1fef97b66ae769b9c0db3450fb13f2e768130689f861987"),
 }
 
 
@@ -319,6 +326,29 @@ def test_claim_outside_single_claim_mode_is_a_usage_error(argv, message, capsys)
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify padic --k 5 --x 7 --eps -1 --kmax 1 --nmax 3 --primes 5",
+         "--k applies only to verify padic --claim"),
+        ("verify padic --eps -1 --kmax 1 --nmax 3 --primes 5",
+         "--eps applies only to verify padic --claim"),
+        ("verify padic --x 7 --kmax 1 --nmax 3 --primes 5",
+         "--x applies only to verify padic --claim"),
+        ("verify padic --claim=-1 --k 1 --x-values 5,7 --nmax 3 --primes 5",
+         "--x-values does not apply to verify padic --claim; --x is its point"),
+        ("verify padic --claim=7 --k 0 --nmax 3", "k must be >= 1, got 0"),
+    ],
+)
+def test_verify_padic_mode_flags_are_checked(argv, message, capsys):
+    # the grid reads --x-values and --claim reads --k/--eps/--x: a flag of the
+    # other mode would be ignored, so it is a usage error; a given --k 0 is
+    # refused, never replaced by the default
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_verify_single_claim_defaults_to_nmax_200(capsys):
     assert run(["verify", "padic", "--claim=-1", "--k", 1, "--primes", 5, "--format", "json"]) == 0
     assert [r["n_max"] for r in json.loads(capsys.readouterr().out)] == [200]
@@ -334,6 +364,45 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
     assert capsys.readouterr().out == (
         "FAIL finite: finite identity residual -1 != 0 at k=1 eps=+1 x=-3 n=1\n"
     )
+
+
+def _lower_v1(tables):
+    vs = (tables.corr.v_polys[0] - 1,) + tables.corr.v_polys[1:]
+    return dataclasses.replace(tables, corr=dataclasses.replace(tables.corr, v_polys=vs))
+
+
+def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
+    # V_1 lowered by 1: every k = 1 claim is off by -1, so each fails, and
+    # its perturbation by +1 is the true sum, which is not rejected
+    build = TableSet.build
+    monkeypatch.setattr(
+        TableSet, "build", staticmethod(lambda kmax, eps: _lower_v1(build(kmax, eps)))
+    )
+    assert run("verify padic --kmax 1 --nmax 12 --primes 2,3 --x-values 1,2".split()) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 16
+    assert lines[:2] == [
+        "FAIL padic: claim -2 for k=1 eps=+1 x=1 p=2 violated at N=2",
+        "FAIL padic: perturbed claim -1 for k=1 eps=+1 x=1 p=2 was not rejected",
+    ]
+    digest = "c463836c9c89a5fd43927a078b46fc0b276c1928a18300b62727e7211e4b543f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_ode_json_reports_the_failure(monkeypatch, capsys):
+    residual = padsum.fps.second_order_residual
+    monkeypatch.setattr(padsum.fps, "second_order_residual", lambda order: residual(order) + 1)
+    assert run("verify ode --nmax 4 --format json".split()) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {
+            "artifacts": {"3": "96", "4": "0"},
+            "bad_degree": 0,
+            "check": "ode-second",
+            "params": {"order": 3},
+            "verdict": "FAIL",
+        }
+    ]
 
 
 def test_verify_padic_outside_domain_exits_2(capsys):

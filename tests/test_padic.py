@@ -7,13 +7,12 @@ from hypothesis import given, strategies as st
 
 from padsum.kernel import factorial
 from padsum.padic import (
-    ConvergenceParams,
+    ConvergenceDomainError,
     PadicApprox,
     Prime,
     Valuation,
-    convergence_threshold,
     expand,
-    in_convergence_domain,
+    require_convergence,
     val_factorial,
     val_int,
     val_rat,
@@ -131,21 +130,23 @@ def test_expand_reconstruct_round_trip(q, p, m):
 
 
 def test_convergence_threshold_examples():
-    assert convergence_threshold(ConvergenceParams(1, 1), P2) == Fraction(-1)
-    assert convergence_threshold(ConvergenceParams(1, 0), P2) == 0
-    # the threshold is exclusive
-    assert not in_convergence_domain(Fraction(1, 2), P2, ConvergenceParams(1, 1))
-    assert in_convergence_domain(7, P2, ConvergenceParams(1, 1))
-    assert in_convergence_domain(7, P5, ConvergenceParams(2, 3))
-    assert not in_convergence_domain(1, P2, ConvergenceParams(1, 0))
-    assert in_convergence_domain(0, P2, ConvergenceParams(1, 0))
+    # outside: the error names the threshold, -1 for (alpha, S) = (1, 1) at
+    # p = 2 and 0 for S = 0; v_2(1/2) = -1 shows the threshold is exclusive
+    for x, alpha, s, threshold in ((Fraction(1, 2), 1, 1, Fraction(-1)), (1, 1, 0, 0)):
+        with pytest.raises(ConvergenceDomainError) as err:
+            require_convergence(x, P2, alpha, s)
+        assert (err.value.x, err.value.prime, err.value.threshold) == (x, P2, threshold)
+    # inside: the gate returns
+    assert require_convergence(7, P2, 1, 1) is None
+    assert require_convergence(7, P5, 2, 3) is None
+    assert require_convergence(0, P2, 1, 0) is None
 
 
 def test_padic_functions_refuse_floats():
     calls = (
         lambda: val_rat(0.5, P2),
         lambda: expand(0.5, P2, 4),
-        lambda: in_convergence_domain(0.5, P2, ConvergenceParams(1, 1)),
+        lambda: require_convergence(0.5, P2, 1, 1),
     )
     for call in calls:
         with pytest.raises(TypeError):

@@ -1,11 +1,13 @@
-"""The README's library quick tour runs as printed."""
+"""The README's library quick tour and command block run as printed."""
 
 import ast
 import re
+import shlex
 import types
 from pathlib import Path
 
 import padsum
+from padsum.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +43,18 @@ def test_readme_quick_tour_runs():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert imported == exported
+
+
+def test_readme_commands_parse_and_verify_lines_pass(capsys):
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [
+        shlex.split(line, comments=True)[1:] for line in block.splitlines()
+        if line.startswith("padsum ")
+    ]
+    assert {argv[0] for argv in commands} == {"tables", "verify", "seq", "seq-compare", "cache"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits here
+    for argv in commands:
+        if argv[0] == "verify":
+            assert main(argv) == 0, " ".join(argv)
