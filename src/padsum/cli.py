@@ -86,15 +86,22 @@ def parse_eps(text: str) -> int:
     raise argparse.ArgumentTypeError(f"eps must be +1 or -1, got {text!r}")
 
 
+def _distinct(values: tuple, text: str) -> tuple:
+    """``values`` unless two are equal (``1,2/2`` repeats): a repeat counts its checks twice."""
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
+
+
 def parse_prime_list(text: str) -> tuple[Prime, ...]:
     try:
-        return tuple(Prime(int(part)) for part in text.split(","))
+        return _distinct(tuple(Prime(int(part)) for part in text.split(",")), text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+    return _distinct(tuple(parse_rational(part) for part in text.split(",")), text)
 
 
 def default_cache_dir() -> Path:
@@ -162,8 +169,7 @@ def _render_tables_csv(tables: TableSet) -> str:
 
 
 def cmd_tables(args) -> int:
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    tables, text = load_or_build_bundle(args.kmax, args.eps, cache_dir, not args.no_cache)
+    tables, text = load_or_build_bundle(args.kmax, args.eps, args.cache_dir, not args.no_cache)
     if args.format == "json":
         content = text
         ext = "json"
@@ -184,6 +190,8 @@ def cmd_tables(args) -> int:
 
 def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
     """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     for eps in (1, -1):
         tables = TableSet.build(kmax, eps)
         for k in range(1, kmax + 1):
@@ -191,18 +199,18 @@ def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
                 yield eps, tables, k, x
 
 
-def _suite_finite(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
-    for eps, tables, k, x in _grid(kmax, FINITE_X_SET):
+    for eps, tables, k, x in _grid(args.kmax, FINITE_X_SET):
         try:
-            finite_identity_sweep(k, eps, x, nmax, tables)
+            finite_identity_sweep(k, eps, x, args.nmax, tables)
         except VerificationError as exc:
             line = f"FAIL finite: {exc}"
             return False, [line], [{"check": "finite", "verdict": "FAIL", "detail": str(exc)}]
-        checks += nmax
+        checks += args.nmax
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
-        f" (k<={kmax}, eps=+-1, {len(FINITE_X_SET)} x values, n<={nmax})"
+        f" (k<={args.kmax}, eps=+-1, {len(FINITE_X_SET)} x values, n<={args.nmax})"
     )
     return True, [line], [{"check": "finite", "verdict": "PASS", "checks": checks}]
 
@@ -227,8 +235,8 @@ def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
     ]
 
 
-def _suite_telescope(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
-    count, seed = args.count, args.seed
+def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
+    count, seed, nmax = args.count, args.seed, args.nmax
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
@@ -261,23 +269,26 @@ def _padic_report(verdict: PadicVerdict, profile: SeriesErrorProfile, precision:
     }
 
 
-def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _suite_padic(args) -> tuple[bool, list[str], list[dict]]:
     """The grid of closed-form claims, or with ``--claim`` the one claimed
     sum at ``--k``/``--eps``/``--x``; each mode refuses the other's flags."""
     if args.claim is not None:
+        if args.kmax is not None:
+            raise ValueError("--kmax does not apply to verify padic --claim; --k sizes its tables")
         if args.x_values is not None:
             raise ValueError("--x-values does not apply to verify padic --claim; --x is its point")
-        return _padic_claim(args, nmax)
+        return _padic_claim(args)
     stray = next((flag for flag in ("k", "eps", "x") if getattr(args, flag) is not None), None)
     if stray:
         raise ValueError(f"--{stray} applies only to verify padic --claim")
+    kmax = 8 if args.kmax is None else args.kmax
     x_values = (1, -1, 2) if args.x_values is None else args.x_values
     reports: list[dict] = []
     failures: list[str] = []
     for eps, tables, k, x in _grid(kmax, x_values):
         spec = SeriesSpec(eps=eps, x=x, k=k)
         claimed = spec.claimed_sum(tables)
-        profile = series_error_profile(spec, claimed, nmax, tables)
+        profile = series_error_profile(spec, claimed, args.nmax, tables)
         perturbed = profile.shifted_claim(1)
         for p in args.primes:
             verdict = padic_sum_verify(profile, p)
@@ -302,24 +313,24 @@ def _suite_padic(args, kmax: int, nmax: int) -> tuple[bool, list[str], list[dict
     line = (
         f"PASS padic: {total}/{total} claims verified, {total}/{total}"
         f" perturbations rejected (k<={kmax}, x in {{{','.join(map(str, x_values))}}},"
-        f" p in {{{','.join(str(p) for p in args.primes)}}}, N<={nmax})"
+        f" p in {{{','.join(str(p) for p in args.primes)}}}, N<={args.nmax})"
     )
     return True, [line], reports
 
 
-def _padic_claim(args, nmax: int) -> tuple[bool, list[str], list[dict]]:
+def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     """One verdict per prime on ``--claim``; under ``--format csv`` the lines
     are the ``N,partial,valuation`` profile instead of the verdicts."""
     k, eps, x = (1 if given is None else given for given in (args.k, args.eps, args.x))
     spec = SeriesSpec(eps=eps, x=x, k=k)
-    profile = series_error_profile(spec, args.claim, nmax, TableSet.build(k, eps))
+    profile = series_error_profile(spec, args.claim, args.nmax, TableSet.build(k, eps))
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
         verdict = padic_sum_verify(profile, p)
         reports.append(_padic_report(verdict, profile, args.precision))
         ok &= verdict.passed
         if verdict.passed:
-            lines.append(f"PASS padic: claim {args.claim} holds to N={nmax} at p={p}")
+            lines.append(f"PASS padic: claim {args.claim} holds to N={args.nmax} at p={p}")
         else:
             lines.append(
                 f"FAIL padic: claim {args.claim} violated at N={verdict.first_violation} (p={p})"
@@ -340,8 +351,8 @@ def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
     }
 
 
-def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list[dict]]:
-    nmin = 3
+def _suite_ode(args) -> tuple[bool, list[str], list[dict]]:
+    nmin, nmax = 3, args.nmax
     if nmax < nmin:
         raise ValueError(f"ode orders start at {nmin}, got nmax {nmax}")
     for order in range(nmin, nmax + 1):
@@ -360,36 +371,18 @@ def _suite_ode(args, kmax: int | None, nmax: int) -> tuple[bool, list[str], list
     return True, [line], [{"check": "ode", "verdict": "PASS", "orders": [nmin, nmax]}]
 
 
-# suite -> (runner, default kmax, default nmax), in the order ``verify all``
-# runs them; None for a suite that takes no kmax.
-VERIFY_SUITES = {
-    "finite": (_suite_finite, 15, 25),
-    "telescope": (_suite_telescope, None, 15),
-    "padic": (_suite_padic, 8, 200),
-    "ode": (_suite_ode, None, 50),
-}
-
-
 def cmd_verify(args) -> int:
-    if args.claim is not None and args.suite != "padic":
-        raise ValueError("--claim applies only to verify padic")
-    if args.claim is not None and args.kmax is not None:
-        raise ValueError("--kmax does not apply to verify padic --claim; --k sizes its tables")
+    runs = [args]
+    if args.suite == "all":  # each suite on the namespace its own parser gives with no flags
+        parser = build_parser()
+        runs = [parser.parse_args(["verify", suite, "--format", args.format])
+                for suite in ("finite", "telescope", "padic", "ode")]
     ok, lines, reports = True, [], []
-    for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
-        run, kmax, nmax = VERIFY_SUITES[suite]
-        if args.suite != "all":  # a flag given replaces its default; ``verify all`` takes none
-            if kmax is not None and args.kmax is not None:
-                kmax = args.kmax
-            if args.nmax is not None:
-                nmax = args.nmax
-        if kmax is not None and kmax < 1:
-            raise ValueError(f"kmax must be >= 1, got {kmax}")
-        sub_ok, sub_lines, sub_reports = run(args, kmax, nmax)
+    for suite_args in runs:
+        sub_ok, sub_lines, sub_reports = suite_args.run(suite_args)
         ok &= sub_ok
         lines += sub_lines
         reports += sub_reports
-
     if args.format == "json":
         print(_dumps(reports), end="")
     else:
@@ -469,17 +462,16 @@ def cmd_seq_compare(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    files = sorted(cache_dir.glob("tables_*.json")) if cache_dir.exists() else []
+    files = sorted(args.cache_dir.glob("tables_*.json")) if args.cache_dir.exists() else []
     if args.action == "info":
         total = sum(f.stat().st_size for f in files)
-        print(f"cache directory: {cache_dir}")
+        print(f"cache directory: {args.cache_dir}")
         print(f"table files: {len(files)}")
         print(f"total bytes: {total}")
         return 0
     for f in files:
         f.unlink()
-    print(f"removed {len(files)} cached table file(s) from {cache_dir}")
+    print(f"removed {len(files)} cached table file(s) from {args.cache_dir}")
     return 0
 
 
@@ -499,27 +491,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--eps", type=parse_eps, default=1)
     p_tables.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p_tables.add_argument("--out", default=".")
-    p_tables.add_argument("--cache-dir", default=None)
+    p_tables.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     p_tables.add_argument("--no-cache", action="store_true")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=("finite", "telescope", "padic", "ode", "all"))
-    p_verify.add_argument("--kmax", type=int, default=None)
-    p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=20, help="random telescoping specs")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
-    p_verify.add_argument("--x-values", type=parse_rational_list, default=None)
-    p_verify.add_argument("--claim", type=parse_rational, default=None,
-                          help="verify a single claimed sum instead of the grid")
-    p_verify.add_argument("--k", type=int, default=None, help="series power for --claim mode")
-    p_verify.add_argument("--eps", type=parse_eps, default=None)
-    p_verify.add_argument("--x", type=parse_rational, default=None)
-    p_verify.add_argument("--precision", type=int, default=16,
-                          help="digits shown for p-adic expansions in reports")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    def add_suite(name: str, run, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: another suite's --k must not pass as this suite's --kmax
+        p_suite = suites.add_parser(name, help=summary, allow_abbrev=False)
+        p_suite.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p_suite.set_defaults(func=cmd_verify, run=run)
+        return p_suite
+
+    p_finite = add_suite("finite", _suite_finite, "finite identities with zero residuals")
+    p_finite.add_argument("--kmax", type=int, default=15)
+    p_finite.add_argument("--nmax", type=int, default=25)
+    p_telescope = add_suite("telescope", _suite_telescope, "exact telescoping identities")
+    p_telescope.add_argument("--nmax", type=int, default=15)
+    p_telescope.add_argument("--count", type=int, default=20, help="random telescoping specs")
+    p_telescope.add_argument("--seed", type=int, default=0)
+    p_padic = add_suite("padic", _suite_padic, "claimed sums against exact p-adic remainders")
+    p_padic.add_argument("--kmax", type=int, default=None, help="grid size (default 8)")
+    p_padic.add_argument("--nmax", type=int, default=200)
+    p_padic.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
+    p_padic.add_argument("--x-values", type=parse_rational_list, default=None)
+    p_padic.add_argument("--claim", type=parse_rational, default=None,
+                         help="verify a single claimed sum instead of the grid")
+    p_padic.add_argument("--k", type=int, default=None, help="series power for --claim mode")
+    p_padic.add_argument("--eps", type=parse_eps, default=None)
+    p_padic.add_argument("--x", type=parse_rational, default=None)
+    p_padic.add_argument("--precision", type=int, default=16,
+                         help="digits shown for p-adic expansions in reports")
+    p_ode = add_suite("ode", _suite_ode, "ODE residuals of sum n! x^n")
+    p_ode.add_argument("--nmax", type=int, default=50)
+    add_suite("all", None, "every suite on its defaults")
 
     p_seq = sub.add_parser("seq", help="emit a named integer sequence")
     p_seq.add_argument("id", choices=sorted(SEQUENCE_IDS))
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="inspect or clear the table cache")
     p_cache.add_argument("action", choices=("info", "clear"))
-    p_cache.add_argument("--cache-dir", default=None)
+    p_cache.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     p_cache.set_defaults(func=cmd_cache)
 
     return parser

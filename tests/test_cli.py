@@ -1,5 +1,6 @@
 """Command-line interface: formats, caching, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import padsum.cli
 import padsum.fps
 from padsum.cli import (
     BFileError,
+    build_parser,
     main,
     parse_bfile,
     parse_rational,
@@ -291,17 +294,8 @@ def test_verify_refuses_to_pass_zero_checks(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "argv", ["verify telescope --kmax 0 --count 4 --nmax 8", "verify ode --kmax 0 --nmax 10"]
-)
-def test_verify_ignores_kmax_where_unused(argv, capsys):
-    assert run(argv.split()) == 0
-    assert "PASS" in capsys.readouterr().out
-
-
 def test_verify_all_runs_the_defaults(capsys):
-    # --kmax and --nmax select a single suite's size; ``verify all`` ignores them
-    assert run(["verify", "all", "--kmax", 1, "--nmax", 1]) == 0
+    assert run(["verify", "all"]) == 0
     out = capsys.readouterr().out
     for limits in ("(k<=15, eps=+-1, 8 x values, n<=25)", "named instances, N<=15",
                    "(k<=8, x in {1,-1,2}, p in {2,3,5,7,11}, N<=200)", "orders 3..50"):
@@ -311,16 +305,12 @@ def test_verify_all_runs_the_defaults(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("verify all --claim=7 --k 1 --nmax 5 --kmax 1 --primes 5",
-         "--claim applies only to verify padic"),
-        ("verify finite --claim=7", "--claim applies only to verify padic"),
-        ("verify telescope --claim=7 --count 1 --nmax 2", "--claim applies only to verify padic"),
         ("verify padic --claim=-1 --k 1 --kmax 3 --nmax 5 --primes 5",
          "--kmax does not apply to verify padic --claim; --k sizes its tables"),
     ],
 )
 def test_claim_outside_single_claim_mode_is_a_usage_error(argv, message, capsys):
-    # a claim no suite checks, or a --kmax the claim's tables ignore, must not pass silently
+    # a --kmax the claim's tables ignore must not pass silently
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
@@ -347,6 +337,68 @@ def test_verify_padic_mode_flags_are_checked(argv, message, capsys):
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify finite --k 3 --x-values 9 --primes 5 --kmax 2 --nmax 3",
+        "verify finite --claim=7",
+        "verify finite --k 3 --nmax 3",  # no abbreviation: --k is not finite's --kmax
+        "verify telescope --claim=7 --count 1 --nmax 2",
+        "verify telescope --kmax 0 --count 4 --nmax 8",
+        "verify ode --kmax 0 --nmax 10",
+        "verify ode --primes 2 --nmax 3",
+        "verify all --primes 5 --count 1",
+        "verify all --kmax 1 --nmax 1",
+        "verify all --claim=7 --k 1 --nmax 5 --kmax 1 --primes 5",
+    ],
+)
+def test_flag_of_another_suite_is_a_usage_error(argv, capsys, monkeypatch):
+    # each suite takes only the flags it reads, and ``verify all`` only --format;
+    # argparse refuses any other before a suite starts
+    def no_run(args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(padsum.cli, "cmd_verify", no_run)
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def _choices(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_each_verify_suite_declares_its_own_flags():
+    suites = _choices(_choices(build_parser())["verify"])
+    flags = {
+        name: {s for action in parser._actions for s in action.option_strings}
+        for name, parser in suites.items()
+    }
+    common = {"-h", "--help", "--format"}
+    assert flags == {
+        "finite": common | {"--kmax", "--nmax"},
+        "telescope": common | {"--nmax", "--count", "--seed"},
+        "padic": common | {"--kmax", "--nmax", "--primes", "--x-values", "--claim", "--k",
+                           "--eps", "--x", "--precision"},
+        "ode": common | {"--nmax"},
+        "all": common,
+    }
+
+
+@pytest.mark.parametrize("flag, values", [("--primes", "2,3,2"), ("--x-values", "1,2/2")])
+def test_repeated_prime_or_point_is_a_usage_error(flag, values, capsys):
+    # a repeat would run the same claims again and count each one twice in the PASS line
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "padic", "--kmax", 1, "--nmax", 5, flag, values])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"repeated value in {values!r}" in captured.err
 
 
 def test_verify_single_claim_defaults_to_nmax_200(capsys):
