@@ -255,17 +255,19 @@ def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]
 
 
-def _padic_report(verdict: PadicVerdict, profile: SeriesErrorProfile, precision: int) -> dict:
-    """``verdict`` on ``profile``'s claim, with ``precision`` digits of the claim's expansion."""
+def _padic_report(
+    verdict: PadicVerdict, profile: SeriesErrorProfile, p: Prime, precision: int
+) -> dict:
+    """``verdict`` at p on ``profile``'s claim, with ``precision`` digits of its expansion."""
     return {
         "check": "padic-sum",
         "params": {"k": profile.spec.order, "eps": profile.spec.eps, "x": str(profile.spec.x)},
-        "p": verdict.prime.value,
-        "n_max": verdict.n_max,
+        "p": p,
+        "n_max": len(profile.errors),
         "first_violation": verdict.first_violation,
         "verdict": "PASS" if verdict.passed else "FAIL",
         "claimed": str(profile.claimed),
-        "claimed_expansion": expand(profile.claimed, verdict.prime, precision).render(),
+        "claimed_expansion": expand(profile.claimed, p, precision).render(),
     }
 
 
@@ -281,6 +283,8 @@ def _suite_padic(args) -> tuple[bool, list[str], list[dict]]:
     stray = next((flag for flag in ("k", "eps", "x") if getattr(args, flag) is not None), None)
     if stray:
         raise ValueError(f"--{stray} applies only to verify padic --claim")
+    if args.format == "csv":
+        raise ValueError("--format csv applies only to verify padic --claim")
     kmax = 8 if args.kmax is None else args.kmax
     x_values = (1, -1, 2) if args.x_values is None else args.x_values
     reports: list[dict] = []
@@ -293,7 +297,7 @@ def _suite_padic(args) -> tuple[bool, list[str], list[dict]]:
         for p in args.primes:
             verdict = padic_sum_verify(profile, p)
             wrong = padic_sum_verify(perturbed, p)
-            report = _padic_report(verdict, profile, args.precision)
+            report = _padic_report(verdict, profile, p, args.precision)
             report["perturbed_verdict"] = "PASS" if wrong.passed else "FAIL"
             reports.append(report)
             if not verdict.passed:
@@ -327,7 +331,7 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
         verdict = padic_sum_verify(profile, p)
-        reports.append(_padic_report(verdict, profile, args.precision))
+        reports.append(_padic_report(verdict, profile, p, args.precision))
         ok &= verdict.passed
         if verdict.passed:
             lines.append(f"PASS padic: claim {args.claim} holds to N={args.nmax} at p={p}")
@@ -497,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     suites = p_verify.add_subparsers(dest="suite", required=True)
-    def add_suite(name: str, run, summary: str) -> argparse.ArgumentParser:
+    def add_suite(name: str, run, summary: str, formats=("text", "json")):
         # no abbreviations: another suite's --k must not pass as this suite's --kmax
         p_suite = suites.add_parser(name, help=summary, allow_abbrev=False)
-        p_suite.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p_suite.add_argument("--format", choices=formats, default="text")
         p_suite.set_defaults(func=cmd_verify, run=run)
         return p_suite
 
@@ -511,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_telescope.add_argument("--nmax", type=int, default=15)
     p_telescope.add_argument("--count", type=int, default=20, help="random telescoping specs")
     p_telescope.add_argument("--seed", type=int, default=0)
-    p_padic = add_suite("padic", _suite_padic, "claimed sums against exact p-adic remainders")
+    p_padic = add_suite("padic", _suite_padic, "claimed sums against exact p-adic remainders",
+                        formats=("text", "json", "csv"))
     p_padic.add_argument("--kmax", type=int, default=None, help="grid size (default 8)")
     p_padic.add_argument("--nmax", type=int, default=200)
     p_padic.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))

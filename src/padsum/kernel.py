@@ -1,33 +1,26 @@
 """Exact integer primitives: factorials, rising blocks, digit sums.
 
-Everything here is pure and exact.  Integers are plain Python ints
-(arbitrary precision), and they stay ints through the rest of the package:
-a ``fractions.Fraction`` (reduced, positive denominator) appears only
-where an input is fractional or a division happens.
+Every function here is pure and exact, and the module holds no state.
+Integers are plain Python ints (arbitrary precision), and they stay ints
+through the rest of the package: a ``fractions.Fraction`` (reduced,
+positive denominator) appears only where an input is fractional or a
+division happens.
 """
 
 from __future__ import annotations
 
-import threading
-
-_factorials = [1]
-_lock = threading.Lock()
+import math
 
 
 def factorial(n: int) -> int:
-    """n!, memoized across calls.
+    """n!, by ``math.factorial``; ValueError for n < 0.
 
-    Partial-sum sweeps up to N reuse every smaller factorial, so the memo
-    pays for itself immediately.  The table is append-only and guarded by a
-    lock, safe to share between threads.
+    Partial sums take their weights from a running product, so nothing
+    here is worth remembering between calls.
     """
     if n < 0:
         raise ValueError(f"factorial undefined for n = {n}")
-    if n >= len(_factorials):
-        with _lock:
-            while len(_factorials) <= n:
-                _factorials.append(_factorials[-1] * len(_factorials))
-    return _factorials[n]
+    return math.factorial(n)
 
 
 def rising_block(base: int, width: int, power: int) -> int:

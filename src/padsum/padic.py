@@ -3,7 +3,8 @@
 The valuation of zero is a genuine infinite value (``Valuation.INFINITE``),
 kept distinct from every finite exponent so that ultrametric comparisons
 can never be fooled by an integer sentinel.  The p-adic verdict takes no
-valuation per term (``series.padic_sum_verify`` divides by the remainder).
+valuation per term (``series.padic_sum_verify``: the verdict reads the
+profile's q_N).
 """
 
 from __future__ import annotations
@@ -21,29 +22,24 @@ DEFAULT_EXPANSION_DIGITS = 64
 RationalLike = int | Fraction
 
 
-@dataclass(frozen=True)
-class Prime:
-    """A prime modulus, checked deterministically at construction.
+class Prime(int):
+    """A prime modulus: an ``int`` whose primality is checked, by trial
+    division, at construction.  Anything but an int (a bool, a float, a
+    Fraction) is refused.
 
     Trial division is plenty: primes used here are small (single or double
     digits in practice, a few thousand at most).
     """
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = self.value
+    def __new__(cls, p: int) -> "Prime":
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"not a prime: {p!r}")
         for d in range(2, math.isqrt(p) + 1):
             if p % d == 0:
                 raise ValueError(f"not a prime: {p} = {d} * {p // d}")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
+        return super().__new__(cls, p)
 
 
 @total_ordering
@@ -103,10 +99,9 @@ def val_int(n: int, p: Prime) -> Valuation:
     if n == 0:
         return Valuation.INFINITE
     n = abs(n)
-    q = p.value
     e = 0
-    while n % q == 0:
-        n //= q
+    while n % p == 0:
+        n //= p
         e += 1
     return Valuation(e)
 
@@ -115,7 +110,7 @@ def val_factorial(n: int, p: Prime) -> Valuation:
     """v_p(n!) via the digit-sum form (n - s_n)/(p - 1) of Legendre's formula."""
     if n < 0:
         raise ValueError(f"factorial valuation needs n >= 0, got {n}")
-    return Valuation((n - digit_sum(n, p.value)) // (p.value - 1))
+    return Valuation((n - digit_sum(n, p)) // (p - 1))
 
 
 def val_rat(q: RationalLike, p: Prime) -> Valuation:
@@ -145,7 +140,7 @@ class PadicApprox:
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("at least one digit is required")
-        p = self.prime.value
+        p = self.prime
         if any(not (0 <= d < p) for d in self.digits):
             raise ValueError(f"digits must lie in [0, {p})")
         if self.digits[0] == 0 and any(self.digits):
@@ -153,7 +148,7 @@ class PadicApprox:
 
     def render(self) -> str:
         body = ",".join(str(d) for d in self.digits)
-        return f"p={self.prime.value} val={self.offset} digits=[{body}]"
+        return f"p={self.prime} val={self.offset} digits=[{body}]"
 
 
 def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> PadicApprox:
@@ -168,12 +163,12 @@ def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> Padi
     if q == 0:
         return PadicApprox(p, 0, (0,) * m)
     v = val_rat(q, p).exponent
-    unit = q / Fraction(p.value) ** v
-    mod = p.value**m
+    unit = q / Fraction(p) ** v
+    mod = p**m
     x = unit.numerator * pow(unit.denominator, -1, mod) % mod
     digits = []
     for _ in range(m):
-        x, d = divmod(x, p.value)
+        x, d = divmod(x, p)
         digits.append(d)
     return PadicApprox(p, v, tuple(digits))
 
@@ -201,6 +196,6 @@ def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: in
     exclusive, and it is <= 0, so every integer x (valuation >= 0) lies in
     the domain whenever S >= 1.
     """
-    threshold = Fraction(-mu_lambda_sum, (p.value - 1) * alpha)
+    threshold = Fraction(-mu_lambda_sum, (p - 1) * alpha)
     if not val_rat(x, p) > threshold:
         raise ConvergenceDomainError(x, p, threshold)

@@ -164,22 +164,6 @@ def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
         raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
 
 
-def _summand_poly(spec: SeriesSpec, tables: TableSet) -> RatPoly:
-    """P(i) = sum_j C_j [x^j i^j + U_j(x)] at the spec's x, as one
-    polynomial in i."""
-    _check_tables(spec, tables)
-    x = spec.x
-    constant = sum(c * tables.corr.u_poly(j)(x) for j, c in enumerate(spec.coeffs, 1) if c)
-    return RatPoly((constant, *(c * x**j for j, c in enumerate(spec.coeffs, 1))))
-
-
-def _integral(poly: RatPoly) -> tuple[tuple[int, ...], int]:
-    """(m * poly's coefficients, highest degree first, as ints; m) for the
-    least m >= 1 that clears their denominators."""
-    m = lcm(*(c.denominator for c in poly.coeffs))
-    return tuple(int(c * m) for c in reversed(poly.coeffs)), m
-
-
 def _horner(coeffs: tuple[int, ...], t: int) -> int:
     """The integer polynomial with ``coeffs`` (highest degree first) at t."""
     total = 0
@@ -193,25 +177,6 @@ def _quotient(num: int, den: int) -> Fraction | int:
     return num if den == 1 else Fraction(num, den)
 
 
-def _remainder_ints(spec: SeriesSpec, tables: TableSet) -> tuple[tuple[int, ...], int]:
-    """(d R's coefficients in n, highest degree first, as ints; d) for
-    R(n) = sum_j C_j A_{j-1}(n; x) at x = a/b and d = m b^(K-1), where K is
-    the spec's order and m the least common denominator of the C_j.
-
-    Built on the tables' integer rows: d R = sum_j (m C_j) sum_i a^i
-    b^(K-1-i) A_{j-1,i}(n), since A_{j-1} has x-degree at most j-1 <= K-1.
-    """
-    a, b, order = spec.x.numerator, spec.x.denominator, spec.order
-    m = lcm(*(c.denominator for c in spec.coeffs))
-    acc: list = []
-    for j, c in enumerate(spec.coeffs, 1):
-        if c:
-            mc = int(m * c)
-            for i, row in enumerate(tables.gen.poly(j - 1).coeffs):
-                _add_shifted(acc, row.coeffs, mc * a**i * b ** (order - 1 - i))
-    return tuple(reversed(acc)), m * b ** (order - 1)
-
-
 def partial_sums(
     spec: SeriesSpec, n_max: int, tables: TableSet
 ) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -222,14 +187,17 @@ def partial_sums(
 
         S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N R(N),
 
-    with R(n) = sum_j C_j A_{j-1}(n; x).  P is built once at x = a/b and
-    scaled by the least e that makes e P integral; d R is summed directly
-    from the tables' integer rows with d = m b^(K-1) (see
-    :func:`_remainder_ints`), so no polynomial in ``Fraction``s is formed for
-    it.  With the integer weights W_n = eps^n n! a^n each step is integer
-    arithmetic:
+    with R(n) = sum_j C_j A_{j-1}(n; x).  At x = a/b both P and R are
+    scaled by one d = m b^K, where K is the spec's order and m the least
+    common denominator of the C_j, and summed straight from the tables'
+    integer rows: a row is the coefficient list in n of one power x^l
+    (l <= K), so d f = sum_j (m C_j) sum_l a^l b^(K-l) row_l for each
+    f = sum_j C_j f_j.  The rows of P_j(i; x) = i^j x^j + U_j(x) are U_j's
+    coefficients as constants in i, plus i^j at x^j; those of R_j are the
+    rows of A_{j-1}.  No polynomial in ``Fraction``s is formed.  With the
+    integer weights W_n = eps^n n! a^n each step is integer arithmetic:
 
-        T_N = b T_{N-1} + W_{N-1} (e P)(N-1),   S_N = T_N / (b^(N-1) e),
+        T_N = b T_{N-1} + W_{N-1} (d P)(N-1),   S_N = T_N / (b^(N-1) d),
         B_N = eps W_N (d R)(N) / (b^N d).
 
     The power of b is carried, and a Fraction is built only where a
@@ -238,17 +206,32 @@ def partial_sums(
     """
     if n_max < 1:
         raise ValueError(f"n must be >= 1, got {n_max}")
-    summand = _summand_poly(spec, tables)  # checks the tables' sign and size first
-    p_int, e = _integral(summand)
-    r_int, d = _remainder_ints(spec, tables)
-    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
+    _check_tables(spec, tables)
+    eps, a, b, order = spec.eps, spec.x.numerator, spec.x.denominator, spec.order
+    m = lcm(*(c.denominator for c in spec.coeffs))
+    d = m * b**order
+
+    def scaled(rows_of) -> tuple[int, ...]:
+        # d sum_j C_j f_j, highest degree in n first; rows_of(j) gives (l, row_l) of f_j
+        acc: list = []
+        for j, c in enumerate(spec.coeffs, 1):
+            if c:
+                mc = int(m * c)
+                for l, row in rows_of(j):
+                    _add_shifted(acc, row, mc * a**l * b ** (order - l))
+        return tuple(reversed(acc))
+
+    # the rows of P_j(i; x) = i^j x^j + U_j(x), then those of R_j = A_{j-1}
+    p_int = scaled(lambda j: [*enumerate((u,) for u in tables.corr.u_poly(j).coeffs),
+                              (j, (0,) * j + (1,))])
+    r_int = scaled(lambda j: enumerate(row.coeffs for row in tables.gen.poly(j - 1).coeffs))
 
     def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
         t, w, b_pow = 0, 1, 1  # T_{N-1}, W_{N-1}, b^(N-1)
         for n in range(1, n_max + 1):
             t = b * t + w * _horner(p_int, n - 1)
             w *= eps * n * a
-            s = _quotient(t, b_pow * e)
+            s = _quotient(t, b_pow * d)
             b_pow *= b
             yield n, s, _quotient(eps * w * _horner(r_int, n), b_pow * d)
 
@@ -518,7 +501,8 @@ def series_error_profile(
 
 @dataclass(frozen=True)
 class PadicVerdict:
-    """Outcome of the p-adic check of a claimed sum up to N = n_max.
+    """Outcome of the p-adic check of a claimed sum at one prime, for
+    every N of its profile.
 
     PASS means (S_N - claimed) / B_N was a p-adic integer, that is
     v_p(S_N - claimed) >= v_p(B_N), at every N = 1..n_max.  Inside the
@@ -526,10 +510,8 @@ class PadicVerdict:
     eventually fail.
     """
 
-    prime: Prime
     passed: bool
     first_violation: int | None
-    n_max: int
 
 
 def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
@@ -545,8 +527,7 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     run there: :func:`require_convergence` raises :class:`ConvergenceDomainError`.
     """
     require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
-    n_max, pv = len(profile.denominators), p.value
     for n, q in enumerate(profile.denominators, 1):
-        if q % pv == 0:
-            return PadicVerdict(p, False, n, n_max)
-    return PadicVerdict(p, True, None, n_max)
+        if q % p == 0:
+            return PadicVerdict(False, n)
+    return PadicVerdict(True, None)

@@ -328,6 +328,8 @@ def test_claim_outside_single_claim_mode_is_a_usage_error(argv, message, capsys)
         ("verify padic --claim=-1 --k 1 --x-values 5,7 --nmax 3 --primes 5",
          "--x-values does not apply to verify padic --claim; --x is its point"),
         ("verify padic --claim=7 --k 0 --nmax 3", "k must be >= 1, got 0"),
+        ("verify padic --kmax 1 --nmax 10 --primes 2 --format csv",
+         "--format csv applies only to verify padic --claim"),
     ],
 )
 def test_verify_padic_mode_flags_are_checked(argv, message, capsys):
@@ -369,6 +371,29 @@ def test_flag_of_another_suite_is_a_usage_error(argv, capsys, monkeypatch):
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify finite --kmax 1 --nmax 1 --format csv",
+        "verify telescope --format csv",
+        "verify ode --format csv",
+        "verify all --format csv",
+    ],
+)
+def test_csv_outside_verify_padic_is_a_usage_error(argv, capsys, monkeypatch):
+    # these suites print no csv, so --format csv would print their text lines
+    def no_run(args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(padsum.cli, "cmd_verify", no_run)
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
 def _choices(parser):
     return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
@@ -387,6 +412,15 @@ def test_each_verify_suite_declares_its_own_flags():
                            "--eps", "--x", "--precision"},
         "ode": common | {"--nmax"},
         "all": common,
+    }
+    formats = {
+        name: next(a.choices for a in parser._actions if "--format" in a.option_strings)
+        for name, parser in suites.items()
+    }
+    # csv is the --claim profile, so only verify padic takes it
+    assert formats == {
+        name: ("text", "json", "csv") if name == "padic" else ("text", "json")
+        for name in suites
     }
 
 

@@ -33,9 +33,11 @@ def val_oracle(n: int, p: int) -> int:
 
 
 def test_prime_validation():
-    assert Prime(2).value == 2
-    assert Prime(9973).value == 9973
-    for bad in (1, 0, -3, 9, 10000):
+    assert Prime(2) == 2
+    assert isinstance(Prime(9973), int)
+    assert Prime(9973) == 9973
+    # only an int is checked: a bool, a float or a Fraction is refused, never converted
+    for bad in (1, 0, -3, 9, 10000, True, 5.0, Fraction(5)):
         with pytest.raises(ValueError):
             Prime(bad)
 

@@ -165,16 +165,19 @@ def test_partial_sums_match_reference(tables_plus, tables_minus, eps, coeffs, a,
         assert all(type(s) is int and type(r) is int for _, s, r in sums)
 
 
-def test_partial_sums_build_the_remainder_without_at_x(tables_plus, monkeypatch):
-    # the remainder comes from the tables' integer rows, not from a RatPoly
-    # Horner in Fractions over x
+def test_partial_sums_evaluate_no_polynomial_at_x(tables_plus, monkeypatch):
+    # the summand and the remainder both come from the tables' integer rows
+    # under one scale, not from a RatPoly Horner in Fractions over x
     spec = SeriesSpec(eps=1, x=Fraction(-2, 3), coeffs=(Fraction(1, 2), 0, 3))
     expected = reference_partial_sums(spec, 12, tables_plus)
 
-    def refuse(self, x):
-        raise AssertionError("partial_sums called GenPoly.at_x")
+    def refuse(name):
+        def refused(self, x):
+            raise AssertionError(f"partial_sums called {name}")
+        return refused
 
-    monkeypatch.setattr(GenPoly, "at_x", refuse)
+    monkeypatch.setattr(GenPoly, "at_x", refuse("GenPoly.at_x"))
+    monkeypatch.setattr(RatPoly, "__call__", refuse("RatPoly.__call__"))
     assert list(partial_sums(spec, 12, tables_plus)) == expected
 
 def test_general_sum_single_power_reduction(tables_plus):
@@ -385,7 +388,6 @@ def test_padic_sum_verify_true_and_false_claims(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
     verdict = padic_sum_verify(series_error_profile(spec, Fraction(-1), 80, tables_plus), Prime(2))
     assert verdict.passed
-    assert verdict.n_max == 80
     # wrong claim: the error N! - 1 is odd for N >= 2, so p = 2 rejects fast
     wrong = padic_sum_verify(series_error_profile(spec, Fraction(0), 80, tables_plus), Prime(2))
     assert not wrong.passed
