@@ -165,7 +165,7 @@ def test_partial_sums_match_reference(tables_plus, tables_minus, eps, coeffs, a,
         assert all(type(s) is int and type(r) is int for _, s, r in sums)
 
 
-def test_partial_sums_evaluate_no_polynomial_at_x(tables_plus, monkeypatch):
+def test_partial_sums_build_the_remainder_without_at_x(tables_plus, monkeypatch):
     # the summand and the remainder both come from the tables' integer rows
     # under one scale, not from a RatPoly Horner in Fractions over x
     spec = SeriesSpec(eps=1, x=Fraction(-2, 3), coeffs=(Fraction(1, 2), 0, 3))
