@@ -86,6 +86,19 @@ def parse_eps(text: str) -> int:
     raise argparse.ArgumentTypeError(f"eps must be +1 or -1, got {text!r}")
 
 
+def _at_most(cap: int):
+    """An argparse ``type=``: an int no greater than ``cap``.  Every flag that
+    sizes a run's work has one, sized so that the flag at its cap (the others
+    at their defaults) runs in seconds; over it, argparse exits 2 before any work."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is over the cap of {cap}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _distinct(values: tuple, text: str) -> tuple:
     """``values`` unless two are equal (``1,2/2`` repeats): a repeat counts its checks twice."""
     if len(set(values)) < len(values):
@@ -94,8 +107,9 @@ def _distinct(values: tuple, text: str) -> tuple:
 
 
 def parse_prime_list(text: str) -> tuple[Prime, ...]:
+    capped = _at_most(10**12)  # checked before Prime's trial division, 0.1 s at the cap
     try:
-        return _distinct(tuple(Prime(int(part)) for part in text.split(",")), text)
+        return _distinct(tuple(Prime(capped(part)) for part in text.split(",")), text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -217,22 +231,9 @@ def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
 
 def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
     # sum n! * n (aux = 1) and sum n! * ((n+1)^2 - n) (aux = n), both at x = 1
-    return [
-        (
-            "factorial-times-n",
-            TelescopeSpec(
-                mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1,
-                x=Fraction(1), aux=RatPoly.one(),
-            ),
-        ),
-        (
-            "weighted-square-step",
-            TelescopeSpec(
-                mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1,
-                x=Fraction(1), aux=RatPoly.monomial(1),
-            ),
-        ),
-    ]
+    step = dict(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=1)
+    return [("factorial-times-n", TelescopeSpec(**step, aux=RatPoly.one())),
+            ("weighted-square-step", TelescopeSpec(**step, aux=RatPoly.monomial(1)))]
 
 
 def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="generate and export the tables")
-    p_tables.add_argument("--kmax", type=int, required=True)
+    p_tables.add_argument("--kmax", type=_at_most(100), required=True)
     p_tables.add_argument("--eps", type=parse_eps, default=1)
     p_tables.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p_tables.add_argument("--out", default=".")
@@ -509,39 +510,41 @@ def build_parser() -> argparse.ArgumentParser:
         return p_suite
 
     p_finite = add_suite("finite", _suite_finite, "finite identities with zero residuals")
-    p_finite.add_argument("--kmax", type=int, default=15)
-    p_finite.add_argument("--nmax", type=int, default=25)
+    p_finite.add_argument("--kmax", type=_at_most(100), default=15)
+    p_finite.add_argument("--nmax", type=_at_most(1000), default=25)
     p_telescope = add_suite("telescope", _suite_telescope, "exact telescoping identities")
-    p_telescope.add_argument("--nmax", type=int, default=15)
-    p_telescope.add_argument("--count", type=int, default=20, help="random telescoping specs")
+    p_telescope.add_argument("--nmax", type=_at_most(500), default=15)
+    p_telescope.add_argument("--count", type=_at_most(1000), default=20,
+                             help="random telescoping specs")
     p_telescope.add_argument("--seed", type=int, default=0)
     p_padic = add_suite("padic", _suite_padic, "claimed sums against exact p-adic remainders",
                         formats=("text", "json", "csv"))
-    p_padic.add_argument("--kmax", type=int, default=None, help="grid size (default 8)")
-    p_padic.add_argument("--nmax", type=int, default=200)
+    p_padic.add_argument("--kmax", type=_at_most(60), default=None, help="grid size (default 8)")
+    p_padic.add_argument("--nmax", type=_at_most(2000), default=200)
     p_padic.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
     p_padic.add_argument("--x-values", type=parse_rational_list, default=None)
     p_padic.add_argument("--claim", type=parse_rational, default=None,
                          help="verify a single claimed sum instead of the grid")
-    p_padic.add_argument("--k", type=int, default=None, help="series power for --claim mode")
+    p_padic.add_argument("--k", type=_at_most(100), default=None,
+                         help="series power for --claim mode")
     p_padic.add_argument("--eps", type=parse_eps, default=None)
     p_padic.add_argument("--x", type=parse_rational, default=None)
-    p_padic.add_argument("--precision", type=int, default=16,
+    p_padic.add_argument("--precision", type=_at_most(1000), default=16,
                          help="digits shown for p-adic expansions in reports")
     p_ode = add_suite("ode", _suite_ode, "ODE residuals of sum n! x^n")
-    p_ode.add_argument("--nmax", type=int, default=50)
+    p_ode.add_argument("--nmax", type=_at_most(500), default=50)
     add_suite("all", None, "every suite on its defaults")
 
     p_seq = sub.add_parser("seq", help="emit a named integer sequence")
     p_seq.add_argument("id", choices=sorted(SEQUENCE_IDS))
-    p_seq.add_argument("--kmax", type=int, default=10)
+    p_seq.add_argument("--kmax", type=_at_most(100), default=10)
     p_seq.add_argument("--format", choices=("bfile", "text", "json"), default="bfile")
     p_seq.add_argument("--out", default="-")
     p_seq.set_defaults(func=cmd_seq)
 
     p_cmp = sub.add_parser("seq-compare", help="compare a sequence against a local b-file")
     p_cmp.add_argument("id", choices=sorted(SEQUENCE_IDS))
-    p_cmp.add_argument("--kmax", type=int, default=10)
+    p_cmp.add_argument("--kmax", type=_at_most(100), default=10)
     p_cmp.add_argument("--bfile", required=True)
     p_cmp.set_defaults(func=cmd_seq_compare)
 

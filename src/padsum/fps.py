@@ -11,8 +11,7 @@ coefficient is a bug, not noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kernel import factorial
 from .poly import RatPoly, Scalar
@@ -65,8 +64,7 @@ def second_order_residual(order: int) -> RatPoly:
     )
 
 
-@dataclass(frozen=True)
-class OdeCheck:
+class OdeCheck(NamedTuple):
     """Verdict of an ODE residual check: the first degree whose coefficient
     is wrong (if any), and the coefficients at the artifact degrees."""
 

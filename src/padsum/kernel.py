@@ -1,4 +1,5 @@
-"""Exact integer primitives: factorials, rising blocks, digit sums.
+"""Exact integer primitives: factorials, rising blocks, digit sums; and
+``Record``, the immutable base of the records that check their fields.
 
 Every function here is pure and exact, and the module holds no state.
 Integers are plain Python ints (arbitrary precision), and they stay ints
@@ -51,3 +52,40 @@ def digit_sum(n: int, base: int) -> int:
         n, d = divmod(n, base)
         total += d
     return total
+
+
+class Record:
+    """An immutable value with named fields, its ``__slots__``.
+
+    A subclass's ``__init__`` checks its arguments and sets every field
+    once, through :meth:`_set`.  After that the record refuses assignment
+    and deletion (``AttributeError``), and it compares, hashes and prints
+    as its fields in order; records of different classes are never equal.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setstate__(self, state) -> None:  # copy and pickle restore the slots here
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__

@@ -10,11 +10,10 @@ profile's q_N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .kernel import digit_sum
+from .kernel import Record, digit_sum
 from .poly import _exact_scalar
 
 DEFAULT_EXPANSION_DIGITS = 64
@@ -124,8 +123,7 @@ def val_rat(q: RationalLike, p: Prime) -> Valuation:
     return Valuation(num.exponent - den.exponent)
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class PadicApprox(Record):
     """Truncated base-p expansion of a rational.
 
     Represents p**offset * sum(digits[i] * p**i), which agrees with the
@@ -133,18 +131,16 @@ class PadicApprox:
     nonzero unless the value is exactly zero (offset 0, all-zero digits).
     """
 
-    prime: Prime
-    offset: int
-    digits: tuple[int, ...]
+    __slots__ = ("prime", "offset", "digits")
 
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __init__(self, prime: Prime, offset: int, digits: tuple[int, ...]):
+        if not digits:
             raise ValueError("at least one digit is required")
-        p = self.prime
-        if any(not (0 <= d < p) for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {p})")
-        if self.digits[0] == 0 and any(self.digits):
+        if any(not (0 <= d < prime) for d in digits):
+            raise ValueError(f"digits must lie in [0, {prime})")
+        if digits[0] == 0 and any(digits):
             raise ValueError("leading digit must be nonzero for a nonzero value")
+        self._set(prime, offset, digits)
 
     def render(self) -> str:
         body = ",".join(str(d) for d in self.digits)

@@ -16,13 +16,12 @@ one integer ``%`` per N.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .kernel import factorial, rising_block
+from .kernel import Record, factorial, rising_block
 # ConvergenceDomainError is re-exported: the checks below raise it
 from .padic import ConvergenceDomainError, Prime, require_convergence
 from .poly import RatPoly, _exact_scalar, _sign
@@ -44,8 +43,7 @@ class VerificationError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class PartialSumResult:
+class PartialSumResult(NamedTuple):
     """One checked instance of a finite summation identity.
 
     The invariant under test is value = rhs_constant + boundary, exactly;
@@ -113,35 +111,31 @@ def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fra
     return (acc + tail) / (eps * x)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """The factorial power series sum_n eps^n n! P(n; x) x^n with the
     rational combination P(n; x) = sum_j C_j [n^j x^j + U_j(x)]
     (``coeffs`` = C_1..C_k, top coefficient nonzero).
 
-    ``k`` is an init-only shorthand for the single power
+    ``k`` is a constructor-only shorthand for the single power
     P(n; x) = n^k x^k + U_k(x): it sets C_k = 1 and every lower C_j = 0.
     x and the C_j are stored exactly, as ints when their denominator is 1,
     so integer data keeps all later arithmetic in ints.
     """
 
-    eps: int
-    x: Fraction | int
-    k: InitVar[int | None] = None
-    coeffs: tuple[Fraction | int, ...] | None = None
+    __slots__ = ("eps", "x", "coeffs")
 
-    def __post_init__(self, k: int | None) -> None:
-        _sign(self.eps)
-        object.__setattr__(self, "x", _exact(self.x))
-        if (k is None) == (self.coeffs is None):
+    def __init__(self, eps: int, x: Fraction | int, k: int | None = None,
+                 coeffs: tuple[Fraction | int, ...] | None = None):
+        _sign(eps)
+        x = _exact(x)
+        if (k is None) == (coeffs is None):
             raise ValueError("exactly one of k and coeffs must be given")
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        coeffs = self.coeffs if k is None else (0,) * (k - 1) + (1,)
-        coeffs = tuple(_exact(c) for c in coeffs)
+        coeffs = tuple(_exact(c) for c in (coeffs if k is None else (0,) * (k - 1) + (1,)))
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("coeffs must be nonempty with nonzero top coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(eps, x, coeffs)
 
     @property
     def order(self) -> int:
@@ -274,8 +268,7 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
     return _checked_sweep(spec, n, tables, "general sum", where)[-1]
 
 
-@dataclass(frozen=True)
-class TelescopeSpec:
+class TelescopeSpec(Record):
     """Parameters of the general factorial telescoping identity.
 
     The n-th term is
@@ -296,20 +289,11 @@ class TelescopeSpec:
     ``SeriesSpec.x``: an int when its denominator is 1.
     """
 
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-    lam: tuple[int, ...]
-    alpha: int
-    beta: int
-    eps: int
-    x: Fraction | int
-    aux: RatPoly
+    __slots__ = ("mu", "nu", "lam", "alpha", "beta", "eps", "x", "aux")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(self.mu))
-        object.__setattr__(self, "nu", tuple(self.nu))
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "x", _exact(self.x))
+    def __init__(self, mu: tuple[int, ...], nu: tuple[int, ...], lam: tuple[int, ...],
+                 alpha: int, beta: int, eps: int, x: Fraction | int, aux: RatPoly):
+        self._set(tuple(mu), tuple(nu), tuple(lam), alpha, beta, eps, _exact(x), aux)
         if not (len(self.mu) == len(self.nu) == len(self.lam)) or not self.mu:
             raise ValueError("mu, nu, lam must be equal-length, nonempty")
         if any(m < 1 for m in self.mu):
@@ -453,8 +437,7 @@ def _verdict_denominators(
     return tuple(qs)
 
 
-@dataclass(frozen=True)
-class SeriesErrorProfile:
+class SeriesErrorProfile(Record):
     """Exact partial-sum errors of a series against a claimed sum.
 
     errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
@@ -465,16 +448,11 @@ class SeriesErrorProfile:
     is one ``%`` per N and a shifted claim gets its own.
     """
 
-    spec: SeriesSpec
-    claimed: Fraction | int
-    errors: tuple[Fraction | int, ...]
-    remainders: tuple[Fraction | int, ...]
-    denominators: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ("spec", "claimed", "errors", "remainders", "denominators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "denominators", _verdict_denominators(self.errors, self.remainders)
-        )
+    def __init__(self, spec: SeriesSpec, claimed: Fraction | int,
+                 errors: tuple[Fraction | int, ...], remainders: tuple[Fraction | int, ...]):
+        self._set(spec, claimed, errors, remainders, _verdict_denominators(errors, remainders))
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
         delta = _exact_scalar(delta)
@@ -499,8 +477,7 @@ def series_error_profile(
     )
 
 
-@dataclass(frozen=True)
-class PadicVerdict:
+class PadicVerdict(NamedTuple):
     """Outcome of the p-adic check of a claimed sum at one prime, for
     every N of its profile.
 

@@ -18,9 +18,9 @@ never as definitions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .poly import GenPoly, RatPoly, _sign
 
@@ -36,8 +36,7 @@ def as_int(value: Fraction) -> int:
     return value.numerator
 
 
-@dataclass(frozen=True)
-class GenPolyTable:
+class GenPolyTable(NamedTuple):
     """Generating polynomials A_0..A_kmax for one fixed sign eps.
 
     A_0 = 1 and, writing A_k(n; x) = sum_j A_kj(n) x^j, each coefficient
@@ -116,8 +115,14 @@ def recurrence_residuals(table: GenPolyTable) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class CorrectionPolys:
+def _kth(items: tuple, k: int):
+    """items[k - 1], the k-th of a family indexed from 1; IndexError outside 1..len."""
+    if not 1 <= k <= len(items):
+        raise IndexError(f"k must be in 1..{len(items)}, got {k}")
+    return items[k - 1]
+
+
+class CorrectionPolys(NamedTuple):
     """Correction polynomials U_k and closed-form sums V_k, k = 1..kmax.
 
     Index convention: u_polys[0] is U_1.  Both families have integer
@@ -133,14 +138,10 @@ class CorrectionPolys:
         return len(self.u_polys)
 
     def u_poly(self, k: int) -> RatPoly:
-        if not 1 <= k <= self.kmax:
-            raise IndexError(f"k must be in 1..{self.kmax}, got {k}")
-        return self.u_polys[k - 1]
+        return _kth(self.u_polys, k)
 
     def v_poly(self, k: int) -> RatPoly:
-        if not 1 <= k <= self.kmax:
-            raise IndexError(f"k must be in 1..{self.kmax}, got {k}")
-        return self.v_polys[k - 1]
+        return _kth(self.v_polys, k)
 
 
 def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
@@ -200,8 +201,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
     return CorrectionPolys(eps, tuple(map(RatPoly, u)), tuple(map(RatPoly, v)))
 
 
-@dataclass(frozen=True)
-class IntPairTable:
+class IntPairTable(NamedTuple):
     """Integer pairs (u_k, v_k) with sum_{n>=0} n! (n^k + u_k) = v_k p-adically.
 
     us[0] is u_1 = 0, vs[0] is v_1 = -1.
@@ -215,14 +215,10 @@ class IntPairTable:
         return len(self.us)
 
     def u(self, k: int) -> int:
-        if not 1 <= k <= self.kmax:
-            raise IndexError(f"k must be in 1..{self.kmax}, got {k}")
-        return self.us[k - 1]
+        return _kth(self.us, k)
 
     def v(self, k: int) -> int:
-        if not 1 <= k <= self.kmax:
-            raise IndexError(f"k must be in 1..{self.kmax}, got {k}")
-        return self.vs[k - 1]
+        return _kth(self.vs, k)
 
 
 def int_pairs(kmax: int) -> IntPairTable:
@@ -248,8 +244,7 @@ def int_pairs(kmax: int) -> IntPairTable:
     )
 
 
-@dataclass(frozen=True)
-class AuxSolution:
+class AuxSolution(NamedTuple):
     """Solution of the telescoping linear system for one k: the auxiliary
     polynomial A(n) and the integers (u, v) with
 
@@ -408,8 +403,7 @@ def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
     ]
 
 
-@dataclass(frozen=True)
-class TableSet:
+class TableSet(NamedTuple):
     """A generating-polynomial table with its derived corrections.
 
     Build one with :meth:`checked` (or :meth:`build`, which generates the

@@ -1,7 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import dataclasses
-
 import pytest
 
 from padsum.poly import GenPoly, RatPoly
@@ -9,7 +7,7 @@ from padsum.poly import GenPoly, RatPoly
 
 def _shift_v1(tables):
     vs = (tables.corr.v_polys[0] + RatPoly.one(),) + tables.corr.v_polys[1:]
-    return dataclasses.replace(tables, corr=dataclasses.replace(tables.corr, v_polys=vs))
+    return tables._replace(corr=tables.corr._replace(v_polys=vs))
 
 
 @pytest.fixture()
@@ -23,7 +21,7 @@ def _bump_a1(tables):
     a1 = tables.gen.poly(1)
     bumped = GenPoly(a1.eps, (a1.coeff(0) + 1, *a1.coeffs[1:]))
     polys = (tables.gen.polys[0], bumped, *tables.gen.polys[2:])
-    return dataclasses.replace(tables, gen=dataclasses.replace(tables.gen, polys=polys))
+    return tables._replace(gen=tables.gen._replace(polys=polys))
 
 
 @pytest.fixture()

@@ -1,7 +1,6 @@
 """Command-line interface: formats, caching, exit codes."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -435,6 +434,77 @@ def test_repeated_prime_or_point_is_a_usage_error(flag, values, capsys):
     assert f"repeated value in {values!r}" in captured.err
 
 
+# Each numeric flag one over its cap: (argv, the message's tail)
+OVER_CAP = [
+    ("tables --kmax 101 --no-cache", "--kmax: 101 is over the cap of 100"),
+    ("seq A+0,1 --kmax 101", "--kmax: 101 is over the cap of 100"),
+    ("seq-compare U-1 --kmax 101 --bfile b.txt", "--kmax: 101 is over the cap of 100"),
+    ("verify finite --kmax 101", "--kmax: 101 is over the cap of 100"),
+    ("verify finite --nmax 1001", "--nmax: 1001 is over the cap of 1000"),
+    ("verify telescope --nmax 501", "--nmax: 501 is over the cap of 500"),
+    ("verify telescope --count 1001", "--count: 1001 is over the cap of 1000"),
+    ("verify padic --kmax 61", "--kmax: 61 is over the cap of 60"),
+    ("verify padic --nmax 2001", "--nmax: 2001 is over the cap of 2000"),
+    ("verify padic --claim=-1 --k 101", "--k: 101 is over the cap of 100"),
+    ("verify padic --precision 1001", "--precision: 1001 is over the cap of 1000"),
+    # a prime just over 10^12: trial division would accept it
+    ("verify padic --claim=-1 --primes 2,1000000000039",
+     "--primes: 1000000000039 is over the cap of 1000000000000"),
+    ("verify ode --nmax 501", "--nmax: 501 is over the cap of 500"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVER_CAP)
+def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an over-cap run started work")
+
+    for name in ("cmd_verify", "load_or_build_bundle", "sequence_slice"):
+        monkeypatch.setattr(padsum.cli, name, unreachable)
+    prime = padsum.cli.Prime  # the primality test itself must not see the value
+    monkeypatch.setattr(padsum.cli, "Prime", lambda p: unreachable() if p > 10**12 else prime(p))
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify padic --claim=-1 --k 1 --nmax 5 --primes 1000000000000000003",
+        "verify padic --claim=-1 --k 1 --nmax 5 --primes 5 --precision 1000000000",
+        "tables --kmax 100000 --no-cache",
+        "verify padic --claim=-1 --k 1 --nmax 100000000 --primes 5",
+        "verify finite --kmax 99999999999999999999999999",
+    ],
+)
+def test_unbounded_inputs_exit_2_at_once(argv, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PADSUM_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-m", "padsum.cli", *argv.split()], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "error: argument" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_caps_admit_every_default_and_benchmark_argument():
+    parser = build_parser()
+    for argv in (
+        "tables --kmax 100", "seq A+0,1 --kmax 100", "seq-compare U-1 --kmax 100 --bfile b",
+        "verify finite --kmax 100 --nmax 1000", "verify telescope --nmax 500 --count 1000",
+        "verify padic --kmax 60 --nmax 2000 --precision 1000 --primes 2,1000000007,999999999989",
+        "verify padic --claim=-1 --k 100", "verify ode --nmax 500",
+        "verify padic --kmax 8 --nmax 200 --primes 2,3,5,7,11 --precision 16",
+        "verify finite --kmax 15 --nmax 25", "verify telescope --count 20 --nmax 15",
+        "verify ode --nmax 50", "tables --kmax 30", "tables --kmax 0",
+    ):
+        parser.parse_args(argv.split())
+    for suite in ("finite", "telescope", "padic", "ode", "all"):
+        parser.parse_args(["verify", suite])
+
+
 def test_verify_single_claim_defaults_to_nmax_200(capsys):
     assert run(["verify", "padic", "--claim=-1", "--k", 1, "--primes", 5, "--format", "json"]) == 0
     assert [r["n_max"] for r in json.loads(capsys.readouterr().out)] == [200]
@@ -454,7 +524,7 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
 
 def _lower_v1(tables):
     vs = (tables.corr.v_polys[0] - 1,) + tables.corr.v_polys[1:]
-    return dataclasses.replace(tables, corr=dataclasses.replace(tables.corr, v_polys=vs))
+    return tables._replace(corr=tables.corr._replace(v_polys=vs))
 
 
 def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
