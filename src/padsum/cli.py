@@ -171,7 +171,7 @@ def _render_tables_text(tables: TableSet) -> str:
         lines += [f"U_{k}(x) = {tables.corr.u_poly(k).render('x')}" for k in ks]
         lines += [f"V_{k}(x) = {tables.corr.v_poly(k).render('x')}" for k in ks]
     lines.append("")
-    lines += [f"A_{k}(n;x) = {a.render()}" for k, a in enumerate(tables.gen.polys)]
+    lines += [f"A_{k}(n;x) = {tables.gen.poly(k).render()}" for k in range(tables.kmax + 1)]
     return "\n".join(lines) + "\n"
 
 

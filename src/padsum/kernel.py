@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+_setattr = object.__setattr__  # the one way past Record.__setattr__
+
 
 def factorial(n: int) -> int:
     """n!, by ``math.factorial``; ValueError for n < 0.
@@ -66,8 +68,11 @@ class Record:
     __slots__ = ()
 
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} has {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

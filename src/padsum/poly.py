@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .kernel import Record
+
 Scalar = Union[int, Fraction]
 
 
@@ -71,7 +73,7 @@ def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-class RatPoly:
+class RatPoly(Record):
     """Univariate polynomial over exact rationals, lowest degree first.
 
     Canonical form: no trailing zero coefficients; the zero polynomial
@@ -84,7 +86,7 @@ class RatPoly:
         cs = [_exact_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Scalar, ...] = tuple(cs)
+        self._set(tuple(cs))
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -224,7 +226,7 @@ class RatPoly:
         return self.render()
 
 
-class GenPoly:
+class GenPoly(Record):
     """Polynomial in x whose x^j coefficient is a polynomial in n.
 
     The sign eps is fixed per instance, so identities like eps**2 = 1 hold
@@ -236,11 +238,10 @@ class GenPoly:
     __slots__ = ("eps", "coeffs")
 
     def __init__(self, eps: int, coeffs: Iterable[Union[RatPoly, Scalar]] = ()):
-        self.eps = _sign(eps)
         cs = [c if isinstance(c, RatPoly) else RatPoly.constant(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs: tuple[RatPoly, ...] = tuple(cs)
+        self._set(_sign(eps), tuple(cs))
 
     @property
     def degree_x(self) -> int:
@@ -254,14 +255,6 @@ class GenPoly:
             return self.coeffs[j]
         return RatPoly.zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return self.eps == other.eps and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.eps, self.coeffs))
-
     def eval(self, n: Scalar, x: Scalar) -> Scalar:
         """Substitute both variables, exactly (Horner in x)."""
         n = _exact_scalar(n)
@@ -270,10 +263,6 @@ class GenPoly:
         for c in reversed(self.coeffs):
             total = total * x + c(n)
         return total
-
-    def at_n(self, n: Scalar) -> RatPoly:
-        """Evaluate the n-variable, leaving a polynomial in x."""
-        return RatPoly(tuple(c(n) for c in self.coeffs))
 
     def at_x(self, x: Scalar) -> RatPoly:
         """Evaluate the x-variable, leaving a polynomial in n."""

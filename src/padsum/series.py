@@ -25,7 +25,7 @@ from .kernel import Record, factorial, rising_block
 # ConvergenceDomainError is re-exported: the checks below raise it
 from .padic import ConvergenceDomainError, Prime, require_convergence
 from .poly import RatPoly, _exact_scalar, _sign
-from .tables import TableSet, _add_shifted
+from .tables import TableSet, _add_shifted, _horner
 
 
 def _exact(value) -> Fraction | int:
@@ -147,7 +147,7 @@ class SeriesSpec(Record):
     def claimed_sum(self, tables: TableSet) -> Fraction | int:
         """The closed-form value sum_j C_j V_j(x)."""
         _check_tables(self, tables)
-        return sum(c * tables.corr.v_poly(j)(self.x) for j, c in enumerate(self.coeffs, 1) if c)
+        return sum(c * _horner(v, self.x) for c, v in zip(self.coeffs, tables.corr.vs) if c)
 
 
 def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
@@ -156,14 +156,6 @@ def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
         raise ValueError(f"tables are for eps={tables.eps:+d}, the series has eps={spec.eps:+d}")
     if tables.corr.kmax < spec.order:
         raise ValueError(f"tables cover k <= {tables.corr.kmax}, need {spec.order}")
-
-
-def _horner(coeffs: tuple[int, ...], t: int) -> int:
-    """The integer polynomial with ``coeffs`` (highest degree first) at t."""
-    total = 0
-    for c in coeffs:
-        total = total * t + c
-    return total
 
 
 def _quotient(num: int, den: int) -> Fraction | int:
@@ -206,19 +198,19 @@ def partial_sums(
     d = m * b**order
 
     def scaled(rows_of) -> tuple[int, ...]:
-        # d sum_j C_j f_j, highest degree in n first; rows_of(j) gives (l, row_l) of f_j
+        # d sum_j C_j f_j, lowest degree in n first; rows_of(j) gives (l, row_l) of f_j
         acc: list = []
         for j, c in enumerate(spec.coeffs, 1):
             if c:
                 mc = int(m * c)
                 for l, row in rows_of(j):
                     _add_shifted(acc, row, mc * a**l * b ** (order - l))
-        return tuple(reversed(acc))
+        return tuple(acc)
 
     # the rows of P_j(i; x) = i^j x^j + U_j(x), then those of R_j = A_{j-1}
-    p_int = scaled(lambda j: [*enumerate((u,) for u in tables.corr.u_poly(j).coeffs),
-                              (j, (0,) * j + (1,))])
-    r_int = scaled(lambda j: enumerate(row.coeffs for row in tables.gen.poly(j - 1).coeffs))
+    us, a_rows = tables.corr.us, tables.gen.rows
+    p_int = scaled(lambda j: [*enumerate((u,) for u in us[j - 1]), (j, (0,) * j + (1,))])
+    r_int = scaled(lambda j: enumerate(a_rows[j - 1]))
 
     def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
         t, w, b_pow = 0, 1, 1  # T_{N-1}, W_{N-1}, b^(N-1)

@@ -13,6 +13,14 @@ U_k is the correction completing n^k x^k so the factorial series
 sum eps^n n! [n^k x^k + U_k(x)] x^n telescopes; V_k is its closed-form sum.
 Independent recurrences for U, V, u, v exist and are run as cross-checks,
 never as definitions.
+
+Every table is stored as integer rows, lowest power first, never as
+polynomial objects: ``GenPolyTable.rows[k][j]`` holds the coefficients in n
+of A_kj(n), the x^j coefficient of A_k, so row k has exactly k+1 columns,
+and ``CorrectionPolys.us[k-1]`` / ``.vs[k-1]`` hold the coefficients in x
+of U_k / V_k.  Each coefficient list is a tuple of ints with no trailing
+zero.  ``poly(k)``, ``u_poly(k)`` and ``v_poly(k)`` build a fresh
+``GenPoly`` or ``RatPoly`` for the callers that want one.
 """
 
 from __future__ import annotations
@@ -29,13 +37,6 @@ class CrossCheckError(RuntimeError):
     """Two independent routes to the same table disagreed."""
 
 
-def as_int(value: Fraction) -> int:
-    """Exact conversion to int; raises if the value is not integral."""
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer value, got {value}")
-    return value.numerator
-
-
 class GenPolyTable(NamedTuple):
     """Generating polynomials A_0..A_kmax for one fixed sign eps.
 
@@ -48,14 +49,15 @@ class GenPolyTable(NamedTuple):
     """
 
     eps: int
-    polys: tuple[GenPoly, ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def kmax(self) -> int:
-        return len(self.polys) - 1
+        return len(self.rows) - 1
 
     def poly(self, k: int) -> GenPoly:
-        return self.polys[k]
+        """A_k, built afresh from its row."""
+        return GenPoly(self.eps, map(RatPoly, self.rows[k]))
 
 
 def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
@@ -65,12 +67,20 @@ def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
         acc[i] += scale * c
 
 
+def _horner(coeffs, t: Fraction | int) -> Fraction | int:
+    """The polynomial with integer ``coeffs`` (lowest degree first) at an exact t."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
 def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
     """Generate A_0..A_kmax by the column-by-column recurrence.
 
     Each A_kj is solved for on its integer coefficient list in n, as
     eps * A_{k-1,j} (n^k for j = k) minus the C(k+1, m) A_{k-m,j-m} terms,
-    and each row becomes a ``GenPoly`` once, at the end.
+    and the lists become tuples once, at the end.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -84,7 +94,7 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
                 _add_shifted(coeffs, rows[k - m][j - m], -comb(k + 1, m))
             row.append(coeffs)
         rows.append(row)
-    return GenPolyTable(eps, tuple(GenPoly(eps, map(RatPoly, row)) for row in rows))
+    return GenPolyTable(eps, tuple(tuple(map(tuple, row)) for row in rows))
 
 
 def recurrence_residuals(table: GenPolyTable) -> int | None:
@@ -100,8 +110,7 @@ def recurrence_residuals(table: GenPolyTable) -> int | None:
     two-variable polynomials, as exact coefficient arrays acc[j][i] of
     n^i x^j, rather than solving coefficient by coefficient.
     """
-    eps = table.eps
-    rows = [[c.coeffs for c in a.coeffs] for a in table.polys]
+    eps, rows = table.eps, table.rows
     for k in range(1, table.kmax + 1):
         terms = [(rows[l - 1], comb(k + 1, l), k + 1 - l) for l in range(1, k + 2)]
         terms += [(rows[k - 1], -eps, 0), ([(0,) * k + (-1,)], 1, k)]  # - eps A_{k-1} - n^k x^k
@@ -125,50 +134,50 @@ def _kth(items: tuple, k: int):
 class CorrectionPolys(NamedTuple):
     """Correction polynomials U_k and closed-form sums V_k, k = 1..kmax.
 
-    Index convention: u_polys[0] is U_1.  Both families have integer
+    Index convention: us[0] holds U_1.  Both families have integer
     coefficients; V_k is constant in x only for k = 1.
     """
 
     eps: int
-    u_polys: tuple[RatPoly, ...]
-    v_polys: tuple[RatPoly, ...]
+    us: tuple[tuple[int, ...], ...]
+    vs: tuple[tuple[int, ...], ...]
 
     @property
     def kmax(self) -> int:
-        return len(self.u_polys)
+        return len(self.us)
 
     def u_poly(self, k: int) -> RatPoly:
-        return _kth(self.u_polys, k)
+        return RatPoly(_kth(self.us, k))
 
     def v_poly(self, k: int) -> RatPoly:
-        return _kth(self.v_polys, k)
+        return RatPoly(_kth(self.vs, k))
 
 
 def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
-    """U_k and V_k for k = 1..kmax+1, read off the generating polynomials.
+    """U_k and V_k for k = 1..kmax+1, read off the rows of A_{k-1}: its
+    n = 0 value is each column's constant term, its n = 1 value each
+    column's coefficient sum.
 
-    The result is compared, polynomial for polynomial, against the
-    self-contained recurrence route; disagreement is a hard failure.
+    The result is compared, row for row, against the self-contained
+    recurrence route; disagreement is a hard failure.
     """
     eps = table.eps
-    x = RatPoly.monomial(1)
-    u_list: list[RatPoly] = []
-    v_list: list[RatPoly] = []
-    for k in range(1, table.kmax + 2):
-        a = table.poly(k - 1)
-        at_one = a.at_n(1)
-        at_zero = a.at_n(0)
-        u_list.append(x * at_one - eps * at_zero)
-        v_list.append(-eps * at_zero)
+    us: list[tuple] = []
+    vs: list[tuple] = []
+    for row in table.rows:  # A_{k-1} for k = 1..kmax+1
+        v = [-eps * col[0] if col else 0 for col in row]  # -eps A_{k-1}(0; x)
+        x_at_one = [0, *map(sum, row)]  # x A_{k-1}(1; x)
+        vs.append(tuple(v))
+        us.append(tuple(a + b for a, b in zip(x_at_one, v + [0])))
     direct = corrections_by_recurrence(table.kmax + 1, eps)
-    for name, ours, theirs in (("U", u_list, direct.u_polys), ("V", v_list, direct.v_polys)):
+    for name, ours, theirs in (("U", us, direct.us), ("V", vs, direct.vs)):
         for k, (a, b) in enumerate(zip(ours, theirs), 1):
             if a != b:
                 raise CrossCheckError(
                     f"{name}_{k} mismatch (eps={eps:+d}): table route {a!r}"
                     f" vs recurrence route {b!r}"
                 )
-    return CorrectionPolys(eps, tuple(u_list), tuple(v_list))
+    return CorrectionPolys(eps, tuple(us), tuple(vs))
 
 
 def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
@@ -198,7 +207,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
             _add_shifted(next_v, v[l - 1], scale, k + 1 - l)
         u.append(next_u)
         v.append(next_v)
-    return CorrectionPolys(eps, tuple(map(RatPoly, u)), tuple(map(RatPoly, v)))
+    return CorrectionPolys(eps, tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
 class IntPairTable(NamedTuple):
@@ -297,9 +306,7 @@ def aux_poly(k: int) -> AuxSolution:
     poly = RatPoly(solution[:k])
     if not poly.is_integral() or solution[k].denominator != 1:
         raise ArithmeticError(f"non-integral telescoping solution at k={k}: {solution}")
-    u = as_int(solution[k])
-    v = as_int(-poly(0))
-    return AuxSolution(poly, u, v)
+    return AuxSolution(poly, int(solution[k]), int(-poly(0)))  # both exact: integral above
 
 
 def bell_numbers(kmax: int) -> tuple[int, ...]:
@@ -380,11 +387,11 @@ def sequence_slice(which: str, kmax: int) -> list[int]:
     family, eps, n, x = _sequence_params(which)
     if family == "A":
         table = TableSet.build(kmax, eps).gen
-        return [as_int(table.poly(k).eval(n, x)) for k in range(kmax + 1)]
+        return [table.poly(k).eval(n, x) for k in range(kmax + 1)]
     if kmax < 1:
         raise ValueError(f"U-sequences need kmax >= 1, got {kmax}")
     corr = TableSet.build(kmax - 1, eps).corr
-    return [as_int(corr.u_poly(k)(x)) for k in range(1, kmax + 1)]
+    return [corr.u_poly(k)(x) for k in range(1, kmax + 1)]
 
 
 def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
@@ -430,22 +437,32 @@ class TableSet(NamedTuple):
         """
         eps = self.eps
         return IntPairTable(
-            tuple(eps**k * u(eps) for k, u in enumerate(self.corr.u_polys, 1)),
-            tuple(eps**k * v(eps) for k, v in enumerate(self.corr.v_polys, 1)),
+            tuple(eps**k * _horner(u, eps) for k, u in enumerate(self.corr.us, 1)),
+            tuple(eps**k * _horner(v, eps) for k, v in enumerate(self.corr.vs, 1)),
         )
 
     @classmethod
     def checked(cls, gen: GenPolyTable) -> "TableSet":
         """A_0..A_kmax plus U/V through kmax+1, after checking them.
 
-        The table is re-substituted into its recurrence, the corrections are
+        First the shape: row k must be k+1 columns of plain ints (no
+        ``bool``, no ``float``) with no trailing zero, the stored form of
+        the module docstring, which ``bundle_text`` writes as it is.  Then
+        the table is re-substituted into its recurrence, the corrections are
         compared against their independent route, and the pairs against the
         integer recurrence (u_k, v_k), k = 1..kmax+1.  The residuals start at
         k = 1, so the seed A_0 = 1 is pinned separately; with it fixed, the
         recurrence fixes every later row.  Any disagreement raises
         :class:`CrossCheckError`.
         """
-        if gen.polys[:1] != (GenPoly(gen.eps, (RatPoly.one(),)),):
+        for k, row in enumerate(gen.rows):
+            trimmed_ints = all(
+                type(col) is tuple and col[-1:] != (0,) and all(type(c) is int for c in col)
+                for col in row
+            )
+            if len(row) != k + 1 or not trimmed_ints:
+                raise CrossCheckError(f"A_{k} is not {k + 1} trimmed columns of plain ints")
+        if gen.rows[:1] != (((1,),),):
             raise CrossCheckError("A_0 is not 1")
         bad_k = recurrence_residuals(gen)
         if bad_k is not None:
@@ -467,29 +484,23 @@ class TableSet(NamedTuple):
         return cls.checked(gen_poly_table(kmax, eps))
 
 
-def _poly_ints(poly: RatPoly) -> list[int]:
-    return [as_int(c) for c in poly.coeffs]
-
-
 def bundle_to_json(tables: TableSet) -> dict:
     """JSON-ready dict for a table bundle.
 
     Layout: A[k][j][i] is the n^i coefficient of the x^j coefficient of
     A_k; U[k-1] / V[k-1] are the x-coefficients of U_k / V_k and u/v the
     integer pairs, all trimmed to k <= kmax so that kmax = 0 carries A_0
-    alone.  All coefficients are exact integers.
+    alone.  All coefficients are exact integers; the rows are the stored
+    tuples, which ``json`` writes as lists.
     """
     kmax = tables.kmax
     pairs = tables.pairs
     return {
         "eps": tables.eps,
         "kmax": kmax,
-        "A": [
-            [_poly_ints(tables.gen.poly(k).coeff(j)) for j in range(k + 1)]
-            for k in range(kmax + 1)
-        ],
-        "U": [_poly_ints(tables.corr.u_poly(k)) for k in range(1, kmax + 1)],
-        "V": [_poly_ints(tables.corr.v_poly(k)) for k in range(1, kmax + 1)],
+        "A": tables.gen.rows,
+        "U": tables.corr.us[:kmax],
+        "V": tables.corr.vs[:kmax],
         "u": list(pairs.us[:kmax]),
         "v": list(pairs.vs[:kmax]),
     }
@@ -516,8 +527,8 @@ def bundle_from_text(text: str) -> TableSet:
     """
     try:
         data = json.loads(text)
-        polys = tuple(GenPoly(data["eps"], map(RatPoly, row)) for row in data["A"])
-        tables = TableSet.checked(GenPolyTable(data["eps"], polys))
+        rows = tuple(tuple(map(tuple, row)) for row in data["A"])
+        tables = TableSet.checked(GenPolyTable(data["eps"], rows))
         if bundle_text(tables) != text:
             raise ValueError("it is not the encoding of its own tables")
     except (LookupError, TypeError, ValueError, RecursionError, CrossCheckError) as exc:

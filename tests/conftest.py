@@ -2,12 +2,10 @@
 
 import pytest
 
-from padsum.poly import GenPoly, RatPoly
-
 
 def _shift_v1(tables):
-    vs = (tables.corr.v_polys[0] + RatPoly.one(),) + tables.corr.v_polys[1:]
-    return tables._replace(corr=tables.corr._replace(v_polys=vs))
+    (v1,), *vs = tables.corr.vs  # V_1 is the constant -eps
+    return tables._replace(corr=tables.corr._replace(vs=((v1 + 1,), *vs)))
 
 
 @pytest.fixture()
@@ -18,10 +16,9 @@ def tamper_v1():
 
 
 def _bump_a1(tables):
-    a1 = tables.gen.poly(1)
-    bumped = GenPoly(a1.eps, (a1.coeff(0) + 1, *a1.coeffs[1:]))
-    polys = (tables.gen.polys[0], bumped, *tables.gen.polys[2:])
-    return tables._replace(gen=tables.gen._replace(polys=polys))
+    a0, ((c, *col), *cols), *rows = tables.gen.rows
+    bumped = ((c + 1, *col), *cols)
+    return tables._replace(gen=tables.gen._replace(rows=(a0, bumped, *rows)))
 
 
 @pytest.fixture()

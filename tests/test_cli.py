@@ -134,6 +134,7 @@ CORRUPTIONS = {
     "float-coefficient": _edited(("A", 0), lambda a0: [[1.5]]),  # A_0 = 1.5
     "float-in-U": _edited(("U", 0, 1), float),  # 1 -> 1.0
     "true-in-A": _edited(("A", 0, 0, 0), bool),  # 1 -> true
+    "float-1.0-in-A": _edited(("A", 0, 0, 0), float),  # 1 -> 1.0
     "true-eps": _edited(("eps",), bool),  # 1 -> true
     "tampered-pair": _edited(("u", 0), lambda u1: 99),  # u_1 = 99
     "short-U": _edited(("U",), lambda u: u[:-1]),
@@ -142,6 +143,9 @@ CORRUPTIONS = {
     # A_2's x^1 coefficient n - 5 -> n^2 - 5 leaves A_2(0; x), A_2(1; x), U and V as they were
     "A-off-recurrence": _edited(("A", 2, 1), lambda c: [c[0], 0, c[1]]),
     "reformatted": lambda text: json.dumps(json.loads(text)),  # same data, other bytes
+    # the rows are re-serialised as stored, so the byte comparison cannot see these two
+    "extra-column-in-A": _edited(("A", 1), lambda r: r + [[]]),  # A_1 with an empty x^2 column
+    "trailing-zero-in-A": _edited(("A", 2, 1), lambda c: c + [0]),  # n - 5 as [-5, 1, 0]
 }
 
 
@@ -523,8 +527,8 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
 
 
 def _lower_v1(tables):
-    vs = (tables.corr.v_polys[0] - 1,) + tables.corr.v_polys[1:]
-    return tables._replace(corr=tables.corr._replace(v_polys=vs))
+    (v1,), *vs = tables.corr.vs  # V_1 is the constant -eps
+    return tables._replace(corr=tables.corr._replace(vs=((v1 - 1,), *vs)))
 
 
 def test_verify_padic_reports_tampered_table(monkeypatch, capsys):

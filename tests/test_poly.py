@@ -122,7 +122,6 @@ def test_genpoly_eval_and_slices():
     for eps in (1, -1):
         a1 = GenPoly(eps, (RatPoly.constant(eps), RatPoly((-2, 1))))
         assert a1.eval(0, 1) == -2 + eps
-        assert a1.at_n(1) == RatPoly((eps, -1))
         assert a1.at_x(1) == RatPoly((eps - 2, 1))
         assert a1.coeff(1) == RatPoly((-2, 1))
         assert a1.coeff(5).is_zero()

@@ -48,6 +48,8 @@ def _records(tables):
         TelescopeSpec(**TELESCOPE),
         profile,
         expand(Fraction(1, 3), Prime(5), 4),
+        RatPoly((1, 2)),
+        tables.gen.poly(1),
     ]
 
 
@@ -57,7 +59,7 @@ def _fields(record):
 
 def test_every_record_refuses_assignment_and_deletion():
     records = _records(TableSet.build(2, 1))
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 14
     for record in records:
         for name in _fields(record):
             with pytest.raises(AttributeError):

@@ -45,10 +45,26 @@ def enumerate_set_partitions(items):
 @pytest.mark.parametrize("eps", (1, -1))
 def test_integral_tables_store_ints(eps):
     tables = TableSet.build(12, eps)
-    polys = [c for a in tables.gen.polys for c in a.coeffs]
-    polys += tables.corr.u_polys + tables.corr.v_polys
-    assert len(polys) == 91 + 2 * 13
-    assert all(type(c) is int for p in polys for c in p.coeffs)
+    gen, corr = tables.gen.rows, tables.corr
+    coefficient_lists = [*(col for row in gen for col in row), *corr.us, *corr.vs]
+    assert len(coefficient_lists) == 91 + 2 * 13
+    assert all(type(t) is tuple for t in (gen, *gen, corr.us, corr.vs, *coefficient_lists))
+    assert all(type(c) is int for coeffs in coefficient_lists for c in coeffs)
+
+
+@pytest.mark.parametrize("eps", (1, -1))
+def test_build_and_bundle_construct_no_polynomial(monkeypatch, eps):
+    # the tables are built, checked, written and read back as integer rows;
+    # only poly(k), u_poly(k) and v_poly(k) make a GenPoly or RatPoly
+    def refuse(self, *args):
+        raise AssertionError(f"a {type(self).__name__} was constructed")
+
+    monkeypatch.setattr(RatPoly, "__init__", refuse)
+    monkeypatch.setattr(GenPoly, "__init__", refuse)
+    tables = TableSet.build(12, eps)
+    text = bundle_text(tables)
+    assert bundle_from_text(text) == tables
+    assert bundle_text(bundle_from_text(text)) == text
 
 
 def test_first_generating_polys():
@@ -91,8 +107,8 @@ def test_recurrence_residuals_pass_and_fault_injection():
     table = gen_poly_table(5, 1)
     assert recurrence_residuals(table) is None
 
-    corrupted_entry = GenPoly(1, (RatPoly.constant(1), RatPoly((-1, 1))))  # (n-1)x + 1
-    corrupted = GenPolyTable(1, (table.poly(0), corrupted_entry) + table.polys[2:])
+    corrupted_entry = ((1,), (-1, 1))  # (n-1)x + 1
+    corrupted = GenPolyTable(1, (table.rows[0], corrupted_entry) + table.rows[2:])
     assert recurrence_residuals(corrupted) == 1
 
     assert recurrence_residuals(gen_poly_table(0, 1)) is None  # no k to check
@@ -110,12 +126,12 @@ def test_corrections_first_values():
 def test_corrections_cross_check_detects_corruption():
     corr = derive_corrections(gen_poly_table(4, -1))
     direct = corrections_by_recurrence(5, -1)
-    assert corr.u_polys == direct.u_polys
-    assert corr.v_polys == direct.v_polys
+    assert corr.us == direct.us
+    assert corr.vs == direct.vs
 
     table = gen_poly_table(3, 1)
-    corrupted_entry = GenPoly(1, (RatPoly.constant(1), RatPoly((-1, 1))))
-    corrupted = GenPolyTable(1, (table.poly(0), corrupted_entry) + table.polys[2:])
+    corrupted_entry = ((1,), (-1, 1))  # (n-1)x + 1
+    corrupted = GenPolyTable(1, (table.rows[0], corrupted_entry) + table.rows[2:])
     with pytest.raises(CrossCheckError):
         derive_corrections(corrupted)
 
@@ -190,8 +206,8 @@ def test_sequence_slice_checks_its_table(monkeypatch):
 
     def corrupted(kmax, eps):  # A_1 replaced by (n - 1)x + 1
         table = honest(kmax, eps)
-        bad = GenPoly(eps, (RatPoly.constant(1), RatPoly((-1, 1))))
-        return GenPolyTable(eps, (table.poly(0), bad) + table.polys[2:])
+        bad = ((1,), (-1, 1))
+        return GenPolyTable(eps, (table.rows[0], bad) + table.rows[2:])
 
     monkeypatch.setattr(padsum.tables, "gen_poly_table", corrupted)
     with pytest.raises(CrossCheckError):
@@ -250,6 +266,22 @@ def test_bundle_with_A_off_its_recurrence_is_refused():
     bundle["A"][2][1] = [-5, 0, 1]
     with pytest.raises(ValueError, match="residual nonzero at k=2"):
         bundle_from_text(_dumps(bundle))
+
+
+@pytest.mark.parametrize(
+    "a1",
+    [
+        ((1,), (-2, 1), ()),  # an empty x^2 column
+        ((1,), (-2, 1, 0)),  # n - 2 with a trailing zero
+        ((True,), (-2, 1)),
+        ((1.0,), (-2, 1)),
+        ([1], (-2, 1)),
+    ],
+)
+def test_checked_refuses_a_row_off_the_stored_shape(a1):
+    rows = gen_poly_table(3, 1).rows
+    with pytest.raises(CrossCheckError, match=r"^A_1 is not 2 trimmed columns"):
+        TableSet.checked(GenPolyTable(1, (rows[0], a1, *rows[2:])))
 
 
 def test_bundle_with_another_seed_A_0_is_refused():
