@@ -3,8 +3,8 @@
 The valuation of zero is a genuine infinite value (``Valuation.INFINITE``),
 kept distinct from every finite exponent so that ultrametric comparisons
 can never be fooled by an integer sentinel.  The p-adic verdict takes no
-valuation per term (``series.padic_sum_verify``: the verdict reads the
-profile's q_N).
+valuation per term (``series.padic_sum_verify`` tests p against the
+denominator of error over remainder, and only where the two differ).
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ verdict, which asks whether the partial-sum error over the exact remainder
 is a p-adic integer.  The finite checks, their sweeps and the p-adic error
 profiles all read one engine, :func:`partial_sums`, which builds a spec's
 polynomials once at x = a/b and takes each step in integers, carrying the
-power of b beside them.  A profile also takes, once per N, the reduced
-denominator of error over remainder, so a p-adic verdict at any prime is
-one integer ``%`` per N.
+power of b beside them.  A p-adic verdict walks a profile's errors and
+remainders in order and stops at the first N that violates; where the
+error equals the remainder, as at every N of a true claim, the quotient is
+1 and that N costs no gcd.
 """
 
 from __future__ import annotations
@@ -410,41 +411,21 @@ def construct_telescope_poly(
     return block * spec.aux.shift(1) * t**spec.alpha - spec.eps * spec.aux
 
 
-def _verdict_denominators(
-    errors: tuple[Fraction | int, ...], remainders: tuple[Fraction | int, ...]
-) -> tuple[int, ...]:
-    """q_N for each pair (err, B) = (S_N - claimed, B_N): the reduced
-    denominator of err / B up to sign, taken as den // gcd(num, den) on the
-    cross products num = err's numerator times B's denominator and
-    den = err's denominator times B's numerator.  Where B = 0, q_N is 0 for
-    a nonzero error and 1 for a zero one, so p rejects at N exactly when p
-    divides q_N."""
-    qs = []
-    for err, b in zip(errors, remainders):
-        if b == 0:
-            qs.append(0 if err else 1)
-        else:
-            num, den = err.numerator * b.denominator, err.denominator * b.numerator
-            qs.append(den // gcd(num, den))
-    return tuple(qs)
-
-
 class SeriesErrorProfile(Record):
     """Exact partial-sum errors of a series against a claimed sum.
 
     errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
-    remainder of :func:`partial_sums`, for N = 1..n_max.  ``denominators``
-    holds q_N, the denominator of errors[N-1] / remainders[N-1] up to sign
-    (0 where B_N = 0 but the error is not); it is computed from the errors
-    at construction, one gcd per N, so every prime's verdict on the profile
-    is one ``%`` per N and a shifted claim gets its own.
+    remainder of :func:`partial_sums`, for N = 1..n_max.  The profile
+    derives nothing from them: it does not depend on a prime, so one
+    profile serves every prime's verdict, and a shifted claim only
+    subtracts its delta from the errors.
     """
 
-    __slots__ = ("spec", "claimed", "errors", "remainders", "denominators")
+    __slots__ = ("spec", "claimed", "errors", "remainders")
 
     def __init__(self, spec: SeriesSpec, claimed: Fraction | int,
                  errors: tuple[Fraction | int, ...], remainders: tuple[Fraction | int, ...]):
-        self._set(spec, claimed, errors, remainders, _verdict_denominators(errors, remainders))
+        self._set(spec, claimed, errors, remainders)
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
         delta = _exact_scalar(delta)
@@ -459,14 +440,15 @@ class SeriesErrorProfile(Record):
 def series_error_profile(
     spec: SeriesSpec, claimed: Fraction | int, n_max: int, tables: TableSet
 ) -> SeriesErrorProfile:
-    """Partial-sum errors, remainders and verdict denominators for
-    N = 1..n_max; raises for n_max < 1, where there would be nothing to
-    check."""
+    """Partial-sum errors and remainders for N = 1..n_max, in one pass over
+    :func:`partial_sums`; raises for n_max < 1, where there would be nothing
+    to check."""
     claimed = _exact_scalar(claimed)
-    sums = list(partial_sums(spec, n_max, tables))
-    return SeriesErrorProfile(
-        spec, claimed, tuple(s - claimed for _, s, _ in sums), tuple(b for _, _, b in sums)
-    )
+    errors, remainders = [], []
+    for _, s, b in partial_sums(spec, n_max, tables):
+        errors.append(s - claimed)
+        remainders.append(b)
+    return SeriesErrorProfile(spec, claimed, tuple(errors), tuple(remainders))
 
 
 class PadicVerdict(NamedTuple):
@@ -487,16 +469,30 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     """Verify the profile's claimed sum p-adically: at every N = 1..n_max
     of the profile, the error S_N - claimed over the exact remainder B_N
     must have no p in its denominator, and where B_N = 0 the error must be
-    0.  Both tests read the profile's q_N: the first N with p | q_N is the
-    verdict's ``first_violation``.  A profile is prime-independent, so one profile
-    serves every prime, and a verdict is one ``%`` per N.
+    0.  The verdict walks the pairs (err, B) = (S_N - claimed, B_N) in
+    order and stops at the first violation, its ``first_violation``:
+
+    - err == B: the quotient is 1, a p-adic unit, so N passes with no gcd
+      (this holds at every N of a true claim);
+    - B == 0 and err != 0: a violation;
+    - otherwise: q_N = den // gcd(num, den) on the cross products
+      num = err's numerator times B's denominator and den = err's
+      denominator times B's numerator, the denominator of err / B up to
+      sign; N is a violation when p divides q_N.
+
+    A profile is prime-independent, so one profile serves every prime.
 
     Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
     stops growing and no claim could be rejected, so the check refuses to
     run there: :func:`require_convergence` raises :class:`ConvergenceDomainError`.
     """
     require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
-    for n, q in enumerate(profile.denominators, 1):
-        if q % p == 0:
+    for n, (err, b) in enumerate(zip(profile.errors, profile.remainders), 1):
+        if err == b:
+            continue
+        if b == 0:
+            return PadicVerdict(False, n)
+        num, den = err.numerator * b.denominator, err.denominator * b.numerator
+        if den // gcd(num, den) % p == 0:
             return PadicVerdict(False, n)
     return PadicVerdict(True, None)

@@ -21,7 +21,6 @@ from padsum.series import (
     SeriesErrorProfile,
     SeriesSpec,
     TelescopeSpec,
-    _verdict_denominators,
     padic_sum_verify,
     series_error_profile,
 )
@@ -97,11 +96,14 @@ def test_telescope_spec_prints_its_fields():
 
 
 def test_shifted_claim_derives_its_own_denominators():
-    profile = series_error_profile(SeriesSpec(eps=1, x=1, k=1), -1, 20, TableSet.build(1, 1))
+    spec, tables = SeriesSpec(eps=1, x=1, k=1), TableSet.build(1, 1)
+    profile = series_error_profile(spec, -1, 20, tables)
     shifted = profile.shifted_claim(1)
     assert shifted.claimed == 0
-    assert shifted.denominators == _verdict_denominators(shifted.errors, shifted.remainders)
-    assert shifted.denominators != profile.denominators
+    fresh = series_error_profile(spec, 0, 20, tables)
+    assert shifted == fresh
+    for p in (2, 3, 5, 7, 11):
+        assert padic_sum_verify(shifted, Prime(p)) == padic_sum_verify(fresh, Prime(p))
     assert profile.shifted_claim(0) == profile
     rebuilt = SeriesErrorProfile(profile.spec, 0, shifted.errors, shifted.remainders)
     assert rebuilt == shifted and hash(rebuilt) == hash(shifted)

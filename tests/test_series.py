@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -444,7 +445,8 @@ def _profiles(tables_plus, tables_minus):
 
 
 def test_padic_sum_verify_builds_no_fraction(tables_plus, tables_minus, monkeypatch):
-    # a verdict reads the profile's q_N, one % per N, and builds no Fraction
+    # a verdict divides integer cross products where the error is not the
+    # remainder, and builds no Fraction
     runs = [
         (profile.shifted_claim(delta), Prime(p))
         for profile in _profiles(tables_plus, tables_minus)
@@ -464,15 +466,40 @@ def test_padic_sum_verify_builds_no_fraction(tables_plus, tables_minus, monkeypa
 @pytest.mark.parametrize("which", [0, 1], ids=["zero-remainder", "rational-mix"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_shifted_claim_carries_its_own_denominators(tables_plus, tables_minus, which, p):
-    # a shifted profile must not reuse its parent's q_N: every verdict on it
-    # equals the verdict on a profile built afresh at the shifted claim
+    # a shifted profile equals, error by error, a profile built afresh at the
+    # shifted claim, and so does every verdict on it
     profile = _profiles(tables_plus, tables_minus)[which]
     tables = tables_plus if profile.spec.eps == 1 else tables_minus
     for delta in (1, Fraction(1, 3), p**5):
         fresh = series_error_profile(profile.spec, profile.claimed + delta, 30, tables)
         shifted = profile.shifted_claim(delta)
-        assert shifted.denominators == fresh.denominators
+        assert shifted == fresh
         assert padic_sum_verify(shifted, Prime(p)) == padic_sum_verify(fresh, Prime(p))
+
+
+def test_padic_verdict_takes_a_gcd_only_up_to_its_first_violation(tables_plus, monkeypatch):
+    # building a profile or shifting its claim takes no gcd; a true claim's
+    # error equals B_N at every N, so its verdict takes none; a wrong claim's
+    # verdict stops at its first violation
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr("padsum.series.gcd", counting_gcd)
+    spec = SeriesSpec(eps=1, x=2, k=3)
+    profile = series_error_profile(spec, spec.claimed_sum(tables_plus), 200, tables_plus)
+    perturbed = profile.shifted_claim(1)
+    assert calls == []
+    for p in (2, 3, 5, 7, 11):
+        assert padic_sum_verify(profile, Prime(p)) == (True, None)
+        assert calls == []
+    for p, first in ((2, 1), (3, 1), (5, 5), (7, 7), (11, 11)):
+        calls.clear()
+        assert padic_sum_verify(perturbed, Prime(p)) == (False, first)
+        assert len(calls) <= first
+
 
 @given(
     eps=st.sampled_from([1, -1]),
