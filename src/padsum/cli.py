@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Commands: tables, verify {finite|telescope|padic|ode|all}, seq,
-seq-compare, cache {info|clear}.  All numbers are exact (integers or p/q);
-output is deterministic for a fixed configuration and seed, so repeated
-runs are byte-identical.
+Commands: tables, verify {finite|telescope|padic|ode|all}, seq and
+seq-compare.  All numbers are exact (integers or p/q); output is
+deterministic for a fixed configuration and seed, so repeated runs are
+byte-identical.  Nothing is written outside ``--out``, except the table
+cache that ``tables --cache-dir DIR`` names.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def parse_eps(text: str) -> int:
     raise argparse.ArgumentTypeError(f"eps must be +1 or -1, got {text!r}")
 
 
-def _at_most(cap: int):
-    """An argparse ``type=``: an int no greater than ``cap``.  Every flag that
-    sizes a run's work has one, sized so that the flag at its cap (the others
-    at their defaults) runs in seconds; over it, argparse exits 2 before any work."""
+def _in_range(floor: int, cap: int):
+    """An argparse ``type=``: an int from ``floor`` to ``cap``.  Every flag that
+    sizes a run's work has one: the floor is the least value that runs a check,
+    and the cap is sized so that the flag at its cap (the others at their
+    defaults) runs in seconds; outside, argparse exits 2 before any work."""
     def parse(text: str) -> int:
         value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{value} is under the floor of {floor}")
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is over the cap of {cap}")
         return value
@@ -107,7 +111,7 @@ def _distinct(values: tuple, text: str) -> tuple:
 
 
 def parse_prime_list(text: str) -> tuple[Prime, ...]:
-    capped = _at_most(10**12)  # checked before Prime's trial division, 0.1 s at the cap
+    capped = _in_range(2, 10**12)  # checked before Prime's trial division, 0.1 s at the cap
     try:
         return _distinct(tuple(Prime(capped(part)) for part in text.split(",")), text)
     except ValueError as exc:
@@ -118,44 +122,36 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return _distinct(tuple(parse_rational(part) for part in text.split(",")), text)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("PADSUM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "padsum"
+def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path | None) -> tuple[TableSet, str]:
+    """Checked tables for (kmax, eps) and their :func:`bundle_text`; with no
+    ``cache_dir``, a plain :meth:`TableSet.build`.
 
-
-def load_or_build_bundle(
-    kmax: int, eps: int, cache_dir: Path, use_cache: bool
-) -> tuple[TableSet, str]:
-    """Checked tables for (kmax, eps) and their :func:`bundle_text`, from
-    the on-disk cache when warm.
-
-    The entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a hit, served as
-    is, when it equals byte for byte the bundle of its own checked A
-    (:func:`bundle_from_text`) and that A has this (kmax, eps).  Anything
-    else, an older layout included, is rebuilt: written to a temporary file
-    and renamed into place, so a reader never sees half a file.
+    In ``cache_dir``, the entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a
+    hit, served as is, when it equals byte for byte the bundle of its own
+    checked A (:func:`bundle_from_text`) and that A has this (kmax, eps).
+    Anything else, an older layout included, is rebuilt: written to a
+    temporary file and renamed into place, so a reader never sees half a file.
     """
+    if cache_dir is None:
+        tables = TableSet.build(kmax, eps)
+        return tables, bundle_text(tables)
     cache_file = cache_dir / f"tables_kmax{kmax}_eps{eps:+d}.json"
-    if use_cache:
-        try:
-            text = cache_file.read_text()
-            tables = bundle_from_text(text)
-            if (tables.kmax, tables.eps) == (kmax, eps):
-                return tables, text
-        except (OSError, ValueError):
-            pass
+    try:
+        text = cache_file.read_text()
+        tables = bundle_from_text(text)
+        if (tables.kmax, tables.eps) == (kmax, eps):
+            return tables, text
+    except (OSError, ValueError):
+        pass
     tables = TableSet.build(kmax, eps)
     text = bundle_text(tables)
-    if use_cache:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, cache_file)
-        finally:
-            tmp.unlink(missing_ok=True)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, cache_file)
+    finally:
+        tmp.unlink(missing_ok=True)
     return tables, text
 
 
@@ -183,7 +179,7 @@ def _render_tables_csv(tables: TableSet) -> str:
 
 
 def cmd_tables(args) -> int:
-    tables, text = load_or_build_bundle(args.kmax, args.eps, args.cache_dir, not args.no_cache)
+    tables, text = load_or_build_bundle(args.kmax, args.eps, args.cache_dir)
     if args.format == "json":
         content = text
         ext = "json"
@@ -204,8 +200,6 @@ def cmd_tables(args) -> int:
 
 def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
     """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
     for eps in (1, -1):
         tables = TableSet.build(kmax, eps)
         for k in range(1, kmax + 1):
@@ -238,8 +232,6 @@ def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
 
 def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
     count, seed, nmax = args.count, args.seed, args.nmax
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     named = _named_telescope_specs()
     specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)] + named
@@ -357,9 +349,7 @@ def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
 
 
 def _suite_ode(args) -> tuple[bool, list[str], list[dict]]:
-    nmin, nmax = 3, args.nmax
-    if nmax < nmin:
-        raise ValueError(f"ode orders start at {nmin}, got nmax {nmax}")
+    nmin, nmax = 3, args.nmax  # argparse holds nmax >= nmin
     for order in range(nmin, nmax + 1):
         first = check_first_order_ode(order)
         if not first.ok:
@@ -466,20 +456,6 @@ def cmd_seq_compare(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
-    files = sorted(args.cache_dir.glob("tables_*.json")) if args.cache_dir.exists() else []
-    if args.action == "info":
-        total = sum(f.stat().st_size for f in files)
-        print(f"cache directory: {args.cache_dir}")
-        print(f"table files: {len(files)}")
-        print(f"total bytes: {total}")
-        return 0
-    for f in files:
-        f.unlink()
-    print(f"removed {len(files)} cached table file(s) from {args.cache_dir}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padsum",
@@ -492,12 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="generate and export the tables")
-    p_tables.add_argument("--kmax", type=_at_most(100), required=True)
+    p_tables.add_argument("--kmax", type=_in_range(0, 100), required=True)
     p_tables.add_argument("--eps", type=parse_eps, default=1)
     p_tables.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p_tables.add_argument("--out", default=".")
-    p_tables.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-    p_tables.add_argument("--no-cache", action="store_true")
+    p_tables.add_argument("--cache-dir", type=Path, help="table cache directory (none if omitted)")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -510,48 +485,44 @@ def build_parser() -> argparse.ArgumentParser:
         return p_suite
 
     p_finite = add_suite("finite", _suite_finite, "finite identities with zero residuals")
-    p_finite.add_argument("--kmax", type=_at_most(100), default=15)
-    p_finite.add_argument("--nmax", type=_at_most(1000), default=25)
+    p_finite.add_argument("--kmax", type=_in_range(1, 100), default=15)
+    p_finite.add_argument("--nmax", type=_in_range(1, 1000), default=25)
     p_telescope = add_suite("telescope", _suite_telescope, "exact telescoping identities")
-    p_telescope.add_argument("--nmax", type=_at_most(500), default=15)
-    p_telescope.add_argument("--count", type=_at_most(1000), default=20,
+    p_telescope.add_argument("--nmax", type=_in_range(1, 500), default=15)
+    p_telescope.add_argument("--count", type=_in_range(0, 1000), default=20,
                              help="random telescoping specs")
     p_telescope.add_argument("--seed", type=int, default=0)
     p_padic = add_suite("padic", _suite_padic, "claimed sums against exact p-adic remainders",
                         formats=("text", "json", "csv"))
-    p_padic.add_argument("--kmax", type=_at_most(60), default=None, help="grid size (default 8)")
-    p_padic.add_argument("--nmax", type=_at_most(2000), default=200)
+    p_padic.add_argument("--kmax", type=_in_range(1, 60), default=None,
+                         help="grid size (default 8)")
+    p_padic.add_argument("--nmax", type=_in_range(1, 2000), default=200)
     p_padic.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
     p_padic.add_argument("--x-values", type=parse_rational_list, default=None)
     p_padic.add_argument("--claim", type=parse_rational, default=None,
                          help="verify a single claimed sum instead of the grid")
-    p_padic.add_argument("--k", type=_at_most(100), default=None,
+    p_padic.add_argument("--k", type=_in_range(1, 100), default=None,
                          help="series power for --claim mode")
     p_padic.add_argument("--eps", type=parse_eps, default=None)
     p_padic.add_argument("--x", type=parse_rational, default=None)
-    p_padic.add_argument("--precision", type=_at_most(1000), default=16,
+    p_padic.add_argument("--precision", type=_in_range(1, 1000), default=16,
                          help="digits shown for p-adic expansions in reports")
     p_ode = add_suite("ode", _suite_ode, "ODE residuals of sum n! x^n")
-    p_ode.add_argument("--nmax", type=_at_most(500), default=50)
+    p_ode.add_argument("--nmax", type=_in_range(3, 500), default=50)
     add_suite("all", None, "every suite on its defaults")
 
     p_seq = sub.add_parser("seq", help="emit a named integer sequence")
     p_seq.add_argument("id", choices=sorted(SEQUENCE_IDS))
-    p_seq.add_argument("--kmax", type=_at_most(100), default=10)
+    p_seq.add_argument("--kmax", type=_in_range(0, 100), default=10)
     p_seq.add_argument("--format", choices=("bfile", "text", "json"), default="bfile")
     p_seq.add_argument("--out", default="-")
     p_seq.set_defaults(func=cmd_seq)
 
     p_cmp = sub.add_parser("seq-compare", help="compare a sequence against a local b-file")
     p_cmp.add_argument("id", choices=sorted(SEQUENCE_IDS))
-    p_cmp.add_argument("--kmax", type=_at_most(100), default=10)
+    p_cmp.add_argument("--kmax", type=_in_range(0, 100), default=10)
     p_cmp.add_argument("--bfile", required=True)
     p_cmp.set_defaults(func=cmd_seq_compare)
-
-    p_cache = sub.add_parser("cache", help="inspect or clear the table cache")
-    p_cache.add_argument("action", choices=("info", "clear"))
-    p_cache.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-    p_cache.set_defaults(func=cmd_cache)
 
     return parser
 

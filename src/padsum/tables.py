@@ -265,48 +265,25 @@ class AuxSolution(NamedTuple):
     v: int
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over Fraction; raises on a singular system."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def aux_poly(k: int) -> AuxSolution:
     """Solve the (k+1) x (k+1) linear system behind the weight-(n+1)
     telescoping step.
 
     Unknowns are the coefficients a_0..a_{k-1} of A(n) plus u; equating the
     coefficient of n^j in (n+1) A(n+1) - A(n) - u with that of n^k gives one
-    equation per j = 0..k.  The system is always solvable and its solution
-    is integral; both facts are asserted.
+    equation per j = 0..k.  For j >= 1 the system is unit upper-triangular:
+    equation j pins a_{j-1}, whose coefficient is C(j, j) = 1, given the
+    a_i with i >= j, so back-substitution from j = k solves it over the
+    integers; equation 0 then gives u = a_1 + ... + a_{k-1}, and
+    v = -A(0) = -a_0.  Integrality is structural, not asserted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    size = k + 1
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    rhs = [Fraction(0)] * size
-    for j in range(size):
-        for i in range(k):
-            matrix[j][i] = Fraction(comb(i + 1, j) - (1 if i == j else 0))
-        matrix[j][k] = Fraction(-1) if j == 0 else Fraction(0)
-        rhs[j] = Fraction(1) if j == k else Fraction(0)
-    solution = _solve_exact(matrix, rhs)
-    poly = RatPoly(solution[:k])
-    if not poly.is_integral() or solution[k].denominator != 1:
-        raise ArithmeticError(f"non-integral telescoping solution at k={k}: {solution}")
-    return AuxSolution(poly, int(solution[k]), int(-poly(0)))  # both exact: integral above
+    a = [0] * k
+    for j in range(k, 0, -1):
+        # the n^j coefficient of a_i [(n+1)^(i+1) - n^i] is C(i+1, j) - [i == j]
+        a[j - 1] = (j == k) - sum(a[i] * (comb(i + 1, j) - (i == j)) for i in range(j, k))
+    return AuxSolution(RatPoly(a), sum(a[1:]), -a[0])
 
 
 def bell_numbers(kmax: int) -> tuple[int, ...]:

@@ -50,7 +50,7 @@ GOLDEN_STDOUT = {
 }
 
 
-# SHA-256 of the file `tables --no-cache` writes, per (format, kmax, eps)
+# SHA-256 of the file `tables` writes, per (format, kmax, eps)
 GOLDEN_TABLES = {
     ("text", 0, "1"): "3f0a5abcf17966f7cfb9b01f9e50118e7d98b25697e58a0a472fc8ff9ab84a8a",
     ("text", 0, "-1"): "af41fa749342a6cf466ab4cb9684771b32a8f3767e530e006cbc45d688cd5361",
@@ -72,6 +72,14 @@ def dirs(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """``main``'s exit code, also when argparse exits while parsing."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_rational_literals_round_trip():
@@ -178,7 +186,7 @@ def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):
     # a float coefficient in a warm entry must not reach the text renderer
     out, cache = dirs
     args = ["tables", "--kmax", 3, "--format", "text", "--out", out]
-    assert run([*args, "--no-cache"]) == 0
+    assert run(args) == 0
     path = out / "tables_k3_p1.txt"
     fresh = path.read_bytes()
     assert run([*args, "--cache-dir", cache]) == 0
@@ -220,20 +228,17 @@ def test_tables_text_negative_sign(dirs, capsys):
 
 
 def test_tables_csv(dirs):
-    out, cache = dirs
-    assert run(["tables", "--kmax", 4, "--format", "csv", "--out", out, "--no-cache",
-                "--cache-dir", cache]) == 0
+    out, _ = dirs
+    assert run(["tables", "--kmax", 4, "--format", "csv", "--out", out]) == 0
     lines = (out / "tables_k4_p1.csv").read_text().splitlines()
     assert lines[0] == "k,u,v"
     assert lines[4] == "4,-2,-5"
-    assert not list(cache.glob("*"))  # --no-cache really skips the cache
 
 
 @pytest.mark.parametrize("fmt, kmax, eps", list(GOLDEN_TABLES))
 def test_tables_file_is_pinned(fmt, kmax, eps, dirs, capsys):
-    out, cache = dirs
-    assert run(["tables", "--kmax", kmax, "--eps", eps, "--format", fmt, "--out", out,
-                "--no-cache"]) == 0
+    out, _ = dirs
+    assert run(["tables", "--kmax", kmax, "--eps", eps, "--format", fmt, "--out", out]) == 0
     (path,) = out.iterdir()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TABLES[fmt, kmax, eps]
 
@@ -258,11 +263,45 @@ def test_io_errors_exit_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
-def test_verify_telescope_refuses_negative_count(capsys):
-    assert run(["verify", "telescope", "--count", -3]) == 2
+def test_tables_without_cache_dir_writes_nothing_else(tmp_path, monkeypatch, capsys):
+    # no default cache directory: neither HOME nor the old variable picks one
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("PADSUM_CACHE_DIR", str(home))
+    assert run(["tables", "--kmax", 1, "--out", tmp_path / "out"]) == 0
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert run(["tables", "--kmax", 1, "--out", regular / "out"]) == 2  # out-under-file
+    assert list(home.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("cache info", "invalid choice: 'cache'"),
+        ("cache clear --cache-dir D", "invalid choice: 'cache'"),
+        ("tables --kmax 1 --no-cache", "unrecognized arguments: --no-cache"),
+    ],
+)
+def test_removed_cache_surfaces_are_usage_errors(argv, message, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a removed surface started work")
+
+    monkeypatch.setattr(padsum.cli, "load_or_build_bundle", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: count must be >= 0, got -3\n"
+    assert message in captured.err
+
+
+def test_verify_telescope_refuses_negative_count(capsys):
+    assert exit_code(["verify", "telescope", "--count", -3]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --count: -3 is under the floor of 0\n")
 
 
 def test_verify_suites_exit_zero(capsys):
@@ -291,10 +330,11 @@ def test_verify_stdout_is_pinned(argv, capsys):
     ],
 )
 def test_verify_refuses_to_pass_zero_checks(argv, capsys):
-    assert run(argv.split()) == 2
+    # each is under its flag's floor, so argparse refuses it
+    assert exit_code(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert "error: argument --" in captured.err and "is under the floor of" in captured.err
 
 
 def test_verify_all_runs_the_defaults(capsys):
@@ -330,15 +370,13 @@ def test_claim_outside_single_claim_mode_is_a_usage_error(argv, message, capsys)
          "--x applies only to verify padic --claim"),
         ("verify padic --claim=-1 --k 1 --x-values 5,7 --nmax 3 --primes 5",
          "--x-values does not apply to verify padic --claim; --x is its point"),
-        ("verify padic --claim=7 --k 0 --nmax 3", "k must be >= 1, got 0"),
         ("verify padic --kmax 1 --nmax 10 --primes 2 --format csv",
          "--format csv applies only to verify padic --claim"),
     ],
 )
 def test_verify_padic_mode_flags_are_checked(argv, message, capsys):
     # the grid reads --x-values and --claim reads --k/--eps/--x: a flag of the
-    # other mode would be ignored, so it is a usage error; a given --k 0 is
-    # refused, never replaced by the default
+    # other mode would be ignored, so it is a usage error
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
@@ -438,9 +476,9 @@ def test_repeated_prime_or_point_is_a_usage_error(flag, values, capsys):
     assert f"repeated value in {values!r}" in captured.err
 
 
-# Each numeric flag one over its cap: (argv, the message's tail)
+# Each numeric flag one over its cap, then one under its floor: (argv, the message's tail)
 OVER_CAP = [
-    ("tables --kmax 101 --no-cache", "--kmax: 101 is over the cap of 100"),
+    ("tables --kmax 101", "--kmax: 101 is over the cap of 100"),
     ("seq A+0,1 --kmax 101", "--kmax: 101 is over the cap of 100"),
     ("seq-compare U-1 --kmax 101 --bfile b.txt", "--kmax: 101 is over the cap of 100"),
     ("verify finite --kmax 101", "--kmax: 101 is over the cap of 100"),
@@ -455,18 +493,35 @@ OVER_CAP = [
     ("verify padic --claim=-1 --primes 2,1000000000039",
      "--primes: 1000000000039 is over the cap of 1000000000000"),
     ("verify ode --nmax 501", "--nmax: 501 is over the cap of 500"),
+    ("tables --kmax -1", "--kmax: -1 is under the floor of 0"),
+    ("seq A+0,1 --kmax -1", "--kmax: -1 is under the floor of 0"),
+    ("seq-compare U-1 --kmax -1 --bfile b.txt", "--kmax: -1 is under the floor of 0"),
+    ("verify finite --kmax 0", "--kmax: 0 is under the floor of 1"),
+    ("verify finite --nmax 0", "--nmax: 0 is under the floor of 1"),
+    ("verify telescope --nmax 0", "--nmax: 0 is under the floor of 1"),
+    ("verify telescope --count -1", "--count: -1 is under the floor of 0"),
+    ("verify padic --kmax 0", "--kmax: 0 is under the floor of 1"),
+    ("verify padic --nmax 0", "--nmax: 0 is under the floor of 1"),
+    # a given --k 0 is refused, never replaced by the default
+    ("verify padic --claim=7 --k 0 --nmax 3", "--k: 0 is under the floor of 1"),
+    # the largest run the other flags allow: refused before its tables are built
+    ("verify padic --claim=1 --k 100 --nmax 2000 --precision 0",
+     "--precision: 0 is under the floor of 1"),
+    ("verify padic --claim=-1 --primes 1", "--primes: 1 is under the floor of 2"),
+    ("verify ode --nmax 2", "--nmax: 2 is under the floor of 3"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", OVER_CAP)
 def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("an over-cap run started work")
+        raise AssertionError("an out-of-range run started work")
 
     for name in ("cmd_verify", "load_or_build_bundle", "sequence_slice"):
         monkeypatch.setattr(padsum.cli, name, unreachable)
     prime = padsum.cli.Prime  # the primality test itself must not see the value
-    monkeypatch.setattr(padsum.cli, "Prime", lambda p: unreachable() if p > 10**12 else prime(p))
+    monkeypatch.setattr(padsum.cli, "Prime",
+                        lambda p: prime(p) if 2 <= p <= 10**12 else unreachable())
     with pytest.raises(SystemExit) as exc:
         run(argv.split())
     assert exc.value.code == 2
@@ -480,13 +535,13 @@ def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monke
     [
         "verify padic --claim=-1 --k 1 --nmax 5 --primes 1000000000000000003",
         "verify padic --claim=-1 --k 1 --nmax 5 --primes 5 --precision 1000000000",
-        "tables --kmax 100000 --no-cache",
+        "tables --kmax 100000",
         "verify padic --claim=-1 --k 1 --nmax 100000000 --primes 5",
         "verify finite --kmax 99999999999999999999999999",
     ],
 )
 def test_unbounded_inputs_exit_2_at_once(argv, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PADSUM_CACHE_DIR": str(tmp_path)}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-m", "padsum.cli", *argv.split()], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
@@ -650,13 +705,3 @@ def test_parse_bfile_rules():
         parse_bfile("0 1\n0 2\n")  # indices must increase
     with pytest.raises(BFileError):
         parse_bfile("0 x\n")
-
-
-def test_cache_info_and_clear(dirs, capsys):
-    out, cache = dirs
-    assert run(["tables", "--kmax", 3, "--format", "json", "--out", out, "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    assert run(["cache", "info", "--cache-dir", cache]) == 0
-    assert "table files: 1" in capsys.readouterr().out
-    assert run(["cache", "clear", "--cache-dir", cache]) == 0
-    assert not list(cache.glob("tables_*.json"))

@@ -57,7 +57,7 @@ def _inject(monkeypatch, original, replacement):
 def test_fault_is_reported(fault, command, monkeypatch, capsys, tmp_path):
     original, replacement, _ = FAULTS[fault]
     _inject(monkeypatch, original, replacement)
-    argv = (["tables", "--kmax", "8", "--no-cache", "--out", str(tmp_path)]
+    argv = (["tables", "--kmax", "8", "--out", str(tmp_path)]
             if command == "tables" else ["verify", command])
     assert main(argv) == 1  # an exception here would be a traceback
     captured = capsys.readouterr()

@@ -51,7 +51,7 @@ def test_readme_commands_parse_and_verify_lines_pass(capsys):
         shlex.split(line, comments=True)[1:] for line in block.splitlines()
         if line.startswith("padsum ")
     ]
-    assert {argv[0] for argv in commands} == {"tables", "verify", "seq", "seq-compare", "cache"}
+    assert {argv[0] for argv in commands} == {"tables", "verify", "seq", "seq-compare"}
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a usage error exits here

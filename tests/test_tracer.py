@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _python(args, cwd):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PADSUM_CACHE_DIR": str(cwd / "cache")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -23,7 +23,7 @@ def _python(args, cwd):
     "argv",
     [
         "verify padic --kmax 1 --nmax 3 --primes 3 --x-values 1 --format json",
-        "tables --kmax 2 --no-cache",
+        "tables --kmax 2",
     ],
 )
 def test_traced_run_matches_untraced(argv, tmp_path):
@@ -37,7 +37,7 @@ def test_traced_run_matches_untraced(argv, tmp_path):
 
 
 def test_traced_warm_read_runs_the_checks(tmp_path):
-    argv = "tables --kmax 2 --format json".split()
+    argv = "tables --kmax 2 --format json --cache-dir cache".split()
     cold = _python(["-m", "padsum.cli", *argv], tmp_path)
     stats = tmp_path / "stats.json"
     warm = _python([str(ROOT / "perfbench" / "tracer.py"), str(stats), *argv], tmp_path)
