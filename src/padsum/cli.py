@@ -59,11 +59,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class BFileError(ValueError):
-    """A reference b-file could not be parsed."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    """A reference b-file could not be parsed; the message names the line."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -417,13 +413,13 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileError(lineno, f"expected 'index value', got {raw!r}")
+            raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BFileError(lineno, f"non-integer entry in {raw!r}") from None
+            raise BFileError(f"line {lineno}: non-integer entry in {raw!r}") from None
         if last_index is not None and index <= last_index:
-            raise BFileError(lineno, f"indices must be strictly increasing, got {index}")
+            raise BFileError(f"line {lineno}: indices must be strictly increasing, got {index}")
         entries.append((index, value))
         last_index = index
     return entries

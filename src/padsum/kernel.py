@@ -1,6 +1,9 @@
 """Exact integer primitives: factorials, rising blocks, digit sums; and
 ``Record``, the immutable base of the records that check their fields.
 
+``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
+here so that ``fps`` and ``series`` resolve it through one module.
+
 Every function here is pure and exact, and the module holds no state.
 Integers are plain Python ints (arbitrary precision), and they stay ints
 through the rest of the package: a ``fractions.Fraction`` (reduced,
@@ -10,20 +13,9 @@ division happens.
 
 from __future__ import annotations
 
-import math
+from math import factorial
 
 _setattr = object.__setattr__  # the one way past Record.__setattr__
-
-
-def factorial(n: int) -> int:
-    """n!, by ``math.factorial``; ValueError for n < 0.
-
-    Partial sums take their weights from a running product, so nothing
-    here is worth remembering between calls.
-    """
-    if n < 0:
-        raise ValueError(f"factorial undefined for n = {n}")
-    return math.factorial(n)
 
 
 def rising_block(base: int, width: int, power: int) -> int:

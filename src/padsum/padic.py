@@ -16,8 +16,6 @@ from functools import total_ordering
 from .kernel import Record, digit_sum
 from .poly import _exact_scalar
 
-DEFAULT_EXPANSION_DIGITS = 64
-
 RationalLike = int | Fraction
 
 
@@ -147,7 +145,7 @@ class PadicApprox(Record):
         return f"p={self.prime} val={self.offset} digits=[{body}]"
 
 
-def expand(q: RationalLike, p: Prime, m: int = DEFAULT_EXPANSION_DIGITS) -> PadicApprox:
+def expand(q: RationalLike, p: Prime, m: int) -> PadicApprox:
     """First m base-p digits of a rational, starting at its valuation.
 
     A denominator divisible by p is absorbed by the (then negative) offset;

@@ -47,16 +47,16 @@ def _power(var: str, i: int) -> str:
     return "" if i == 0 else var if i == 1 else f"{var}^{i}"
 
 
-def _signed_term(coeff: Scalar | RatPoly, power: str, nvar: str = "n") -> tuple[bool, str]:
+def _signed_term(coeff: Scalar | RatPoly, power: str) -> tuple[bool, str]:
     """(negative, magnitude text) of the nonzero term ``coeff * power``.
 
     A unit coefficient is dropped before a nonempty power; a coefficient
-    polynomial in ``nvar`` of degree >= 1 is parenthesised and carries its
-    own signs.
+    polynomial in n of degree >= 1 is parenthesised and carries its own
+    signs.
     """
     if isinstance(coeff, RatPoly):
         if coeff.degree > 0:
-            return False, f"({coeff.render(nvar)}){power}"
+            return False, f"({coeff.render('n')}){power}"
         coeff = coeff.coeffs[0]
     mag = abs(coeff)
     return coeff < 0, power if mag == 1 and power else f"{mag}{power}"
@@ -101,10 +101,10 @@ class RatPoly(Record):
         return cls((c,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "RatPoly":
+    def monomial(cls, power: int) -> "RatPoly":
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * power + (1,))
 
     @property
     def degree(self) -> int:
@@ -247,9 +247,6 @@ class GenPoly(Record):
     def degree_x(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, j: int) -> RatPoly:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
@@ -272,10 +269,10 @@ class GenPoly(Record):
             result = result * x + c
         return result
 
-    def render(self, nvar: str = "n", xvar: str = "x") -> str:
+    def render(self) -> str:
         """Human formatting, e.g. ``(n^2 - 3n + 3)x^2 + (n - 5)x + 1``."""
         return _join_signed(
-            _signed_term(self.coeffs[j], _power(xvar, j), nvar)
+            _signed_term(self.coeffs[j], _power("x", j))
             for j in range(self.degree_x, -1, -1) if self.coeffs[j]
         )
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import count
 from math import comb, gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -69,16 +68,9 @@ def _checked(result: PartialSumResult, what: str, where: str) -> PartialSumResul
     return result
 
 
-def _weights(eps: int, x: Fraction | int) -> Iterator[Fraction | int]:
-    """eps^i i! x^i for i = 0, 1, 2, ..., one multiplication per step."""
-    running = 1
-    for i in count(1):
-        yield running
-        running *= eps * i * x
-
-
 def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
-    """sum_{i=0}^{n-1} eps^i * i! * i^k * x^i, exactly.
+    """sum_{i=0}^{n-1} eps^i * i! * i^k * x^i, exactly, with the weight
+    eps^i i! x^i kept as a running product.
 
     Uses 0^0 = 1 (Python's convention), so the k = 0 sum starts with the
     i = 0 term equal to 1.
@@ -86,8 +78,12 @@ def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
     _sign(eps)
-    weights = _weights(eps, _exact_scalar(x))
-    return sum(w * i**k for i, w in zip(range(n), weights))
+    x = _exact_scalar(x)
+    total, weight = 0, 1
+    for i in range(n):
+        total += weight * i**k
+        weight *= eps * (i + 1) * x
+    return total
 
 
 def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
@@ -411,7 +407,7 @@ def construct_telescope_poly(
     return block * spec.aux.shift(1) * t**spec.alpha - spec.eps * spec.aux
 
 
-class SeriesErrorProfile(Record):
+class SeriesErrorProfile(NamedTuple):
     """Exact partial-sum errors of a series against a claimed sum.
 
     errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
@@ -421,20 +417,15 @@ class SeriesErrorProfile(Record):
     subtracts its delta from the errors.
     """
 
-    __slots__ = ("spec", "claimed", "errors", "remainders")
-
-    def __init__(self, spec: SeriesSpec, claimed: Fraction | int,
-                 errors: tuple[Fraction | int, ...], remainders: tuple[Fraction | int, ...]):
-        self._set(spec, claimed, errors, remainders)
+    spec: SeriesSpec
+    claimed: Fraction | int
+    errors: tuple[Fraction | int, ...]
+    remainders: tuple[Fraction | int, ...]
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
         delta = _exact_scalar(delta)
-        return SeriesErrorProfile(
-            self.spec,
-            self.claimed + delta,
-            tuple(e - delta for e in self.errors),
-            self.remainders,
-        )
+        return self._replace(claimed=self.claimed + delta,
+                             errors=tuple(e - delta for e in self.errors))
 
 
 def series_error_profile(

@@ -219,10 +219,6 @@ class IntPairTable(NamedTuple):
     us: tuple[int, ...]
     vs: tuple[int, ...]
 
-    @property
-    def kmax(self) -> int:
-        return len(self.us)
-
     def u(self, k: int) -> int:
         return _kth(self.us, k)
 

@@ -509,6 +509,9 @@ OVER_CAP = [
      "--precision: 0 is under the floor of 1"),
     ("verify padic --claim=-1 --primes 1", "--primes: 1 is under the floor of 2"),
     ("verify ode --nmax 2", "--nmax: 2 is under the floor of 3"),
+    # flags whose type checks more than a range: a sign, and a list of primes
+    ("verify padic --eps 2", "--eps: eps must be +1 or -1, got '2'"),
+    ("verify padic --primes 4", "--primes: not a prime: 4 = 2 * 2"),
 ]
 
 
@@ -662,6 +665,32 @@ def test_seq_bfile_output(capsys):
     assert capsys.readouterr().out == "0 1\n1 -1\n2 -1\n3 5\n4 -5\n5 -21\n"
     assert run(["seq", "U+1", "--kmax", 4]) == 0
     assert capsys.readouterr().out == "1 0\n2 1\n3 -1\n4 -2\n"
+
+
+def test_seq_text_json_and_out_file(tmp_path, capsys):
+    assert run(["seq", "A+0,1", "--kmax", 3, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "1, -1, -1, 5\n"
+    assert run(["seq", "A+0,1", "--kmax", 3, "--format", "json"]) == 0
+    assert capsys.readouterr().out == _dumps({"id": "A+0,1", "start": 0, "values": [1, -1, -1, 5]})
+    out = tmp_path / "a.txt"
+    assert run(["seq", "A+0,1", "--kmax", 3, "--out", out]) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    assert out.read_text() == "0 1\n1 -1\n2 -1\n3 5\n"
+
+
+@pytest.mark.parametrize("argv", ["seq U+1 --kmax 0", "seq-compare U-1 --kmax 0 --bfile {bfile}"])
+def test_u_sequence_refuses_kmax_0_before_any_table(argv, tmp_path, capsys, monkeypatch):
+    # --kmax 0 passes the parser (A ids start at k = 0), but U ids start at k = 1
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 2\n")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(TableSet, "build", unreachable)
+    assert run(argv.format(bfile=bfile).split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: U-sequences need kmax >= 1, got 0\n")
 
 
 def test_seq_compare_match_and_mismatch(tmp_path, capsys):

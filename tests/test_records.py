@@ -129,6 +129,10 @@ def test_plain_records_are_named_tuples():
     assert PartialSumResult(2, 5, 3, 2).residual == 0
     assert tuple(int_pairs(2)) == ((0, 1), (-1, 1))
     assert TableSet.build(1, 1)._replace(corr=None).corr is None
+    # sum n! n = -1: each error S_N + 1 = N! equals its remainder B_N
+    spec = SeriesSpec(eps=1, x=1, k=1)
+    profile = series_error_profile(spec, -1, 3, TableSet.build(1, 1))
+    assert profile == (spec, -1, (1, 2, 6), (1, 2, 6))
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
