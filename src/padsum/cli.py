@@ -207,7 +207,7 @@ def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps, tables, k, x in _grid(args.kmax, FINITE_X_SET):
         try:
-            finite_identity_sweep(k, eps, x, args.nmax, tables)
+            finite_identity_sweep(k, eps, x, args.nmax, tables, keep=())
         except VerificationError as exc:
             line = f"FAIL finite: {exc}"
             return False, [line], [{"check": "finite", "verdict": "FAIL", "detail": str(exc)}]

@@ -6,12 +6,16 @@ constants are all exact rationals, and an identity either has a zero
 residual or the check fails loudly.  The only graded outcome is the p-adic
 verdict, which asks whether the partial-sum error over the exact remainder
 is a p-adic integer.  The finite checks, their sweeps and the p-adic error
-profiles all read one engine, :func:`partial_sums`, which builds a spec's
-polynomials once at x = a/b and takes each step in integers, carrying the
-power of b beside them.  A p-adic verdict walks a profile's errors and
-remainders in order and stops at the first N that violates; where the
-error equals the remainder, as at every N of a true claim, the quotient is
-1 and that N costs no gcd.
+profiles all read one engine, which builds a spec's polynomials once at
+x = a/b as integer coefficient lists and takes each step in integers,
+carrying the power of b beside them.  The p-adic profiles take its exact
+S_N and B_N from :func:`partial_sums`, the one place those are built as
+``Fraction``s.  The finite checks clear the denominators instead, so each
+N is one comparison of integers, and a :class:`PartialSumResult` is built
+only at a failure or for the records a caller asks for.  A p-adic verdict
+walks a profile's errors and remainders in order and stops at the first N
+that violates; where the error equals the remainder, as at every N of a
+true claim, the quotient is 1 and that N costs no gcd.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .kernel import Record, factorial, rising_block
 # ConvergenceDomainError is re-exported: the checks below raise it
@@ -58,14 +62,6 @@ class PartialSumResult(NamedTuple):
     @property
     def residual(self) -> Fraction:
         return self.value - self.rhs_constant - self.boundary
-
-
-def _checked(result: PartialSumResult, what: str, where: str) -> PartialSumResult:
-    """``result`` itself; a nonzero residual means a broken table or engine
-    and raises with the operands."""
-    if result.residual != 0:
-        raise VerificationError(f"{what} residual {result.residual} != 0 at {where}", result)
-    return result
 
 
 def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
@@ -160,6 +156,35 @@ def _quotient(num: int, den: int) -> Fraction | int:
     return num if den == 1 else Fraction(num, den)
 
 
+def _scaled(spec: SeriesSpec, n_max: int, tables: TableSet) -> tuple[int, tuple, tuple, int]:
+    """(d, dP, dR, dV) for :func:`partial_sums` and :func:`_checked_sweep`:
+    the scale d = m b^K, the integer coefficient lists in n of d P(n; x) and
+    d R(n; x), and the integer d sum_j C_j V_j(x).  n_max < 1 and tables
+    that do not fit the spec raise here."""
+    if n_max < 1:
+        raise ValueError(f"n must be >= 1, got {n_max}")
+    _check_tables(spec, tables)
+    a, b, order = spec.x.numerator, spec.x.denominator, spec.order
+    m = lcm(*(c.denominator for c in spec.coeffs))
+    terms = [(j, int(m * c)) for j, c in enumerate(spec.coeffs, 1) if c]
+
+    def scaled_at_x(rows_of) -> int:
+        # d sum_j C_j f_j(x), where rows_of(j) lists f_j's coefficients in x
+        return sum(mc * c * a**l * b ** (order - l)
+                   for j, mc in terms for l, c in enumerate(rows_of(j)) if c)
+
+    # P_j(i; x) = i^j x^j + U_j(x): U_j(x) is a constant in i
+    p_int = [scaled_at_x(lambda j: tables.corr.us[j - 1])] + [0] * order
+    for j, mc in terms:
+        p_int[j] += mc * a**j * b ** (order - j)
+    # R_j = A_{j-1}: each of its rows, the coefficients in n of one power x^l
+    r_int: list = []
+    for j, mc in terms:
+        for l, row in enumerate(tables.gen.rows[j - 1]):
+            _add_shifted(r_int, row, mc * a**l * b ** (order - l))
+    return m * b**order, tuple(p_int), tuple(r_int), scaled_at_x(lambda j: tables.corr.vs[j - 1])
+
+
 def partial_sums(
     spec: SeriesSpec, n_max: int, tables: TableSet
 ) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -173,41 +198,24 @@ def partial_sums(
     with R(n) = sum_j C_j A_{j-1}(n; x).  At x = a/b both P and R are
     scaled by one d = m b^K, where K is the spec's order and m the least
     common denominator of the C_j, and summed straight from the tables'
-    integer rows: a row is the coefficient list in n of one power x^l
-    (l <= K), so d f = sum_j (m C_j) sum_l a^l b^(K-l) row_l for each
-    f = sum_j C_j f_j.  The rows of P_j(i; x) = i^j x^j + U_j(x) are U_j's
-    coefficients as constants in i, plus i^j at x^j; those of R_j are the
-    rows of A_{j-1}.  No polynomial in ``Fraction``s is formed.  With the
-    integer weights W_n = eps^n n! a^n each step is integer arithmetic:
+    integer rows: a row is the coefficient list of one power x^l (l <= K),
+    so d f = sum_j (m C_j) sum_l a^l b^(K-l) row_l for each
+    f = sum_j C_j f_j.  U_j and V_j have one row each, in x alone, and so
+    give one integer each; P_j(i; x) = i^j x^j + U_j(x) adds i^j at x^j,
+    and the rows of R_j are those of A_{j-1}.  No polynomial in
+    ``Fraction``s is formed.  With the integer weights W_n = eps^n n! a^n
+    each step is integer arithmetic:
 
         T_N = b T_{N-1} + W_{N-1} (d P)(N-1),   S_N = T_N / (b^(N-1) d),
         B_N = eps W_N (d R)(N) / (b^N d).
 
-    The power of b is carried, and a Fraction is built only where a
-    denominator is not 1, so an integer x with integer C_j yields ints.
-    n_max < 1 and tables that do not fit the spec raise here, before the first step.
+    The power of b is carried, and S_N and B_N are the only values built
+    as ``Fraction``s, each only where its denominator is not 1, so an
+    integer x with integer C_j yields ints.  n_max < 1 and tables that do
+    not fit the spec raise here, before the first step.
     """
-    if n_max < 1:
-        raise ValueError(f"n must be >= 1, got {n_max}")
-    _check_tables(spec, tables)
-    eps, a, b, order = spec.eps, spec.x.numerator, spec.x.denominator, spec.order
-    m = lcm(*(c.denominator for c in spec.coeffs))
-    d = m * b**order
-
-    def scaled(rows_of) -> tuple[int, ...]:
-        # d sum_j C_j f_j, lowest degree in n first; rows_of(j) gives (l, row_l) of f_j
-        acc: list = []
-        for j, c in enumerate(spec.coeffs, 1):
-            if c:
-                mc = int(m * c)
-                for l, row in rows_of(j):
-                    _add_shifted(acc, row, mc * a**l * b ** (order - l))
-        return tuple(acc)
-
-    # the rows of P_j(i; x) = i^j x^j + U_j(x), then those of R_j = A_{j-1}
-    us, a_rows = tables.corr.us, tables.gen.rows
-    p_int = scaled(lambda j: [*enumerate((u,) for u in us[j - 1]), (j, (0,) * j + (1,))])
-    r_int = scaled(lambda j: enumerate(a_rows[j - 1]))
+    d, p_int, r_int, _ = _scaled(spec, n_max, tables)
+    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
 
     def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
         t, w, b_pow = 0, 1, 1  # T_{N-1}, W_{N-1}, b^(N-1)
@@ -221,27 +229,56 @@ def partial_sums(
     return steps()
 
 
+def _failure(result: PartialSumResult, what: str, where: str) -> VerificationError:
+    """The error for a record whose residual is nonzero, naming its operands."""
+    return VerificationError(f"{what} residual {result.residual} != 0 at {where}", result)
+
+
 def _checked_sweep(
-    spec: SeriesSpec, n_max: int, tables: TableSet, what: str, where: str
+    spec: SeriesSpec, n_max: int, tables: TableSet, keep: Container[int], what: str, where: str
 ) -> list[PartialSumResult]:
     """The identity of :func:`partial_sums` at every N = 1..n_max, each
-    checked exactly; raises on the first nonzero residual."""
-    sums = partial_sums(spec, n_max, tables)
-    rhs = spec.claimed_sum(tables)
-    return [
-        _checked(PartialSumResult(n, s, rhs, b), what, f"{where} n={n}") for n, s, b in sums
-    ]
+    checked exactly by one integer comparison: times b^N d it reads
+
+        b T_N - eps W_N (d R)(N) = b^N (d V),  d V = d sum_j C_j V_j(x).
+
+    Raises on the first N where the two sides differ.  Only there, and at
+    the N in ``keep``, whose records are returned, is a
+    :class:`PartialSumResult` built, with its ``Fraction``s."""
+    d, p_int, r_int, rhs = _scaled(spec, n_max, tables)
+    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
+    records = []
+    t, w, den = 0, 1, d  # T_{N-1}, W_{N-1}, b^(N-1) d; rhs = b^(N-1) d V
+    for n in range(1, n_max + 1):
+        t = b * t + w * _horner(p_int, n - 1)
+        w *= eps * n * a
+        rhs *= b
+        r = eps * w * _horner(r_int, n)
+        failed = b * t - r != rhs
+        if failed or n in keep:
+            result = PartialSumResult(n, _quotient(t, den), _quotient(rhs, b * den),
+                                      _quotient(r, b * den))
+            if failed:
+                raise _failure(result, what, f"{where} n={n}")
+            records.append(result)
+        den *= b
+    return records
 
 
 def finite_identity_sweep(
-    k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet
+    k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet,
+    keep: Container[int] | None = None,
 ) -> list[PartialSumResult]:
     """Check sum_{i<n} eps^i i! [i^k x^k + U_k(x)] x^i
     = V_k(x) + eps^(n-1) n! A_{k-1}(n; x) x^n exactly, for every
-    n = 1..n_max; raises on the first nonzero residual."""
+    n = 1..n_max, in integers (see :func:`_checked_sweep`); raises on the
+    first nonzero residual.  Returns the records of the n in ``keep``, by
+    default every n: ``keep=()`` checks every n and builds no record, and
+    so no ``Fraction``, while the identity holds."""
     spec = SeriesSpec(eps=eps, x=x, k=k)
     return _checked_sweep(
-        spec, n_max, tables, "finite identity", f"k={k} eps={eps:+d} x={spec.x}"
+        spec, n_max, tables, range(1, n_max + 1) if keep is None else keep,
+        "finite identity", f"k={k} eps={eps:+d} x={spec.x}",
     )
 
 
@@ -252,9 +289,10 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
             = sum_j C_j V_j(x) + eps^(n-1) n! x^n sum_j C_j A_{j-1}(n; x)
 
     exactly, by linearity of the single-power identity, at n and every
-    smaller number of terms."""
+    smaller number of terms, in integers (see :func:`_checked_sweep`).
+    One record is built: the one at n, or at the first N that fails."""
     where = f"coeffs={spec.coeffs} eps={spec.eps:+d} x={spec.x}"
-    return _checked_sweep(spec, n, tables, "general sum", where)[-1]
+    return _checked_sweep(spec, n, tables, (n,), "general sum", where)[0]
 
 
 class TelescopeSpec(Record):
@@ -343,7 +381,9 @@ def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
     partial = 0
     for n in range(1, n_max + 1):
         result = PartialSumResult(n, partial, rhs, spec.boundary(n))
-        results.append(_checked(result, "telescoping", f"N={n} for {spec}"))
+        if result.residual != 0:
+            raise _failure(result, "telescoping", f"N={n} for {spec}")
+        results.append(result)
         partial += spec.term(n)
     return results
 

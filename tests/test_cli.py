@@ -13,6 +13,7 @@ import pytest
 
 import padsum.cli
 import padsum.fps
+import padsum.series
 from padsum.cli import (
     BFileError,
     build_parser,
@@ -212,6 +213,20 @@ def test_tables_cold_and_warm_match_benchmark_digests(eps, dirs, capsys, monkeyp
     monkeypatch.setattr(TableSet, "build", None)  # the warm run must not build
     assert run(args) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    "verify padic --kmax 8 --nmax 200 --primes 2,3,5,7,11 --x-values 1,-1,2 --precision 16"
+    " --format json",
+    "verify finite --kmax 15 --nmax 25 --format json",
+    "verify telescope --count 20 --seed 0 --nmax 15 --format json",
+    "verify ode --nmax 50 --format json",
+])
+def test_verify_matches_benchmark_digests(argv, capsys):
+    # the benchmark's own verify steps and reference digests, read only
+    expected = json.loads(REFERENCES.read_text())["outputs"][argv]
+    assert run(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
 def test_tables_text_negative_sign(dirs, capsys):
@@ -582,6 +597,30 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
     assert capsys.readouterr().out == (
         "FAIL finite: finite identity residual -1 != 0 at k=1 eps=+1 x=-3 n=1\n"
     )
+
+
+def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
+    # the x set holds 1/2 and -2/3, so a per-N record would hold Fractions
+    assert {Fraction(1, 2), Fraction(-2, 3)} <= set(padsum.cli.FINITE_X_SET)
+    argv = ["verify", "finite", "--kmax", "3", "--nmax", "6"]
+    sweeps = 2 * 3 * len(padsum.cli.FINITE_X_SET)
+    record = padsum.series.PartialSumResult
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return record(*args)
+
+    monkeypatch.setattr(padsum.series, "PartialSumResult", counted)
+    assert run(argv) == 0
+    assert len(built) <= sweeps
+
+    def refuse(*args):
+        raise AssertionError("verify finite built a Fraction")
+
+    monkeypatch.setattr(padsum.series, "Fraction", refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("PASS finite: ")
 
 
 def _lower_v1(tables):

@@ -181,6 +181,69 @@ def test_partial_sums_build_the_remainder_without_at_x(tables_plus, monkeypatch)
     monkeypatch.setattr(RatPoly, "__call__", refuse("RatPoly.__call__"))
     assert list(partial_sums(spec, 12, tables_plus)) == expected
 
+def _tampered(tables, tamper):
+    """``tables`` with V_j shifted by delta (("v", j, delta)) or with the
+    n^i coefficient at x^l of A_{j-1} raised by delta (("a", j, l, i, delta))."""
+    if tamper is None:
+        return tables
+    if tamper[0] == "v":
+        _, j, delta = tamper
+        vs = list(tables.corr.vs)
+        vs[j - 1] = (vs[j - 1][0] + delta, *vs[j - 1][1:])
+        return tables._replace(corr=tables.corr._replace(vs=tuple(vs)))
+    _, j, l, i, delta = tamper
+    rows = [list(row) for row in tables.gen.rows]
+    col = list(rows[j - 1][l % len(rows[j - 1])]) + [0] * (i + 1)
+    col[i] += delta
+    rows[j - 1][l % len(rows[j - 1])] = tuple(col)
+    return tables._replace(gen=tables.gen._replace(rows=tuple(map(tuple, rows))))
+
+
+_DELTAS = st.sampled_from([-2, -1, 1, 3])
+
+
+@given(
+    eps=st.sampled_from([1, -1]),
+    coeffs=st.lists(
+        st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda cs: cs[-1] != 0),
+    a=st.integers(min_value=-6, max_value=6),
+    b=st.sampled_from([1, 2, 3, 4, 7]),
+    n_max=st.integers(min_value=1, max_value=30),
+    tamper=st.one_of(
+        st.none(),
+        st.tuples(st.just("v"), st.integers(1, 3), _DELTAS),
+        st.tuples(st.just("a"), st.integers(1, 3), st.integers(0, 2), st.integers(0, 3),
+                  _DELTAS),
+    ),
+)
+def test_general_sum_verdict_is_the_exact_residual(
+    tables_plus, tables_minus, eps, coeffs, a, b, n_max, tamper
+):
+    # the integer check raises exactly at the first N whose exact residual
+    # S_N - sum_j C_j V_j(x) - B_N, summed without the engine, is nonzero
+    tables = _tampered(tables_plus if eps == 1 else tables_minus, tamper)
+    spec = SeriesSpec(eps=eps, x=Fraction(a, b), coeffs=tuple(coeffs))
+    claimed = sum(c * tables.corr.v_poly(j)(spec.x) for j, c in enumerate(spec.coeffs, 1))
+    rows = reference_partial_sums(spec, n_max, tables)
+    residuals = [(n, s - claimed - r) for n, s, r in rows]
+    failing = [(n, res) for n, res in residuals if res != 0]
+    if failing:
+        with pytest.raises(VerificationError) as err:
+            general_sum_check(spec, n_max, tables)
+        assert (err.value.result.n_terms, err.value.result.residual) == failing[0]
+    else:
+        result = general_sum_check(spec, n_max, tables)
+        assert (result.n_terms, result.value, result.rhs_constant, result.boundary) == (
+            n_max, rows[-1][1], claimed, rows[-1][2]
+        )
+
+
 def test_general_sum_single_power_reduction(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), coeffs=(Fraction(1),))
     combined = general_sum_check(spec, 6, tables_plus)
