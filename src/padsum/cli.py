@@ -203,14 +203,19 @@ def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
                 yield eps, tables, k, x
 
 
+def _failed(check: str, label: str, exc: VerificationError) -> tuple[bool, list[str], list[dict]]:
+    """A suite's outcome at its first failure: one ``FAIL <label>`` line and its report."""
+    report = {"check": check, "verdict": "FAIL", "detail": str(exc)}
+    return False, [f"FAIL {label}: {exc}"], [report]
+
+
 def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps, tables, k, x in _grid(args.kmax, FINITE_X_SET):
         try:
             finite_identity_sweep(k, eps, x, args.nmax, tables, keep=())
         except VerificationError as exc:
-            line = f"FAIL finite: {exc}"
-            return False, [line], [{"check": "finite", "verdict": "FAIL", "detail": str(exc)}]
+            return _failed("finite", "finite", exc)
         checks += args.nmax
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
@@ -235,8 +240,7 @@ def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
         try:
             telescope_sweep(spec, nmax)
         except VerificationError as exc:
-            line = f"FAIL telescope[{name}]: {exc}"
-            return False, [line], [{"check": "telescope", "verdict": "FAIL", "detail": str(exc)}]
+            return _failed("telescope", f"telescope[{name}]", exc)
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
         f" (seed {seed}) + {len(named)} named instances, N<={nmax}"
@@ -347,14 +351,12 @@ def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
 def _suite_ode(args) -> tuple[bool, list[str], list[dict]]:
     nmin, nmax = 3, args.nmax  # argparse holds nmax >= nmin
     for order in range(nmin, nmax + 1):
-        first = check_first_order_ode(order)
-        if not first.ok:
-            line = f"FAIL ode: first-order residual at order {order}, degree {first.bad_degree}"
-            return False, [line], [_ode_report("ode-first", order, first)]
-        second = check_second_order_ode(order)
-        if not second.ok:
-            line = f"FAIL ode: second-order residual at order {order}, degree {second.bad_degree}"
-            return False, [line], [_ode_report("ode-second", order, second)]
+        for which, check in (("first", check_first_order_ode), ("second", check_second_order_ode)):
+            result = check(order)
+            if not result.ok:
+                line = (f"FAIL ode: {which}-order residual at order {order},"
+                        f" degree {result.bad_degree}")
+                return False, [line], [_ode_report(f"ode-{which}", order, result)]
     line = (
         f"PASS ode: both residuals vanish through the stated degrees for"
         f" orders {nmin}..{nmax}; first-order artifact equals (N+1)!"

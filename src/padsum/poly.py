@@ -13,8 +13,10 @@ numeric tower mixes the two exactly, so integral tables stay ``int`` end
 to end and a ``Fraction`` appears only where an input is fractional or a
 division happens.  Floats and ``bool`` values are refused.
 
-Degrees stay small (a few hundred at most), so dense storage wins over any
-sparse machinery.
+Storage is dense, as degrees stay small (a few hundred at most).  Horner
+evaluation and shifted accumulation, ``_horner`` and ``_add_shifted``, are
+written once, here, for both layers and for the integer rows of ``tables``
+and ``series``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,21 @@ def _sign(eps) -> int:
     if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps!r}")
     return eps
+
+
+def _add_shifted(acc: list, coeffs, scale: Scalar, shift: int = 0) -> None:
+    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
+    acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs, shift):
+        acc[i] += scale * c
+
+
+def _horner(coeffs, t, total=0):
+    """The polynomial with ``coeffs`` (lowest degree first) at t, by Horner's
+    rule; ``total`` is the value of an empty list (``RatPoly.zero()`` for a polynomial)."""
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
 
 
 def _power(var: str, i: int) -> str:
@@ -140,12 +157,8 @@ class RatPoly(Record):
             other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(self.coeffs)
+        _add_shifted(out, other.coeffs, 1)
         return RatPoly(out)
 
     __radd__ = __add__
@@ -169,14 +182,10 @@ class RatPoly(Record):
             return RatPoly(tuple(a * c for a in self.coeffs))
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list = []
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a != 0:
+                _add_shifted(out, other.coeffs, a, i)
         return RatPoly(out)
 
     __rmul__ = __mul__
@@ -191,19 +200,11 @@ class RatPoly(Record):
 
     def __call__(self, t: Scalar) -> Scalar:
         """Exact Horner evaluation."""
-        t = _exact_scalar(t)
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * t + c
-        return total
+        return _horner(self.coeffs, _exact_scalar(t))
 
     def shift(self, delta: int = 1) -> "RatPoly":
         """The polynomial q with q(n) = p(n + delta), exactly."""
-        shift_factor = RatPoly((delta, 1))
-        result = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * shift_factor + c
-        return result
+        return _horner(self.coeffs, RatPoly((delta, 1)), RatPoly.zero())
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])))
@@ -255,19 +256,11 @@ class GenPoly(Record):
     def eval(self, n: Scalar, x: Scalar) -> Scalar:
         """Substitute both variables, exactly (Horner in x)."""
         n = _exact_scalar(n)
-        x = _exact_scalar(x)
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c(n)
-        return total
+        return _horner([c(n) for c in self.coeffs], _exact_scalar(x))
 
     def at_x(self, x: Scalar) -> RatPoly:
         """Evaluate the x-variable, leaving a polynomial in n."""
-        x = _exact_scalar(x)
-        result = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+        return _horner(self.coeffs, _exact_scalar(x), RatPoly.zero())
 
     def render(self) -> str:
         """Human formatting, e.g. ``(n^2 - 3n + 3)x^2 + (n - 5)x + 1``."""

@@ -28,8 +28,8 @@ from typing import Container, Iterator, NamedTuple, Sequence
 from .kernel import Record, factorial, rising_block
 # ConvergenceDomainError is re-exported: the checks below raise it
 from .padic import ConvergenceDomainError, Prime, require_convergence
-from .poly import RatPoly, _exact_scalar, _sign
-from .tables import TableSet, _add_shifted, _horner
+from .poly import RatPoly, _add_shifted, _exact_scalar, _horner, _sign
+from .tables import TableSet
 
 
 def _exact(value) -> Fraction | int:

@@ -20,7 +20,8 @@ of A_kj(n), the x^j coefficient of A_k, so row k has exactly k+1 columns,
 and ``CorrectionPolys.us[k-1]`` / ``.vs[k-1]`` hold the coefficients in x
 of U_k / V_k.  Each coefficient list is a tuple of ints with no trailing
 zero.  ``poly(k)``, ``u_poly(k)`` and ``v_poly(k)`` build a fresh
-``GenPoly`` or ``RatPoly`` for the callers that want one.
+``GenPoly`` or ``RatPoly`` for the callers that want one.  Rows are summed
+and evaluated by ``poly._add_shifted`` and ``poly._horner``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .poly import GenPoly, RatPoly, _sign
+from .poly import GenPoly, RatPoly, _add_shifted, _horner, _sign
 
 
 class CrossCheckError(RuntimeError):
@@ -58,21 +59,6 @@ class GenPolyTable(NamedTuple):
     def poly(self, k: int) -> GenPoly:
         """A_k, built afresh from its row."""
         return GenPoly(self.eps, map(RatPoly, self.rows[k]))
-
-
-def _add_shifted(acc: list, coeffs, scale: int, shift: int = 0) -> None:
-    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
-    acc.extend([0] * (shift + len(coeffs) - len(acc)))
-    for i, c in enumerate(coeffs, shift):
-        acc[i] += scale * c
-
-
-def _horner(coeffs, t: Fraction | int) -> Fraction | int:
-    """The polynomial with integer ``coeffs`` (lowest degree first) at an exact t."""
-    total = 0
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
 
 
 def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
@@ -138,7 +124,6 @@ class CorrectionPolys(NamedTuple):
     coefficients; V_k is constant in x only for k = 1.
     """
 
-    eps: int
     us: tuple[tuple[int, ...], ...]
     vs: tuple[tuple[int, ...], ...]
 
@@ -177,7 +162,7 @@ def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
                     f"{name}_{k} mismatch (eps={eps:+d}): table route {a!r}"
                     f" vs recurrence route {b!r}"
                 )
-    return CorrectionPolys(eps, tuple(us), tuple(vs))
+    return CorrectionPolys(tuple(us), tuple(vs))
 
 
 def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
@@ -207,7 +192,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
             _add_shifted(next_v, v[l - 1], scale, k + 1 - l)
         u.append(next_u)
         v.append(next_v)
-    return CorrectionPolys(eps, tuple(map(tuple, u)), tuple(map(tuple, v)))
+    return CorrectionPolys(tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
 class IntPairTable(NamedTuple):

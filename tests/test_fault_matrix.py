@@ -14,10 +14,11 @@ import sys
 
 import pytest
 
-from padsum import kernel, tables
+from padsum import kernel, poly
 from padsum.cli import main
 
-FACTORIAL, RISING_BLOCK, ADD_SHIFTED = kernel.factorial, kernel.rising_block, tables._add_shifted
+FACTORIAL, RISING_BLOCK = kernel.factorial, kernel.rising_block
+ADD_SHIFTED, HORNER = poly._add_shifted, poly._horner
 
 
 def _add_unshifted(acc, coeffs, scale, shift=0):
@@ -28,13 +29,20 @@ def _add_doubling_3(acc, coeffs, scale, shift=0):
     ADD_SHIFTED(acc, coeffs, 2 * scale if scale == 3 else scale, shift)
 
 
+def _horner_at_t_plus_1(coeffs, t, *start):
+    return HORNER(coeffs, t + 1, *start)
+
+
+TABLE_READERS = {"finite", "padic", "tables"}  # the commands that build checked tables
+
 # fault: (original, replacement, the commands that must fail besides ``verify all``)
 FAULTS = {
     "factorial x2": (FACTORIAL, lambda n: 2 * FACTORIAL(n), {"ode"}),
     "factorial wrong at n=7": (FACTORIAL, lambda n: FACTORIAL(n) + (n == 7), {"telescope", "ode"}),
     "rising_block x2": (RISING_BLOCK, lambda *args: 2 * RISING_BLOCK(*args), {"telescope"}),
-    "_add_shifted ignores shift": (ADD_SHIFTED, _add_unshifted, {"finite", "padic", "tables"}),
-    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, {"finite", "padic", "tables"}),
+    "_add_shifted ignores shift": (ADD_SHIFTED, _add_unshifted, TABLE_READERS | {"ode"}),
+    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, TABLE_READERS | {"ode"}),
+    "_horner at t + 1": (HORNER, _horner_at_t_plus_1, TABLE_READERS),
 }
 
 CASES = [(fault, cmd) for fault, (_, _, cmds) in FAULTS.items() for cmd in sorted(cmds | {"all"})]

@@ -78,6 +78,7 @@ def test_shift_examples():
     # (n+1)^2 - n^2 = 2n + 1, by hand expansion
     assert RatPoly((0, 0, 1)).shift() - RatPoly((0, 0, 1)) == RatPoly((1, 2))
     assert RatPoly((0, 0, 1)).shift(-2) == RatPoly((4, -4, 1))
+    assert type(RatPoly().shift(3)) is RatPoly
 
 
 def test_arithmetic_identities():
@@ -87,6 +88,8 @@ def test_arithmetic_identities():
     assert p * 0 == RatPoly.zero()
     assert (p**2) == p * p
     assert p.derivative() == RatPoly((-2, 6))
+    assert RatPoly((1,)) + RatPoly((0, 0, 5)) == RatPoly((1, 0, 5))  # shorter first
+    assert RatPoly((1, 0, 2)) * RatPoly((0, 3)) == RatPoly((0, 3, 0, 6))  # zero inside
 
 
 @given(polys, polys, polys)
@@ -125,6 +128,8 @@ def test_genpoly_eval_and_slices():
         assert a1.at_x(1) == RatPoly((eps - 2, 1))
         assert a1.coeff(1) == RatPoly((-2, 1))
         assert a1.coeff(5).is_zero()
+    empty = GenPoly(1, ()).at_x(Fraction(1, 2))
+    assert type(empty) is RatPoly and empty == RatPoly.zero()
 
 
 def test_genpoly_canonical_and_xpow():
