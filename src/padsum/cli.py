@@ -430,7 +430,7 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 def cmd_seq_compare(args) -> int:
     try:
         reference = parse_bfile(Path(args.bfile).read_text())
-    except BFileError as exc:
+    except (BFileError, UnicodeDecodeError) as exc:
         print(f"malformed b-file {args.bfile}: {exc}", file=sys.stderr)
         return 2
     start = sequence_start_index(args.id)
@@ -527,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # under the interpreter's int-to-str digit limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (CPython < 3.10.7)
+    if limit:  # exact results print in full, whatever their length
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (CrossCheckError, VerificationError) as exc:
@@ -536,6 +539,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .kernel import factorial
+from .kernel import _at_least, factorial
 from .poly import RatPoly, Scalar
 
 
 def factorial_series(poly: RatPoly, order: int) -> RatPoly:
     """The truncation sum_{n<=order} n! P(n) x^n of F: c_n = n! * P(n)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _at_least("order", order, 0)
     return RatPoly(factorial(n) * poly(n) for n in range(order + 1))
 
 
@@ -42,8 +41,7 @@ def first_order_residual(order: int) -> RatPoly:
     truncation everything cancels except the boundary coefficient
     (order+1)! at degree order+1.  Requires order >= 2.
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _at_least("order", order, 2)
     series = factorial_series(RatPoly.one(), order)
     return apply_diff_operator(series, [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]) + 1
 
@@ -56,8 +54,7 @@ def second_order_residual(order: int) -> RatPoly:
     leaves (order+1) * (order+1)! at degree order and 0 at order+1.
     Requires order >= 3.
     """
-    if order < 3:
-        raise ValueError(f"order must be >= 3, got {order}")
+    _at_least("order", order, 3)
     series = factorial_series(RatPoly.one(), order)
     return apply_diff_operator(
         series, [(RatPoly.monomial(2), 2), (RatPoly((-1, 3)), 1), (RatPoly.one(), 0)]

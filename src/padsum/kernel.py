@@ -3,6 +3,7 @@
 
 ``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
 here so that ``fps`` and ``series`` resolve it through one module.
+``_at_least`` is the package's one floor check: ``{name} must be >= {floor}, got {value}``.
 
 Every function here is pure and exact, and the module holds no state.
 Integers are plain Python ints (arbitrary precision), and they stay ints
@@ -18,6 +19,12 @@ from math import factorial
 _setattr = object.__setattr__  # the one way past Record.__setattr__
 
 
+def _at_least(name: str, value: int, floor: int) -> None:
+    """ValueError ``{name} must be >= {floor}, got {value}`` when value < floor."""
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
 def rising_block(base: int, width: int, power: int) -> int:
     """[(base+1)(base+2)...(base+width)]**power.
 
@@ -25,10 +32,8 @@ def rising_block(base: int, width: int, power: int) -> int:
     turning ((m*n + v)!)**l into ((m*(n+1) + v)!)**l, i.e. the step a
     factorial product telescopes over.
     """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    _at_least("width", width, 1)
+    _at_least("power", power, 0)
     prod = 1
     for s in range(1, width + 1):
         prod *= base + s
@@ -39,8 +44,7 @@ def digit_sum(n: int, base: int) -> int:
     """Sum of the digits of n written in the given base (>= 2)."""
     if n < 0:
         raise ValueError(f"digit_sum needs n >= 0, got {n}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+    _at_least("base", base, 2)
     total = 0
     while n:
         n, d = divmod(n, base)

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 
-from .kernel import Record, digit_sum
+from .kernel import Record, _at_least, digit_sum
 from .poly import _exact_scalar
 
 RationalLike = int | Fraction
@@ -151,8 +151,7 @@ def expand(q: RationalLike, p: Prime, m: int) -> PadicApprox:
     A denominator divisible by p is absorbed by the (then negative) offset;
     every rational has such an expansion.
     """
-    if m < 1:
-        raise ValueError(f"precision must be >= 1, got {m}")
+    _at_least("precision", m, 1)
     q = _exact_scalar(q)
     if q == 0:
         return PadicApprox(p, 0, (0,) * m)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .kernel import Record
+from .kernel import Record, _at_least
 
 Scalar = Union[int, Fraction]
 
@@ -119,8 +119,7 @@ class RatPoly(Record):
 
     @classmethod
     def monomial(cls, power: int) -> "RatPoly":
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
+        _at_least("power", power, 0)
         return cls((0,) * power + (1,))
 
     @property
@@ -141,16 +140,6 @@ class RatPoly(Record):
 
     def leading(self) -> Scalar:
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RatPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -191,8 +180,7 @@ class RatPoly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "RatPoly":
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
+        _at_least("exponent", e, 0)
         result = RatPoly.one()
         for _ in range(e):
             result = result * self

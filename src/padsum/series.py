@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Container, Iterator, NamedTuple, Sequence
 
-from .kernel import Record, factorial, rising_block
+from .kernel import Record, _at_least, factorial, rising_block
 # ConvergenceDomainError is re-exported: the checks below raise it
 from .padic import ConvergenceDomainError, Prime, require_convergence
 from .poly import RatPoly, _add_shifted, _exact_scalar, _horner, _sign
@@ -123,8 +123,8 @@ class SeriesSpec(Record):
         x = _exact(x)
         if (k is None) == (coeffs is None):
             raise ValueError("exactly one of k and coeffs must be given")
-        if k is not None and k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if k is not None:
+            _at_least("k", k, 1)
         coeffs = tuple(_exact(c) for c in (coeffs if k is None else (0,) * (k - 1) + (1,)))
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("coeffs must be nonempty with nonzero top coefficient")
@@ -161,8 +161,7 @@ def _scaled(spec: SeriesSpec, n_max: int, tables: TableSet) -> tuple[int, tuple,
     the scale d = m b^K, the integer coefficient lists in n of d P(n; x) and
     d R(n; x), and the integer d sum_j C_j V_j(x).  n_max < 1 and tables
     that do not fit the spec raise here."""
-    if n_max < 1:
-        raise ValueError(f"n must be >= 1, got {n_max}")
+    _at_least("n", n_max, 1)
     _check_tables(spec, tables)
     a, b, order = spec.x.numerator, spec.x.denominator, spec.order
     m = lcm(*(c.denominator for c in spec.coeffs))
@@ -329,10 +328,8 @@ class TelescopeSpec(Record):
             raise ValueError(f"every mu_i + nu_i must be >= 1, got {list(zip(self.mu, self.nu))}")
         if any(l < 0 for l in self.lam) or not any(self.lam):
             raise ValueError(f"lam_i >= 0 with at least one >= 1 required, got {self.lam}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        _at_least("alpha", self.alpha, 1)
+        _at_least("beta", self.beta, 0)
         _sign(self.eps)
         if not isinstance(self.aux, RatPoly):
             raise TypeError("aux must be a RatPoly")
@@ -374,8 +371,7 @@ def telescope_sweep(spec: TelescopeSpec, n_max: int) -> list[PartialSumResult]:
 
     N = 1 is the empty sum, which the boundary values must already balance.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _at_least("n_max", n_max, 1)
     rhs = spec.rhs_constant()
     results: list[PartialSumResult] = []
     partial = 0

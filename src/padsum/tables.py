@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from .kernel import _at_least
 from .poly import GenPoly, RatPoly, _add_shifted, _horner, _sign
 
 
@@ -68,8 +69,7 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
     eps * A_{k-1,j} (n^k for j = k) minus the C(k+1, m) A_{k-m,j-m} terms,
     and the lists become tuples once, at the end.
     """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    _at_least("kmax", kmax, 0)
     _sign(eps)
     rows: list[list[list]] = [[[1]]]
     for k in range(1, kmax + 1):
@@ -176,8 +176,7 @@ def corrections_by_recurrence(kmax: int, eps: int) -> CorrectionPolys:
 
     Both recurrences run on integer coefficient lists.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _at_least("kmax", kmax, 1)
     _sign(eps)
     u: list[list] = [[-eps, 1]]
     v: list[list] = [[-eps]]
@@ -219,8 +218,7 @@ def int_pairs(kmax: int) -> IntPairTable:
 
     Every :meth:`TableSet.checked` compares its U/V with these integers.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _at_least("kmax", kmax, 1)
     u: dict[int, int] = {1: 0}
     v: dict[int, int] = {1: -1}
     for k in range(1, kmax):
@@ -258,8 +256,7 @@ def aux_poly(k: int) -> AuxSolution:
     integers; equation 0 then gives u = a_1 + ... + a_{k-1}, and
     v = -A(0) = -a_0.  Integrality is structural, not asserted.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _at_least("k", k, 1)
     a = [0] * k
     for j in range(k, 0, -1):
         # the n^j coefficient of a_i [(n+1)^(i+1) - n^i] is C(i+1, j) - [i == j]
@@ -269,8 +266,7 @@ def aux_poly(k: int) -> AuxSolution:
 
 def bell_numbers(kmax: int) -> tuple[int, ...]:
     """Bell numbers B_0..B_kmax via B_{k+1} = sum_l C(k, l) B_l, B_0 = 1."""
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    _at_least("kmax", kmax, 0)
     b = [1]
     for k in range(kmax):
         b.append(sum(comb(k, l) * b[l] for l in range(k + 1)))
@@ -280,8 +276,7 @@ def bell_numbers(kmax: int) -> tuple[int, ...]:
 def diagonal_closed_form(k: int) -> RatPoly:
     """Closed form of the top x-coefficient A_kk(n): the n^i coefficient is
     (-1)^(k+i) C(k+1, i+1), independent of the sign eps."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _at_least("k", k, 1)
     return RatPoly([(-1) ** (k + i) * comb(k + 1, i + 1) for i in range(k + 1)])
 
 
@@ -290,8 +285,7 @@ def linear_closed_form(k: int, eps: int) -> RatPoly:
 
     The constant k(k+3)/2 is the sum 2 + 3 + ... + (k+1).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _at_least("k", k, 1)
     _sign(eps)
     sign = eps ** (k + 1)
     return RatPoly([-k * (k + 3) // 2 * sign, sign])

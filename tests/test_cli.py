@@ -556,6 +556,8 @@ def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monke
         "tables --kmax 100000",
         "verify padic --claim=-1 --k 1 --nmax 100000000 --primes 5",
         "verify finite --kmax 99999999999999999999999999",
+        # a rational argument stays bounded by the interpreter's int-to-str digit limit
+        pytest.param(f"verify padic --claim=-1 --k 1 --x 1{'0' * 4300}", id="--x of 4301 digits"),
     ],
 )
 def test_unbounded_inputs_exit_2_at_once(argv, tmp_path):
@@ -564,6 +566,38 @@ def test_unbounded_inputs_exit_2_at_once(argv, tmp_path):
                           env=env, capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert "error: argument" in done.stderr and "Traceback" not in done.stderr
+
+
+LONG_CSV = "verify padic --claim=-1 --k 1 --x 1{} --nmax 110 --primes 2 --format csv".format("0" * 40)
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.parametrize("argv", [
+    LONG_CSV,  # rows of the csv profile pass 4,300 digits
+    # the JSON reports built even for text hold V_45(10^100), past 4,300 digits
+    "verify padic --kmax 45 --x-values 1{} --nmax 2 --primes 2".format("0" * 100),
+], ids=["long csv row", "long claimed sum"])
+def test_results_longer_than_the_digit_limit_print_in_full(argv, capsys):
+    limit = _digit_limit()
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().err == ""
+    assert _digit_limit() == limit
+    # an exit-2 run after the arguments are parsed restores the limit too
+    assert run(["verify", "padic", "--claim=-1", "--k", 1, "--x", "1/2", "--primes", 2]) == 2
+    assert _digit_limit() == limit
+
+
+def test_output_does_not_depend_on_the_digit_limit(capsys, tmp_path):
+    assert run(LONG_CSV.split()) == 0
+    default = capsys.readouterr().out
+    assert max(map(len, default.splitlines())) > 4300
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONINTMAXSTRDIGITS": "640"}
+    done = subprocess.run([sys.executable, "-m", "padsum.cli", *LONG_CSV.split()], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", default)
 
 
 def test_caps_admit_every_default_and_benchmark_argument():
@@ -764,6 +798,9 @@ def test_seq_compare_malformed(tmp_path, capsys):
     bad.write_text("# only a comment\n")
     assert run(["seq-compare", "U-1", "--kmax", 3, "--bfile", bad]) == 2
     assert "nothing to compare" in capsys.readouterr().err
+    bad.write_bytes(b"\xff0 1\n")  # not UTF-8
+    assert run(["seq-compare", "A+0,1", "--kmax", 3, "--bfile", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"malformed b-file {bad}: 'utf-8' codec can't decode")
 
 
 def test_parse_bfile_rules():

@@ -1,10 +1,13 @@
 """The README's library quick tour and command block run as printed."""
 
+import argparse
 import ast
 import re
 import shlex
 import types
 from pathlib import Path
+
+import pytest
 
 import padsum
 from padsum.cli import build_parser, main
@@ -58,3 +61,42 @@ def test_readme_commands_parse_and_verify_lines_pass(capsys):
     for argv in commands:
         if argv[0] == "verify":
             assert main(argv) == 0, " ".join(argv)
+
+
+def _capped_flags(parser) -> set:
+    """(command, flag) for every flag of ``parser`` whose type is a floor..cap range."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= {((name,) + command, flag) for command, flag in _capped_flags(sub)}
+        elif getattr(action.type, "__qualname__", "").startswith(("_in_range.", "parse_prime_list")):
+            found.add(((), action.option_strings[0]))
+    return found
+
+
+def test_readme_floor_cap_table_matches_the_parser():
+    table = re.search(r"\| command \| floor\.\.cap \|\n.*?\n((?: *\|.*\n)+)", README.read_text()).group(1)
+    base = {"seq": ["seq", "A+0,1"], "seq-compare": ["seq-compare", "A+0,1", "--bfile", "b"]}
+    parser = build_parser()
+    listed = set()
+    for row in table.splitlines():
+        commands, ranges = row.strip().strip("|").split("|")
+        entries = re.findall(r"`(--[a-z-]+)`(?: entry)? (\d+)\.\.(\d+)(?:\^(\d+))?", ranges)
+        assert len(entries) == ranges.count(".."), row
+        for command in re.findall(r"`([a-z -]+)`", commands):
+            for flag, floor, cap, power in entries:
+                listed.add((tuple(command.split()), flag))
+                floor, cap = int(floor), int(cap) ** int(power or 1)
+                argv = base.get(command, command.split())
+                probes = [(floor - 1, False), (floor, True), (cap + 1, False)]
+                if flag != "--primes":  # the cap of a prime, 10^12, is not prime
+                    probes.append((cap, True))
+                for value, parses in probes:
+                    if parses:
+                        parser.parse_args([*argv, flag, str(value)])
+                    else:
+                        with pytest.raises(SystemExit) as exc:
+                            parser.parse_args([*argv, flag, str(value)])
+                        assert exc.value.code == 2, (command, flag, value)
+    assert listed == _capped_flags(parser)

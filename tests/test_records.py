@@ -115,6 +115,14 @@ def test_padic_approx_equality():
     assert expand(5, Prime(5), 2) != expand(1, Prime(5), 2)
 
 
+def test_rat_poly_equality_keeps_the_hash_contract():
+    # a constant polynomial is not its number: equal values must hash alike
+    assert RatPoly((3,)) != 3
+    assert len({RatPoly((3,)), 3}) == 2
+    assert RatPoly((1,)) == RatPoly((Fraction(1),))
+    assert hash(RatPoly((1,))) == hash(RatPoly((Fraction(1),)))
+
+
 def test_table_sets_compare_by_their_tables():
     # the bundle round trip of test_tables is pinned through this equality
     assert TableSet.build(3, 1) == TableSet.checked(gen_poly_table(3, 1))
