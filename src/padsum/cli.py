@@ -96,6 +96,7 @@ def _in_range(floor: int, cap: int):
             raise argparse.ArgumentTypeError(f"{value} is over the cap of {cap}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.floor_cap = (floor, cap)
     return parse
 
 
@@ -370,17 +371,23 @@ def cmd_verify(args) -> int:
         parser = build_parser()
         runs = [parser.parse_args(["verify", suite, "--format", args.format])
                 for suite in ("finite", "telescope", "padic", "ode")]
-    ok, lines, reports = True, [], []
-    for suite_args in runs:
-        sub_ok, sub_lines, sub_reports = suite_args.run(suite_args)
-        ok &= sub_ok
-        lines += sub_lines
-        reports += sub_reports
-    if args.format == "json":
-        print(_dumps(reports), end="")
-    else:
-        for line in lines:
-            print(line)
+    # exact results print in full, whatever their length; the arguments were parsed under
+    # the interpreter's int-to-str digit limit, and no suite reads a file
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (CPython < 3.10.7)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        ok, lines, reports = True, [], []
+        for suite_args in runs:
+            sub_ok, sub_lines, sub_reports = suite_args.run(suite_args)
+            ok &= sub_ok
+            lines += sub_lines
+            reports += sub_reports
+        text = _dumps(reports) if args.format == "json" else "".join(f"{line}\n" for line in lines)
+        print(text, end="")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0 if ok else 1
 
 
@@ -527,10 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)  # under the interpreter's int-to-str digit limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (CPython < 3.10.7)
-    if limit:  # exact results print in full, whatever their length
-        sys.set_int_max_str_digits(0)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (CrossCheckError, VerificationError) as exc:
@@ -539,9 +543,6 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

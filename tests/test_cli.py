@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -598,6 +599,28 @@ def test_output_does_not_depend_on_the_digit_limit(capsys, tmp_path):
     done = subprocess.run([sys.executable, "-m", "padsum.cli", *LONG_CSV.split()], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=30)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", default)
+
+
+def test_long_integers_read_from_files_are_refused_at_once(dirs, capsys):
+    # b-file values and cache entries are parsed under the interpreter's int-to-str
+    # digit limit, which refuses this value before converting it; converted, it
+    # would cost seconds, growing with the square of its length
+    long_value = "1" * 1_000_000
+    out, cache = dirs
+    out.mkdir()
+    bfile = out / "long.txt"
+    bfile.write_text(f"1 {long_value}\n")
+    args = ["tables", "--kmax", 3, "--format", "json", "--out", out, "--cache-dir", cache]
+    assert run(args) == 0
+    fresh = (out / "tables_k3_p1.json").read_bytes()
+    (entry,) = cache.iterdir()
+    entry.write_text(entry.read_text().replace("-2,", f"-{long_value},", 1))
+    start = time.perf_counter()
+    assert run(["seq-compare", "U-1", "--kmax", 3, "--bfile", bfile]) == 2
+    assert capsys.readouterr().err.startswith(f"malformed b-file {bfile}: line 1: non-integer")
+    assert run(args) == 0  # the entry is rebuilt
+    assert time.perf_counter() - start < 2
+    assert entry.read_bytes() == fresh
 
 
 def test_caps_admit_every_default_and_benchmark_argument():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import padsum
-from padsum.cli import build_parser, main
+from padsum.cli import build_parser, main, parse_prime_list
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,7 +70,7 @@ def _capped_flags(parser) -> set:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 found |= {((name,) + command, flag) for command, flag in _capped_flags(sub)}
-        elif getattr(action.type, "__qualname__", "").startswith(("_in_range.", "parse_prime_list")):
+        elif hasattr(action.type, "floor_cap") or action.type is parse_prime_list:
             found.add(((), action.option_strings[0]))
     return found
 
