@@ -214,10 +214,9 @@ def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps, tables, k, x in _grid(args.kmax, FINITE_X_SET):
         try:
-            finite_identity_sweep(k, eps, x, args.nmax, tables, keep=())
+            checks += finite_identity_sweep(k, eps, x, args.nmax, tables, keep=()).checked
         except VerificationError as exc:
             return _failed("finite", "finite", exc)
-        checks += args.nmax
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
         f" (k<={args.kmax}, eps=+-1, {len(FINITE_X_SET)} x values, n<={args.nmax})"
@@ -237,14 +236,15 @@ def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
     rng = random.Random(seed)
     named = _named_telescope_specs()
     specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)] + named
+    reached = []  # the last N of each sweep
     for name, spec in specs:
         try:
-            telescope_sweep(spec, nmax)
+            reached.append(telescope_sweep(spec, nmax)[-1].n_terms)
         except VerificationError as exc:
             return _failed("telescope", f"telescope[{name}]", exc)
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
-        f" (seed {seed}) + {len(named)} named instances, N<={nmax}"
+        f" (seed {seed}) + {len(named)} named instances, N<={min(reached)}"
     )
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]
 
@@ -311,7 +311,8 @@ def _suite_padic(args) -> tuple[bool, list[str], list[dict]]:
     line = (
         f"PASS padic: {total}/{total} claims verified, {total}/{total}"
         f" perturbations rejected (k<={kmax}, x in {{{','.join(map(str, x_values))}}},"
-        f" p in {{{','.join(str(p) for p in args.primes)}}}, N<={args.nmax})"
+        f" p in {{{','.join(str(p) for p in args.primes)}}},"
+        f" N<={min(report['n_max'] for report in reports)})"
     )
     return True, [line], reports
 
@@ -328,7 +329,9 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
         reports.append(_padic_report(verdict, profile, p, args.precision))
         ok &= verdict.passed
         if verdict.passed:
-            lines.append(f"PASS padic: claim {args.claim} holds to N={args.nmax} at p={p}")
+            lines.append(
+                f"PASS padic: claim {args.claim} holds to N={len(profile.errors)} at p={p}"
+            )
         else:
             lines.append(
                 f"FAIL padic: claim {args.claim} violated at N={verdict.first_violation} (p={p})"

@@ -138,9 +138,6 @@ class RatPoly(Record):
             return self.coeffs[i]
         return 0
 
-    def leading(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __add__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             other = RatPoly.constant(other)

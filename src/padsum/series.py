@@ -6,23 +6,24 @@ constants are all exact rationals, and an identity either has a zero
 residual or the check fails loudly.  The only graded outcome is the p-adic
 verdict, which asks whether the partial-sum error over the exact remainder
 is a p-adic integer.  The finite checks, their sweeps and the p-adic error
-profiles all read one engine, which builds a spec's polynomials once at
-x = a/b as integer coefficient lists and takes each step in integers,
-carrying the power of b beside them.  The p-adic profiles take its exact
-S_N and B_N from :func:`partial_sums`, the one place those are built as
-``Fraction``s.  The finite checks clear the denominators instead, so each
-N is one comparison of integers, and a :class:`PartialSumResult` is built
-only at a failure or for the records a caller asks for.  A p-adic verdict
-walks a profile's errors and remainders in order and stops at the first N
-that violates; where the error equals the remainder, as at every N of a
-true claim, the quotient is 1 and that N costs no gcd.
+profiles all read one step loop, :func:`_steps`, which builds a spec's
+polynomials once at x = a/b as integer coefficient lists and takes each
+step in integers, carrying the power of b beside them.  The p-adic
+profiles map each step to its exact S_N and B_N through
+:func:`partial_sums`.  The finite checks compare the step's integers
+directly, so each N is one comparison, and a :class:`PartialSumResult`
+is built only at a failure or for the records a caller asks for.  A
+p-adic verdict walks a profile's errors and remainders in order and
+stops at the first N that violates; where the error equals the
+remainder, as at every N of a true claim, the quotient is 1 and that N
+costs no gcd.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Container, Iterator, NamedTuple, Sequence
 
 from .kernel import Record, _at_least, factorial, rising_block
@@ -62,46 +63,6 @@ class PartialSumResult(NamedTuple):
     @property
     def residual(self) -> Fraction:
         return self.value - self.rhs_constant - self.boundary
-
-
-def power_sum(k: int, eps: int, x: Fraction | int, n: int) -> Fraction | int:
-    """sum_{i=0}^{n-1} eps^i * i! * i^k * x^i, exactly, with the weight
-    eps^i i! x^i kept as a running product.
-
-    Uses 0^0 = 1 (Python's convention), so the k = 0 sum starts with the
-    i = 0 term equal to 1.
-    """
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be >= 0")
-    _sign(eps)
-    x = _exact_scalar(x)
-    total, weight = 0, 1
-    for i in range(n):
-        total += weight * i**k
-        weight *= eps * (i + 1) * x
-    return total
-
-
-def power_sum_via_recurrence(k: int, eps: int, x: Fraction | int, n: int) -> Fraction:
-    """The (k+1)-power sum S_{k+1} obtained from directly computed lower ones.
-
-    Solving the binomial recurrence
-
-        S_k = d_{0k} + eps*x*S_0 + eps*x * sum_{l=1}^{k+1} C(k+1, l) S_l
-              - eps^n n! n^k x^n
-
-    for its top term gives an independent route to S_{k+1}; it must agree
-    with the direct sum exactly.  Requires x != 0.
-    """
-    x = Fraction(_exact_scalar(x))
-    if x == 0:
-        raise ValueError("the recurrence route needs x != 0")
-    s = [power_sum(l, eps, x, n) for l in range(k + 1)]
-    delta = 1 if k == 0 else 0
-    acc = s[k] - delta - eps * x * s[0]
-    acc -= eps * x * sum(comb(k + 1, l) * s[l] for l in range(1, k + 1))
-    tail = eps**n * factorial(n) * n**k * x**n
-    return (acc + tail) / (eps * x)
 
 
 class SeriesSpec(Record):
@@ -156,12 +117,10 @@ def _quotient(num: int, den: int) -> Fraction | int:
     return num if den == 1 else Fraction(num, den)
 
 
-def _scaled(spec: SeriesSpec, n_max: int, tables: TableSet) -> tuple[int, tuple, tuple, int]:
-    """(d, dP, dR, dV) for :func:`partial_sums` and :func:`_checked_sweep`:
-    the scale d = m b^K, the integer coefficient lists in n of d P(n; x) and
-    d R(n; x), and the integer d sum_j C_j V_j(x).  n_max < 1 and tables
-    that do not fit the spec raise here."""
-    _at_least("n", n_max, 1)
+def _scaled(spec: SeriesSpec, tables: TableSet) -> tuple[int, tuple, tuple, int]:
+    """(d, dP, dR, dV) for :func:`_steps`: the scale d = m b^K, the integer
+    coefficient lists in n of d P(n; x) and d R(n; x), and the integer
+    d sum_j C_j V_j(x).  Tables that do not fit the spec raise here."""
     _check_tables(spec, tables)
     a, b, order = spec.x.numerator, spec.x.denominator, spec.order
     m = lcm(*(c.denominator for c in spec.coeffs))
@@ -184,48 +143,65 @@ def _scaled(spec: SeriesSpec, n_max: int, tables: TableSet) -> tuple[int, tuple,
     return m * b**order, tuple(p_int), tuple(r_int), scaled_at_x(lambda j: tables.corr.vs[j - 1])
 
 
-def partial_sums(
-    spec: SeriesSpec, n_max: int, tables: TableSet
-) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """(N, S_N, B_N) for N = 1..n_max, one term of the sum per step.
-
-    S_N = sum_{i<N} eps^i i! P(i; x) x^i is the partial sum and B_N the
-    exact remainder of the identity
+def _steps(spec: SeriesSpec, n_max: int, tables: TableSet) -> Iterator[tuple[int, ...]]:
+    """The integers of the identity
 
         S_N = sum_j C_j V_j(x) + B_N,  B_N = eps^(N-1) N! x^N R(N),
 
-    with R(n) = sum_j C_j A_{j-1}(n; x).  At x = a/b both P and R are
-    scaled by one d = m b^K, where K is the spec's order and m the least
-    common denominator of the C_j, and summed straight from the tables'
-    integer rows: a row is the coefficient list of one power x^l (l <= K),
-    so d f = sum_j (m C_j) sum_l a^l b^(K-l) row_l for each
-    f = sum_j C_j f_j.  U_j and V_j have one row each, in x alone, and so
-    give one integer each; P_j(i; x) = i^j x^j + U_j(x) adds i^j at x^j,
-    and the rows of R_j are those of A_{j-1}.  No polynomial in
-    ``Fraction``s is formed.  With the integer weights W_n = eps^n n! a^n
-    each step is integer arithmetic:
+    for N = 1..n_max, with S_N = sum_{i<N} eps^i i! P(i; x) x^i and
+    R(n) = sum_j C_j A_{j-1}(n; x).  At x = a/b both P and R are scaled by
+    one d = m b^K, where K is the spec's order and m the least common
+    denominator of the C_j, and summed straight from the tables' integer
+    rows: a row is the coefficient list of one power x^l (l <= K), so
+    d f = sum_j (m C_j) sum_l a^l b^(K-l) row_l for each f = sum_j C_j f_j.
+    U_j and V_j have one row each, in x alone, and so give one integer
+    each; P_j(i; x) = i^j x^j + U_j(x) adds i^j at x^j, and the rows of
+    R_j are those of A_{j-1}.  With the integer weights W_n = eps^n n! a^n
+    each step is
 
-        T_N = b T_{N-1} + W_{N-1} (d P)(N-1),   S_N = T_N / (b^(N-1) d),
-        B_N = eps W_N (d R)(N) / (b^N d).
+        T_N = b T_{N-1} + W_{N-1} (d P)(N-1),   W_N = eps N a W_{N-1},
 
-    The power of b is carried, and S_N and B_N are the only values built
-    as ``Fraction``s, each only where its denominator is not 1, so an
-    integer x with integer C_j yields ints.  n_max < 1 and tables that do
-    not fit the spec raise here, before the first step.
+    so that S_N = T_N / (b^(N-1) d) and B_N = eps W_N (d R)(N) / (b^N d).
+    Each step yields (N, T_N, eps W_N (d R)(N), b^N (d V), b^(N-1) d),
+    the last two carried beside T_N and W_N.  n_max < 1 and tables that
+    do not fit the spec raise here, before the first step.
     """
-    d, p_int, r_int, _ = _scaled(spec, n_max, tables)
+    _at_least("n", n_max, 1)
+    d, p_int, r_int, dv = _scaled(spec, tables)
     eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
 
-    def steps() -> Iterator[tuple[int, Fraction, Fraction]]:
-        t, w, b_pow = 0, 1, 1  # T_{N-1}, W_{N-1}, b^(N-1)
+    def steps() -> Iterator[tuple[int, ...]]:
+        t, w, den, rhs = 0, 1, d, dv  # T_{N-1}, W_{N-1}, b^(N-1) d, b^(N-1) d V
         for n in range(1, n_max + 1):
             t = b * t + w * _horner(p_int, n - 1)
             w *= eps * n * a
-            s = _quotient(t, b_pow * d)
-            b_pow *= b
-            yield n, s, _quotient(eps * w * _horner(r_int, n), b_pow * d)
+            rhs *= b
+            yield n, t, eps * w * _horner(r_int, n), rhs, den
+            den *= b
 
     return steps()
+
+
+def partial_sums(
+    spec: SeriesSpec, n_max: int, tables: TableSet
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(N, S_N, B_N) for N = 1..n_max, one step of :func:`_steps` each:
+    S_N = T_N / (b^(N-1) d) is the partial sum and
+    B_N = eps W_N (d R)(N) / (b^N d) the exact remainder.  They are built
+    as ``Fraction``s only where the denominator is not 1, so an integer x
+    with integer C_j yields ints.  n_max < 1 and tables that do not fit
+    the spec raise here, before the first step.
+    """
+    b = spec.x.denominator
+    return ((n, _quotient(t, den), _quotient(r, b * den))
+            for n, t, r, _, den in _steps(spec, n_max, tables))
+
+
+class SweepRecords(list):
+    """The :class:`PartialSumResult` records a sweep keeps, and in
+    ``checked`` the last N it compared: it checked every N up to that one."""
+
+    checked = 0
 
 
 def _failure(result: PartialSumResult, what: str, where: str) -> VerificationError:
@@ -235,24 +211,19 @@ def _failure(result: PartialSumResult, what: str, where: str) -> VerificationErr
 
 def _checked_sweep(
     spec: SeriesSpec, n_max: int, tables: TableSet, keep: Container[int], what: str, where: str
-) -> list[PartialSumResult]:
-    """The identity of :func:`partial_sums` at every N = 1..n_max, each
-    checked exactly by one integer comparison: times b^N d it reads
+) -> SweepRecords:
+    """The identity of :func:`_steps` at every N = 1..n_max, each checked
+    exactly by one comparison of the integers of its step: times b^N d it
+    reads
 
-        b T_N - eps W_N (d R)(N) = b^N (d V),  d V = d sum_j C_j V_j(x).
+        b T_N - eps W_N (d R)(N) = b^N (d V).
 
     Raises on the first N where the two sides differ.  Only there, and at
     the N in ``keep``, whose records are returned, is a
     :class:`PartialSumResult` built, with its ``Fraction``s."""
-    d, p_int, r_int, rhs = _scaled(spec, n_max, tables)
-    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
-    records = []
-    t, w, den = 0, 1, d  # T_{N-1}, W_{N-1}, b^(N-1) d; rhs = b^(N-1) d V
-    for n in range(1, n_max + 1):
-        t = b * t + w * _horner(p_int, n - 1)
-        w *= eps * n * a
-        rhs *= b
-        r = eps * w * _horner(r_int, n)
+    b = spec.x.denominator
+    records, n = SweepRecords(), 0
+    for n, t, r, rhs, den in _steps(spec, n_max, tables):
         failed = b * t - r != rhs
         if failed or n in keep:
             result = PartialSumResult(n, _quotient(t, den), _quotient(rhs, b * den),
@@ -260,20 +231,21 @@ def _checked_sweep(
             if failed:
                 raise _failure(result, what, f"{where} n={n}")
             records.append(result)
-        den *= b
+    records.checked = n
     return records
 
 
 def finite_identity_sweep(
     k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet,
     keep: Container[int] | None = None,
-) -> list[PartialSumResult]:
+) -> SweepRecords:
     """Check sum_{i<n} eps^i i! [i^k x^k + U_k(x)] x^i
     = V_k(x) + eps^(n-1) n! A_{k-1}(n; x) x^n exactly, for every
-    n = 1..n_max, in integers (see :func:`_checked_sweep`); raises on the
-    first nonzero residual.  Returns the records of the n in ``keep``, by
-    default every n: ``keep=()`` checks every n and builds no record, and
-    so no ``Fraction``, while the identity holds."""
+    n = 1..n_max, one integer comparison per n (see :func:`_checked_sweep`);
+    raises on the first nonzero residual.  Returns the records of the n in
+    ``keep``, by default every n, with ``checked``, the number of n it
+    compared: ``keep=()`` checks every n and builds no record, and so no
+    ``Fraction``, while the identity holds."""
     spec = SeriesSpec(eps=eps, x=x, k=k)
     return _checked_sweep(
         spec, n_max, tables, range(1, n_max + 1) if keep is None else keep,
@@ -288,8 +260,9 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
             = sum_j C_j V_j(x) + eps^(n-1) n! x^n sum_j C_j A_{j-1}(n; x)
 
     exactly, by linearity of the single-power identity, at n and every
-    smaller number of terms, in integers (see :func:`_checked_sweep`).
-    One record is built: the one at n, or at the first N that fails."""
+    smaller number of terms, on the steps that :func:`partial_sums` reads
+    (see :func:`_checked_sweep`).  One record is built: the one at n, or
+    at the first N that fails."""
     where = f"coeffs={spec.coeffs} eps={spec.eps:+d} x={spec.x}"
     return _checked_sweep(spec, n, tables, (n,), "general sum", where)[0]
 
@@ -447,10 +420,11 @@ class SeriesErrorProfile(NamedTuple):
     """Exact partial-sum errors of a series against a claimed sum.
 
     errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
-    remainder of :func:`partial_sums`, for N = 1..n_max.  The profile
-    derives nothing from them: it does not depend on a prime, so one
-    profile serves every prime's verdict, and a shifted claim only
-    subtracts its delta from the errors.
+    remainder, for N = 1..n_max, both read from :func:`partial_sums`, on
+    the steps the finite checks compare.  The profile derives nothing from
+    them: it does not depend on a prime, so one profile serves every
+    prime's verdict, and a shifted claim only subtracts its delta from the
+    errors.
     """
 
     spec: SeriesSpec

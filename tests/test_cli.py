@@ -328,6 +328,24 @@ def test_verify_suites_exit_zero(capsys):
     assert run(["verify", "padic", "--kmax", 2, "--nmax", 30, "--primes", "2,3"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, counted",
+    [
+        ("verify finite", "PASS finite: zero residual on 5520 identity checks"),
+        ("verify padic", "p in {2,3,5,7,11}, N<=198)"),
+        ("verify padic --claim=-1 --k 1 --nmax 30 --primes 2", "holds to N=28 at p=2"),
+        # a random spec draws its factors with range, so only the named ones run
+        ("verify telescope --count 0", "named instances, N<=13"),
+    ],
+)
+def test_pass_lines_count_what_the_engine_ran(argv, counted, monkeypatch, capsys):
+    # every step loop in series stops two short of its flag: the PASS lines
+    # print what the engine checked, not what the flags asked for
+    monkeypatch.setattr(padsum.series, "range", lambda *args: range(*args)[:-2], raising=False)
+    assert run(argv.split()) == 0
+    assert counted in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
 def test_verify_stdout_is_pinned(argv, capsys):
     rc = run(argv.split())

@@ -10,7 +10,14 @@ from padsum.fps import factorial_series, first_order_residual, second_order_resi
 from padsum.kernel import digit_sum, rising_block
 from padsum.padic import PadicApprox, Prime, Valuation, expand, val_factorial
 from padsum.poly import RatPoly
-from padsum.series import SeriesSpec, TelescopeSpec, partial_sums, power_sum, telescope_sweep
+from padsum.series import (
+    SeriesSpec,
+    TelescopeSpec,
+    finite_identity_sweep,
+    general_sum_check,
+    partial_sums,
+    telescope_sweep,
+)
 from padsum.tables import (
     TableSet,
     aux_poly,
@@ -38,6 +45,11 @@ REFUSALS = {
     "expand": (lambda: expand(3, Prime(5), 0), ValueError, "precision must be >= 1, got 0"),
     "partial_sums": (lambda: partial_sums(SeriesSpec(1, 1, k=1), 0, TableSet.build(1, 1)),
                      ValueError, "n must be >= 1, got 0"),
+    "finite_identity_sweep": (lambda: finite_identity_sweep(1, 1, 1, 0, TableSet.build(1, 1)),
+                              ValueError, "n must be >= 1, got 0"),
+    "general_sum_check": (lambda: general_sum_check(SeriesSpec(1, 1, k=1), 0,
+                                                    TableSet.build(1, 1)),
+                          ValueError, "n must be >= 1, got 0"),
     "SeriesSpec k": (lambda: SeriesSpec(1, 1, k=0), ValueError, "k must be >= 1, got 0"),
     "TelescopeSpec alpha": (lambda: telescope(alpha=0), ValueError, "alpha must be >= 1, got 0"),
     "TelescopeSpec beta": (lambda: telescope(beta=-1), ValueError, "beta must be >= 0, got -1"),
@@ -62,7 +74,6 @@ REFUSALS = {
                       ValueError, "factorial valuation needs n >= 0, got -1"),
     "Valuation": (lambda: Valuation(1.5), TypeError, "finite valuation must be an int, got 1.5"),
     "PadicApprox": (lambda: PadicApprox(Prime(5), 0, ()), ValueError, "at least one digit is required"),
-    "power_sum": (lambda: power_sum(-1, 1, 1, 3), ValueError, "k and n must be >= 0"),
     "TelescopeSpec lengths": (lambda: telescope(nu=(0, 0)),
                               ValueError, "mu, nu, lam must be equal-length, nonempty"),
     "TelescopeSpec aux": (lambda: telescope(aux=1), TypeError, "aux must be a RatPoly"),

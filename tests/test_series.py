@@ -20,8 +20,6 @@ from padsum.series import (
     general_sum_check,
     padic_sum_verify,
     partial_sums,
-    power_sum,
-    power_sum_via_recurrence,
     random_telescope_spec,
     series_error_profile,
     telescope_check,
@@ -40,15 +38,6 @@ def tables_minus():
     return TableSet.build(8, -1)
 
 
-def brute_power_sum(k, eps, x, n):
-    """Term-by-term enumeration oracle."""
-    x = Fraction(x)
-    total = Fraction(0)
-    for i in range(n):
-        total += Fraction(eps) ** i * factorial(i) * i**k * x**i
-    return total
-
-
 def reference_partial_sums(spec, n_max, tables):
     """(N, S_N, B_N) for N = 1..n_max without the engine: S_N summed term
     by term from factorial(i), x**i and U_j(x), and
@@ -63,39 +52,6 @@ def reference_partial_sums(spec, n_max, tables):
         factor = sum(c * tables.gen.poly(j - 1).eval(n, x) for j, c in terms)
         rows.append((n, partial, eps ** (n - 1) * factorial(n) * x**n * factor))
     return rows
-
-
-def test_power_sum_examples():
-    assert power_sum(1, 1, 1, 4) == 23  # 0 + 1 + 4 + 18 = 4! - 1
-    assert power_sum(0, 1, Fraction(2, 3), 1) == 1  # lone i = 0 term, 0^0 = 1
-    assert power_sum(0, -1, 5, 1) == 1
-    # frozen via brute_power_sum: 0 + 1*1 + 2*4
-    assert power_sum(2, 1, 1, 3) == 9
-    assert power_sum(2, 1, 1, 3) == brute_power_sum(2, 1, 1, 3)
-
-
-def test_power_sum_recurrence_examples():
-    assert power_sum_via_recurrence(0, 1, 1, 4) == 23  # recovers S_1 = 4! - 1
-    assert power_sum_via_recurrence(1, 1, 1, 3) == 9
-    assert power_sum_via_recurrence(3, -1, Fraction(1, 2), 0) == 0
-    with pytest.raises(TypeError):
-        power_sum_via_recurrence(1, 1, 0.1, 4)
-
-
-def test_power_sum_two_routes_agree():
-    # the recurrence route to S_{k+1} for k <= 9 covers sums up to S_10
-    for k in range(10):
-        for eps in (1, -1):
-            for x in (1, -1, 2, Fraction(1, 2), Fraction(-2, 3)):
-                for n in (0, 1, 2, 5, 9, 14):
-                    assert power_sum_via_recurrence(k, eps, x, n) == power_sum(
-                        k + 1, eps, x, n
-                    )
-
-
-def test_power_sum_recurrence_needs_nonzero_x():
-    with pytest.raises(ValueError):
-        power_sum_via_recurrence(1, 1, 0, 3)
 
 
 def test_finite_identity_factorial_times_n(tables_plus):
@@ -118,6 +74,7 @@ def test_finite_identity_hand_case(tables_minus):
 def test_finite_identity_sweep_matches_single(tables_plus):
     swept = finite_identity_sweep(2, 1, Fraction(1, 2), 10, tables_plus)
     assert len(swept) == 10
+    assert swept.checked == finite_identity_sweep(2, 1, 2, 10, tables_plus, keep=()).checked == 10
     single = finite_identity_sweep(2, 1, Fraction(1, 2), 7, tables_plus)[-1]
     assert swept[6] == single
 
@@ -303,13 +260,12 @@ def test_tables_of_the_other_sign_are_refused(tables_plus):
         lambda eps: TableSet.build(2, eps),
         lambda eps: corrections_by_recurrence(2, eps),
         lambda eps: linear_closed_form(2, eps),
-        lambda eps: power_sum(1, eps, 1, 3),
         lambda eps: SeriesSpec(eps=eps, x=1, k=1),
         lambda eps: TelescopeSpec(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=eps,
                                   x=1, aux=RatPoly.one()),
     ],
     ids=["GenPoly", "gen_poly_table", "TableSet.build", "corrections_by_recurrence",
-         "linear_closed_form", "power_sum", "SeriesSpec", "TelescopeSpec"],
+         "linear_closed_form", "SeriesSpec", "TelescopeSpec"],
 )
 def test_sign_equal_to_1_but_not_the_int_is_refused(make, eps):
     # each equals 1, so a gate of `eps in (1, -1)` lets it through

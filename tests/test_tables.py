@@ -100,7 +100,7 @@ def test_structural_shape():
             for j in range(k + 1):
                 coefficient = poly.coeff(j)
                 assert coefficient.degree == j
-                assert coefficient.leading() == eps ** (k + j)
+                assert coefficient.coeff(j) == eps ** (k + j)
 
 
 def test_recurrence_residuals_pass_and_fault_injection():
