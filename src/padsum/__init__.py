@@ -10,13 +10,53 @@ verifies the identities three ways: exact finite residuals, telescoping
 boundary identities, and p-adic checks of partial-sum errors against the
 exact remainder.
 
-``import padsum`` exports only the names of the README's quick tour;
-everything else is imported from its module (``padsum.tables``,
-``padsum.series``, ...).
+``import padsum`` exports only the names of the README's quick tour
+(``__all__``); everything else is imported from its module
+(``padsum.tables``, ``padsum.series``, ...).
+
+The submodules load on first use.  ``import padsum`` puts each of
+``kernel``, ``poly``, ``padic``, ``tables``, ``series`` and ``fps`` into
+``sys.modules`` at once, with a ``LazyLoader``, and its code compiles and
+runs at its first attribute access; the quick-tour names resolve through
+the module ``__getattr__``.  So a command loads only what it runs:
+``verify ode`` loads ``kernel``, ``poly`` and ``fps``; ``verify telescope``
+loads ``kernel``, ``poly`` and ``series``; ``tables``, ``seq`` and
+``seq-compare`` load ``kernel``, ``poly`` and ``tables``; ``verify finite``
+adds ``series`` to those, and ``verify padic`` adds ``series`` and ``padic``.
+Since every module is in ``sys.modules`` from the start, code that walks
+``sys.modules`` for padsum's names still finds each of them: reading a
+module's namespace (``vars``) loads it.
 """
 
-from .padic import Prime
-from .series import SeriesSpec, finite_identity_sweep, padic_sum_verify, series_error_profile
-from .tables import TableSet, bell_numbers, int_pairs
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+for _name in ("kernel", "poly", "padic", "tables", "series", "fps"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_module)  # runs nothing yet: the first attribute access will
+    # as a package attribute too, so that ``from . import tables`` does not load it
+    sys.modules[_spec.name] = globals()[_name] = _module
+del _name, _spec, _module
+
+# the quick tour's names and their modules
+_EXPORTS = {
+    "Prime": "padic",
+    "SeriesSpec": "series",
+    "finite_identity_sweep": "series",
+    "padic_sum_verify": "series",
+    "series_error_profile": "series",
+    "TableSet": "tables",
+    "bell_numbers": "tables",
+    "int_pairs": "tables",
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(globals()[_EXPORTS[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,31 +18,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .fps import OdeCheck, check_first_order_ode, check_second_order_ode
-from .padic import Prime, expand, val_rat
+# Modules, not names, so that each loads when a command first uses it;
+# ``tables`` is also the name of this module's table sets.
+from . import fps, padic, series
+from . import tables as tablemod
+from .kernel import SEQUENCE_IDS, _dumps
 from .poly import RatPoly
-from .series import (
-    PadicVerdict,
-    SeriesErrorProfile,
-    SeriesSpec,
-    TelescopeSpec,
-    VerificationError,
-    finite_identity_sweep,
-    padic_sum_verify,
-    random_telescope_spec,
-    series_error_profile,
-    telescope_sweep,
-)
-from .tables import (
-    CrossCheckError,
-    TableSet,
-    _dumps,
-    bundle_from_text,
-    bundle_text,
-    sequence_slice,
-    sequence_start_index,
-    SEQUENCE_IDS,
-)
 
 FINITE_X_SET = (
     Fraction(-3),
@@ -107,10 +88,10 @@ def _distinct(values: tuple, text: str) -> tuple:
     return values
 
 
-def parse_prime_list(text: str) -> tuple[Prime, ...]:
+def parse_prime_list(text: str) -> tuple[padic.Prime, ...]:
     capped = _in_range(2, 10**12)  # checked before Prime's trial division, 0.1 s at the cap
     try:
-        return _distinct(tuple(Prime(capped(part)) for part in text.split(",")), text)
+        return _distinct(tuple(padic.Prime(capped(part)) for part in text.split(",")), text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -119,29 +100,31 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return _distinct(tuple(parse_rational(part) for part in text.split(",")), text)
 
 
-def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path | None) -> tuple[TableSet, str]:
-    """Checked tables for (kmax, eps) and their :func:`bundle_text`; with no
-    ``cache_dir``, a plain :meth:`TableSet.build`.
+def load_or_build_bundle(
+    kmax: int, eps: int, cache_dir: Path | None
+) -> tuple[tablemod.TableSet, str]:
+    """Checked tables for (kmax, eps) and their :func:`tables.bundle_text`; with no
+    ``cache_dir``, a plain :meth:`tables.TableSet.build`.
 
     In ``cache_dir``, the entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a
     hit, served as is, when it equals byte for byte the bundle of its own
-    checked A (:func:`bundle_from_text`) and that A has this (kmax, eps).
+    checked A (:func:`tables.bundle_from_text`) and that A has this (kmax, eps).
     Anything else, an older layout included, is rebuilt: written to a
     temporary file and renamed into place, so a reader never sees half a file.
     """
     if cache_dir is None:
-        tables = TableSet.build(kmax, eps)
-        return tables, bundle_text(tables)
+        tables = tablemod.TableSet.build(kmax, eps)
+        return tables, tablemod.bundle_text(tables)
     cache_file = cache_dir / f"tables_kmax{kmax}_eps{eps:+d}.json"
     try:
         text = cache_file.read_text()
-        tables = bundle_from_text(text)
+        tables = tablemod.bundle_from_text(text)
         if (tables.kmax, tables.eps) == (kmax, eps):
             return tables, text
     except (OSError, ValueError):
         pass
-    tables = TableSet.build(kmax, eps)
-    text = bundle_text(tables)
+    tables = tablemod.TableSet.build(kmax, eps)
+    text = tablemod.bundle_text(tables)
     cache_dir.mkdir(parents=True, exist_ok=True)
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
     try:
@@ -152,7 +135,7 @@ def load_or_build_bundle(kmax: int, eps: int, cache_dir: Path | None) -> tuple[T
     return tables, text
 
 
-def _render_tables_text(tables: TableSet) -> str:
+def _render_tables_text(tables: tablemod.TableSet) -> str:
     lines = [f"# tables for eps = {tables.eps:+d}, kmax = {tables.kmax}"]
     # a TableSet also holds U/V and the pairs at kmax+1, which the tables omit
     ks = range(1, tables.kmax + 1)
@@ -168,7 +151,7 @@ def _render_tables_text(tables: TableSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_tables_csv(tables: TableSet) -> str:
+def _render_tables_csv(tables: tablemod.TableSet) -> str:
     pairs = tables.pairs
     lines = ["k,u,v"]
     lines += [f"{k},{pairs.u(k)},{pairs.v(k)}" for k in range(1, tables.kmax + 1)]
@@ -195,16 +178,18 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _grid(kmax: int, x_values) -> Iterator[tuple[int, TableSet, int, Fraction]]:
+def _grid(kmax: int, x_values) -> Iterator[tuple[int, tablemod.TableSet, int, Fraction]]:
     """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
     for eps in (1, -1):
-        tables = TableSet.build(kmax, eps)
+        tables = tablemod.TableSet.build(kmax, eps)
         for k in range(1, kmax + 1):
             for x in x_values:
                 yield eps, tables, k, x
 
 
-def _failed(check: str, label: str, exc: VerificationError) -> tuple[bool, list[str], list[dict]]:
+def _failed(
+    check: str, label: str, exc: series.VerificationError
+) -> tuple[bool, list[str], list[dict]]:
     """A suite's outcome at its first failure: one ``FAIL <label>`` line and its report."""
     report = {"check": check, "verdict": "FAIL", "detail": str(exc)}
     return False, [f"FAIL {label}: {exc}"], [report]
@@ -214,8 +199,8 @@ def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps, tables, k, x in _grid(args.kmax, FINITE_X_SET):
         try:
-            checks += finite_identity_sweep(k, eps, x, args.nmax, tables, keep=()).checked
-        except VerificationError as exc:
+            checks += series.finite_identity_sweep(k, eps, x, args.nmax, tables, keep=()).checked
+        except series.VerificationError as exc:
             return _failed("finite", "finite", exc)
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
@@ -224,23 +209,23 @@ def _suite_finite(args) -> tuple[bool, list[str], list[dict]]:
     return True, [line], [{"check": "finite", "verdict": "PASS", "checks": checks}]
 
 
-def _named_telescope_specs() -> list[tuple[str, TelescopeSpec]]:
+def _named_telescope_specs() -> list[tuple[str, series.TelescopeSpec]]:
     # sum n! * n (aux = 1) and sum n! * ((n+1)^2 - n) (aux = n), both at x = 1
     step = dict(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=1)
-    return [("factorial-times-n", TelescopeSpec(**step, aux=RatPoly.one())),
-            ("weighted-square-step", TelescopeSpec(**step, aux=RatPoly.monomial(1)))]
+    return [("factorial-times-n", series.TelescopeSpec(**step, aux=RatPoly.one())),
+            ("weighted-square-step", series.TelescopeSpec(**step, aux=RatPoly.monomial(1)))]
 
 
 def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
     count, seed, nmax = args.count, args.seed, args.nmax
     rng = random.Random(seed)
     named = _named_telescope_specs()
-    specs = [(f"random-{i}", random_telescope_spec(rng)) for i in range(count)] + named
+    specs = [(f"random-{i}", series.random_telescope_spec(rng)) for i in range(count)] + named
     reached = []  # the last N of each sweep
     for name, spec in specs:
         try:
-            reached.append(telescope_sweep(spec, nmax)[-1].n_terms)
-        except VerificationError as exc:
+            reached.append(series.telescope_sweep(spec, nmax)[-1].n_terms)
+        except series.VerificationError as exc:
             return _failed("telescope", f"telescope[{name}]", exc)
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
@@ -250,7 +235,10 @@ def _suite_telescope(args) -> tuple[bool, list[str], list[dict]]:
 
 
 def _padic_report(
-    verdict: PadicVerdict, profile: SeriesErrorProfile, p: Prime, precision: int
+    verdict: series.PadicVerdict,
+    profile: series.SeriesErrorProfile,
+    p: padic.Prime,
+    precision: int,
 ) -> dict:
     """``verdict`` at p on ``profile``'s claim, with ``precision`` digits of its expansion."""
     return {
@@ -261,7 +249,7 @@ def _padic_report(
         "first_violation": verdict.first_violation,
         "verdict": "PASS" if verdict.passed else "FAIL",
         "claimed": str(profile.claimed),
-        "claimed_expansion": expand(profile.claimed, p, precision).render(),
+        "claimed_expansion": padic.expand(profile.claimed, p, precision).render(),
     }
 
 
@@ -284,13 +272,13 @@ def _suite_padic(args) -> tuple[bool, list[str], list[dict]]:
     reports: list[dict] = []
     failures: list[str] = []
     for eps, tables, k, x in _grid(kmax, x_values):
-        spec = SeriesSpec(eps=eps, x=x, k=k)
+        spec = series.SeriesSpec(eps=eps, x=x, k=k)
         claimed = spec.claimed_sum(tables)
-        profile = series_error_profile(spec, claimed, args.nmax, tables)
+        profile = series.series_error_profile(spec, claimed, args.nmax, tables)
         perturbed = profile.shifted_claim(1)
         for p in args.primes:
-            verdict = padic_sum_verify(profile, p)
-            wrong = padic_sum_verify(perturbed, p)
+            verdict = series.padic_sum_verify(profile, p)
+            wrong = series.padic_sum_verify(perturbed, p)
             report = _padic_report(verdict, profile, p, args.precision)
             report["perturbed_verdict"] = "PASS" if wrong.passed else "FAIL"
             reports.append(report)
@@ -321,11 +309,12 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     """One verdict per prime on ``--claim``; under ``--format csv`` the lines
     are the ``N,partial,valuation`` profile instead of the verdicts."""
     k, eps, x = (1 if given is None else given for given in (args.k, args.eps, args.x))
-    spec = SeriesSpec(eps=eps, x=x, k=k)
-    profile = series_error_profile(spec, args.claim, args.nmax, TableSet.build(k, eps))
+    spec = series.SeriesSpec(eps=eps, x=x, k=k)
+    tables = tablemod.TableSet.build(k, eps)
+    profile = series.series_error_profile(spec, args.claim, args.nmax, tables)
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
-        verdict = padic_sum_verify(profile, p)
+        verdict = series.padic_sum_verify(profile, p)
         reports.append(_padic_report(verdict, profile, p, args.precision))
         ok &= verdict.passed
         if verdict.passed:
@@ -338,11 +327,11 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
             )
         if args.format == "csv":  # the only exact valuations, taken where printed
             for n, err in enumerate(profile.errors, 1):
-                rows.append(f"{n}/p={p},{err + args.claim},{val_rat(err, p)}")
+                rows.append(f"{n}/p={p},{err + args.claim},{padic.val_rat(err, p)}")
     return ok, rows if args.format == "csv" else lines, reports
 
 
-def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
+def _ode_report(check: str, order: int, result: fps.OdeCheck) -> dict:
     return {
         "check": check,
         "params": {"order": order},
@@ -355,7 +344,8 @@ def _ode_report(check: str, order: int, result: OdeCheck) -> dict:
 def _suite_ode(args) -> tuple[bool, list[str], list[dict]]:
     nmin, nmax = 3, args.nmax  # argparse holds nmax >= nmin
     for order in range(nmin, nmax + 1):
-        for which, check in (("first", check_first_order_ode), ("second", check_second_order_ode)):
+        for which, check in (("first", fps.check_first_order_ode),
+                             ("second", fps.check_second_order_ode)):
             result = check(order)
             if not result.ok:
                 line = (f"FAIL ode: {which}-order residual at order {order},"
@@ -395,8 +385,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    values = sequence_slice(args.id, args.kmax)
-    start = sequence_start_index(args.id)
+    values = tablemod.sequence_slice(args.id, args.kmax)
+    start = tablemod.sequence_start_index(args.id)
     if args.format == "json":
         content = _dumps({"id": args.id, "start": start, "values": values})
     elif args.format == "text":
@@ -443,9 +433,9 @@ def cmd_seq_compare(args) -> int:
     except (BFileError, UnicodeDecodeError) as exc:
         print(f"malformed b-file {args.bfile}: {exc}", file=sys.stderr)
         return 2
-    start = sequence_start_index(args.id)
+    start = tablemod.sequence_start_index(args.id)
     # pair on the b-file's own indices, so a gap or an offset cannot misalign terms
-    ours = dict(enumerate(sequence_slice(args.id, args.kmax), start))
+    ours = dict(enumerate(tablemod.sequence_slice(args.id, args.kmax), start))
     pairs = [(i, v) for i, v in reference if i in ours]
     if len(pairs) < len(reference):
         print(f"skipped {len(reference) - len(pairs)} b-file entries outside our indices",
@@ -505,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_padic.add_argument("--kmax", type=_in_range(1, 60), default=None,
                          help="grid size (default 8)")
     p_padic.add_argument("--nmax", type=_in_range(1, 2000), default=200)
-    p_padic.add_argument("--primes", type=parse_prime_list, default=parse_prime_list("2,3,5,7,11"))
+    # a string default goes through ``type`` only when this suite is parsed
+    p_padic.add_argument("--primes", type=parse_prime_list, default="2,3,5,7,11")
     p_padic.add_argument("--x-values", type=parse_rational_list, default=None)
     p_padic.add_argument("--claim", type=parse_rational, default=None,
                          help="verify a single claimed sum instead of the grid")
@@ -540,7 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrossCheckError, VerificationError) as exc:
+    except (tablemod.CrossCheckError, series.VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:

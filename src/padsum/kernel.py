@@ -1,5 +1,8 @@
-"""Exact integer primitives: factorials, rising blocks, digit sums; and
-``Record``, the immutable base of the records that check their fields.
+"""Exact integer primitives: factorials, rising blocks, digit sums;
+``Record``, the immutable base of the records that check their fields; and
+two things the command line reads without loading ``tables``: ``_dumps``,
+the JSON style of every file padsum writes, and ``SEQUENCE_IDS``, the ids
+of the named sequences.
 
 ``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
 here so that ``fps`` and ``series`` resolve it through one module.
@@ -14,9 +17,33 @@ division happens.
 
 from __future__ import annotations
 
+import json
 from math import factorial
 
 _setattr = object.__setattr__  # the one way past Record.__setattr__
+
+# The twelve named evaluations: generating polynomials and corrections at
+# n in {0, 1}, x in {+1, -1}, both signs.  Several overlap known OEIS
+# entries up to sign (A014619, A040027, A007114, A032347 for the A-families;
+# A000587 and A000110, the complementary Bell and Bell numbers, for U).
+SEQUENCE_IDS: dict[str, tuple[str, int, int | None, int]] = {
+    "A+0,1": ("A", 1, 0, 1),
+    "A+0,-1": ("A", 1, 0, -1),
+    "A+1,1": ("A", 1, 1, 1),
+    "A+1,-1": ("A", 1, 1, -1),
+    "A-0,1": ("A", -1, 0, 1),
+    "A-0,-1": ("A", -1, 0, -1),
+    "A-1,1": ("A", -1, 1, 1),
+    "A-1,-1": ("A", -1, 1, -1),
+    "U+1": ("U", 1, None, 1),
+    "U+-1": ("U", 1, None, -1),
+    "U-1": ("U", -1, None, 1),
+    "U--1": ("U", -1, None, -1),
+}
+
+
+def _dumps(obj) -> str:  # the JSON style of every file padsum writes
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _at_least(name: str, value: int, floor: int) -> None:
@@ -56,9 +83,11 @@ class Record:
     """An immutable value with named fields, its ``__slots__``.
 
     A subclass's ``__init__`` checks its arguments and sets every field
-    once, through :meth:`_set`.  After that the record refuses assignment
-    and deletion (``AttributeError``), and it compares, hashes and prints
-    as its fields in order; records of different classes are never equal.
+    once, through :meth:`_set` (``RatPoly``, built by the thousand, sets
+    its one slot through ``_setattr`` itself).  After that the record
+    refuses assignment and deletion (``AttributeError``), and it compares,
+    hashes and prints as its fields in order; records of different classes
+    are never equal.
     """
 
     __slots__ = ()

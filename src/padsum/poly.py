@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .kernel import Record, _at_least
+from .kernel import Record, _at_least, _setattr
 
 Scalar = Union[int, Fraction]
 
@@ -103,7 +103,7 @@ class RatPoly(Record):
         cs = [_exact_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self._set(tuple(cs))
+        _setattr(self, "coeffs", tuple(cs))  # its one slot, set directly: _set costs more
 
     @classmethod
     def zero(cls) -> "RatPoly":

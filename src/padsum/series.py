@@ -24,13 +24,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Container, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterator, NamedTuple, Sequence
 
+from . import padic
 from .kernel import Record, _at_least, factorial, rising_block
-# ConvergenceDomainError is re-exported: the checks below raise it
-from .padic import ConvergenceDomainError, Prime, require_convergence
 from .poly import RatPoly, _add_shifted, _exact_scalar, _horner, _sign
-from .tables import TableSet
+
+if TYPE_CHECKING:  # annotations only: a telescope run loads neither module
+    from .padic import Prime
+    from .tables import TableSet
 
 
 def _exact(value) -> Fraction | int:
@@ -408,7 +410,7 @@ def construct_telescope_poly(
     t = _exact(t)
     mu_lambda_sum = sum(m * l for m, l in zip(spec.mu, spec.lam))
     for p in primes:
-        require_convergence(t, p, spec.alpha, mu_lambda_sum)
+        padic.require_convergence(t, p, spec.alpha, mu_lambda_sum)
     block = RatPoly.one()
     for m, v, l in zip(spec.mu, spec.nu, spec.lam):
         for s in range(1, m + 1):
@@ -485,9 +487,10 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
 
     Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
     stops growing and no claim could be rejected, so the check refuses to
-    run there: :func:`require_convergence` raises :class:`ConvergenceDomainError`.
+    run there: :func:`padic.require_convergence` raises
+    :class:`padic.ConvergenceDomainError`.
     """
-    require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
+    padic.require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
     for n, (err, b) in enumerate(zip(profile.errors, profile.remainders), 1):
         if err == b:
             continue

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .kernel import _at_least
+from .kernel import SEQUENCE_IDS, _at_least, _dumps
 from .poly import GenPoly, RatPoly, _add_shifted, _horner, _sign
 
 
@@ -296,24 +296,8 @@ def closed_forms(k: int, eps: int) -> tuple[RatPoly, RatPoly]:
     return diagonal_closed_form(k), linear_closed_form(k, eps)
 
 
-# The twelve named evaluations: generating polynomials and corrections at
-# n in {0, 1}, x in {+1, -1}, both signs.  Several overlap known OEIS
-# entries up to sign (A014619, A040027, A007114, A032347 for the A-families;
-# A000587 and A000110, the complementary Bell and Bell numbers, for U).
-SEQUENCE_IDS: dict[str, tuple[str, int, int | None, int]] = {
-    "A+0,1": ("A", 1, 0, 1),
-    "A+0,-1": ("A", 1, 0, -1),
-    "A+1,1": ("A", 1, 1, 1),
-    "A+1,-1": ("A", 1, 1, -1),
-    "A-0,1": ("A", -1, 0, 1),
-    "A-0,-1": ("A", -1, 0, -1),
-    "A-1,1": ("A", -1, 1, 1),
-    "A-1,-1": ("A", -1, 1, -1),
-    "U+1": ("U", 1, None, 1),
-    "U+-1": ("U", 1, None, -1),
-    "U-1": ("U", -1, None, 1),
-    "U--1": ("U", -1, None, -1),
-}
+# The named evaluations are ``kernel.SEQUENCE_IDS``, so that the ``seq``
+# parsers list them without loading this module.
 
 
 def sequence_start_index(which: str) -> int:
@@ -456,10 +440,6 @@ def bundle_to_json(tables: TableSet) -> dict:
         "u": list(pairs.us[:kmax]),
         "v": list(pairs.vs[:kmax]),
     }
-
-
-def _dumps(obj) -> str:  # the JSON style of every file padsum writes
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def bundle_text(tables: TableSet) -> str:

@@ -184,6 +184,35 @@ def test_cli_import_loads_no_hashlib():
     assert done.returncode == 0, done.stderr
 
 
+# (argv, a module it runs, the modules it must leave unexecuted); "" is the import alone
+COMMAND_MODULES = [
+    ("", "cli", {"tables", "series", "padic", "fps"}),
+    ("verify ode --nmax 5", "fps", {"series", "tables", "padic"}),
+    ("verify telescope --count 2 --nmax 4", "series", {"tables", "padic", "fps"}),
+    ("tables --kmax 2", "tables", {"series", "padic", "fps"}),
+]
+
+
+@pytest.mark.parametrize("argv, runs, skips", COMMAND_MODULES)
+def test_a_command_executes_only_its_modules(argv, runs, skips, tmp_path):
+    # a submodule stays a LazyLoader module, not a plain module, until its first use
+    code = (
+        "import sys, types; from padsum.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(*(name.removeprefix('padsum.') for name, module in sys.modules.items()\n"
+        "        if name.startswith('padsum.') and type(module) is types.ModuleType),\n"
+        "      file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *argv.split()], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    executed = set(done.stderr.split())
+    assert runs in executed
+    assert not executed & skips, f"{argv or 'import'} executed {sorted(executed & skips)}"
+
+
 def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):
     # a float coefficient in a warm entry must not reach the text renderer
     out, cache = dirs
@@ -554,10 +583,12 @@ def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monke
     def unreachable(*args, **kwargs):
         raise AssertionError("an out-of-range run started work")
 
-    for name in ("cmd_verify", "load_or_build_bundle", "sequence_slice"):
+    for name in ("cmd_verify", "load_or_build_bundle"):
         monkeypatch.setattr(padsum.cli, name, unreachable)
-    prime = padsum.cli.Prime  # the primality test itself must not see the value
-    monkeypatch.setattr(padsum.cli, "Prime",
+    # the cli looks these two up in their modules when it calls them
+    monkeypatch.setattr(padsum.tables, "sequence_slice", unreachable)
+    prime = padsum.padic.Prime  # the primality test itself must not see the value
+    monkeypatch.setattr(padsum.padic, "Prime",
                         lambda p: prime(p) if 2 <= p <= 10**12 else unreachable())
     with pytest.raises(SystemExit) as exc:
         run(argv.split())

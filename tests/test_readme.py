@@ -4,7 +4,6 @@ import argparse
 import ast
 import re
 import shlex
-import types
 from pathlib import Path
 
 import pytest
@@ -41,11 +40,10 @@ def test_readme_quick_tour_runs():
         if isinstance(stmt, ast.ImportFrom) and stmt.module == "padsum"
         for alias in stmt.names
     }
-    exported = {
-        name for name, value in vars(padsum).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    exported = set(padsum.__all__)
     assert imported == exported
+    for name in exported:  # each resolves through the package's __getattr__
+        assert getattr(padsum, name) is namespace[name]
 
 
 def test_readme_commands_parse_and_verify_lines_pass(capsys):

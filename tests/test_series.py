@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padsum.kernel import factorial
-from padsum.padic import Prime, val_rat
+from padsum.padic import ConvergenceDomainError, Prime, val_rat
 from padsum.poly import GenPoly, RatPoly
 from padsum.series import (
-    ConvergenceDomainError,
     SeriesSpec,
     TelescopeSpec,
     VerificationError,

@@ -24,6 +24,9 @@ def _python(args, cwd):
     [
         "verify padic --kmax 1 --nmax 3 --primes 3 --x-values 1 --format json",
         "tables --kmax 2",
+        # the fps targets bind, and the modules these commands skip load under the tracer
+        "verify ode --nmax 5 --format json",
+        "verify telescope --count 2 --nmax 4 --format json",
     ],
 )
 def test_traced_run_matches_untraced(argv, tmp_path):
