@@ -15,17 +15,21 @@ exact remainder.
 (``padsum.tables``, ``padsum.series``, ...).
 
 The submodules load on first use.  ``import padsum`` puts each of
-``kernel``, ``poly``, ``padic``, ``tables``, ``series`` and ``fps`` into
-``sys.modules`` at once, with a ``LazyLoader``, and its code compiles and
-runs at its first attribute access; the quick-tour names resolve through
-the module ``__getattr__``.  So a command loads only what it runs:
-``verify ode`` loads ``kernel``, ``poly`` and ``fps``; ``verify telescope``
-loads ``kernel``, ``poly`` and ``series``; ``tables``, ``seq`` and
-``seq-compare`` load ``kernel``, ``poly`` and ``tables``; ``verify finite``
-adds ``series`` to those, and ``verify padic`` adds ``series`` and ``padic``.
-Since every module is in ``sys.modules`` from the start, code that walks
-``sys.modules`` for padsum's names still finds each of them: reading a
-module's namespace (``vars``) loads it.
+``kernel``, ``poly``, ``padic``, ``tables``, ``series``, ``telescope`` and
+``fps`` into ``sys.modules`` at once, with a ``LazyLoader``, and its code
+compiles and runs at its first attribute access; the quick-tour names
+resolve through the module ``__getattr__``.  Since every module is in
+``sys.modules`` from the start, code that walks ``sys.modules`` for
+padsum's names still finds each of them: reading a module's namespace
+(``vars``) loads it.
+
+``padsum.cli`` parses the arguments and imports the module of
+``padsum.commands`` that runs the command, so a command runs only its own
+code: ``verify ode`` runs ``kernel``, ``poly`` and ``fps``;
+``verify telescope`` runs ``kernel``, ``poly`` and ``telescope``;
+``tables``, ``seq`` and ``seq-compare`` run ``kernel``, ``poly`` and
+``tables``; ``verify finite`` adds ``series`` and ``telescope`` (which
+``series`` binds) to those, and ``verify padic`` adds ``padic`` as well.
 """
 
 import importlib.util
@@ -33,7 +37,7 @@ import sys
 
 __version__ = "0.1.0"
 
-for _name in ("kernel", "poly", "padic", "tables", "series", "fps"):
+for _name in ("kernel", "poly", "padic", "tables", "series", "telescope", "fps"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

@@ -1,12 +1,16 @@
 """The factorial series F(x) = sum_n n! P(n) x^n and residual checks for
 the differential equations it satisfies.
 
-A truncation of F is an exact polynomial, so it is a ``RatPoly`` and every
-operator applies to it exactly.  The checks then decide which degrees of a
-residual are genuine and which are truncation artifacts.  Artifacts are
-whitelisted by explicit degree and pinned to their exact values, never
-judged by magnitude: with exact arithmetic any unexpected nonzero
-coefficient is a bug, not noise.
+A truncation of F is an exact polynomial, so it is a ``RatPoly`` and
+every operator applies to it exactly.  The arithmetic runs on
+coefficient lists, through ``poly._horner``, ``poly._derivative`` and
+``poly._add_product``, and one ``RatPoly`` is built per result: a
+residual builds neither the series nor the operator's polynomials as
+objects.  The checks then decide which degrees of a residual are genuine
+and which are truncation artifacts.  Artifacts are whitelisted by
+explicit degree and pinned to their exact values, never judged by
+magnitude: with exact arithmetic any unexpected nonzero coefficient is a
+bug, not noise.
 """
 
 from __future__ import annotations
@@ -14,24 +18,35 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .kernel import _at_least, factorial
-from .poly import RatPoly, Scalar
+from .poly import RatPoly, Scalar, _add_product, _derivative, _horner
+
+
+def _series_coeffs(poly_coeffs, order: int) -> list:
+    """c_n = n! * P(n) for n = 0..order, P given by its coefficients."""
+    return [factorial(n) * _horner(poly_coeffs, n) for n in range(order + 1)]
+
+
+def _apply(coeffs, terms) -> list:
+    """sum_i q_i * d^(d_i) f on coefficient lists: ``coeffs`` are f's, and
+    ``terms`` holds (q_i's coefficients, d_i)."""
+    derivatives = [coeffs]
+    for _ in range(max((d for _, d in terms), default=0)):
+        derivatives.append(_derivative(derivatives[-1]))
+    total: list = []
+    for q, d in terms:
+        _add_product(total, q, derivatives[d])
+    return total
 
 
 def factorial_series(poly: RatPoly, order: int) -> RatPoly:
     """The truncation sum_{n<=order} n! P(n) x^n of F: c_n = n! * P(n)."""
     _at_least("order", order, 0)
-    return RatPoly(factorial(n) * poly(n) for n in range(order + 1))
+    return RatPoly(_series_coeffs(poly.coeffs, order))
 
 
 def apply_diff_operator(series: RatPoly, terms: Sequence[tuple[RatPoly, int]]) -> RatPoly:
     """Apply sum_i q_i(x) * d^(d_i)/dx^(d_i) to a polynomial, exactly."""
-    derivatives = [series]
-    for _ in range(max((d for _, d in terms), default=0)):
-        derivatives.append(derivatives[-1].derivative())
-    total = RatPoly.zero()
-    for q, d in terms:
-        total = total + q * derivatives[d]
-    return total
+    return RatPoly(_apply(series.coeffs, [(q.coeffs, d) for q, d in terms]))
 
 
 def first_order_residual(order: int) -> RatPoly:
@@ -42,8 +57,9 @@ def first_order_residual(order: int) -> RatPoly:
     (order+1)! at degree order+1.  Requires order >= 2.
     """
     _at_least("order", order, 2)
-    series = factorial_series(RatPoly.one(), order)
-    return apply_diff_operator(series, [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]) + 1
+    residual = _apply(_series_coeffs((1,), order), [((0, 0, 1), 1), ((-1, 1), 0)])
+    residual[0] += 1
+    return RatPoly(residual)
 
 
 def second_order_residual(order: int) -> RatPoly:
@@ -55,10 +71,8 @@ def second_order_residual(order: int) -> RatPoly:
     Requires order >= 3.
     """
     _at_least("order", order, 3)
-    series = factorial_series(RatPoly.one(), order)
-    return apply_diff_operator(
-        series, [(RatPoly.monomial(2), 2), (RatPoly((-1, 3)), 1), (RatPoly.one(), 0)]
-    )
+    operator = [((0, 0, 1), 2), ((-1, 3), 1), ((1,), 0)]
+    return RatPoly(_apply(_series_coeffs((1,), order), operator))
 
 
 class OdeCheck(NamedTuple):
@@ -73,9 +87,10 @@ class OdeCheck(NamedTuple):
 def _verdict(residual: RatPoly, expected: dict[int, Scalar]) -> OdeCheck:
     """Every coefficient must vanish except at the artifact degrees in
     ``expected``, which must equal their expected values."""
-    degrees = range(max(residual.degree, *expected) + 1)
-    bad = next((d for d in degrees if residual.coeff(d) != expected.get(d, 0)), None)
-    return OdeCheck(bad is None, bad, {d: residual.coeff(d) for d in expected})
+    coeffs = residual.coeffs
+    coeffs += (0,) * (max(expected) + 1 - len(coeffs))
+    bad = next((d for d, c in enumerate(coeffs) if c != expected.get(d, 0)), None)
+    return OdeCheck(bad is None, bad, {d: coeffs[d] for d in expected})
 
 
 def check_first_order_ode(order: int) -> OdeCheck:

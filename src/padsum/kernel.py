@@ -1,11 +1,14 @@
-"""Exact integer primitives: factorials, rising blocks, digit sums;
-``Record``, the immutable base of the records that check their fields; and
-two things the command line reads without loading ``tables``: ``_dumps``,
-the JSON style of every file padsum writes, and ``SEQUENCE_IDS``, the ids
-of the named sequences.
+"""Exact integer primitives: factorials, rising blocks, digit sums, and
+``_quotient``, the one division of two ints; ``Record``, the immutable base
+of the records that check their fields; what ``series`` and ``telescope``
+both report, without loading each other: ``PartialSumResult``, a checked
+instance of a finite identity, and ``VerificationError``, raised by
+``_failure`` when its residual is nonzero; and two things the command line
+reads without loading ``tables``: ``_dumps``, the JSON style of every file
+padsum writes, and ``SEQUENCE_IDS``, the ids of the named sequences.
 
 ``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
-here so that ``fps`` and ``series`` resolve it through one module.
+here so that ``fps`` and ``telescope`` resolve it through one module.
 ``_at_least`` is the package's one floor check: ``{name} must be >= {floor}, got {value}``.
 
 Every function here is pure and exact, and the module holds no state.
@@ -18,7 +21,9 @@ division happens.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 _setattr = object.__setattr__  # the one way past Record.__setattr__
 
@@ -50,6 +55,11 @@ def _at_least(name: str, value: int, floor: int) -> None:
     """ValueError ``{name} must be >= {floor}, got {value}`` when value < floor."""
     if value < floor:
         raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
+def _quotient(num: int, den: int) -> Fraction | int:
+    """num / den exactly: an int when den is 1, else a Fraction."""
+    return num if den == 1 else Fraction(num, den)
 
 
 def rising_block(base: int, width: int, power: int) -> int:
@@ -119,3 +129,33 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
     __delattr__ = __setattr__
+
+
+class VerificationError(RuntimeError):
+    """An identity that must hold exactly has a nonzero residual."""
+
+    def __init__(self, message: str, result: "PartialSumResult | None" = None):
+        super().__init__(message)
+        self.result = result
+
+
+class PartialSumResult(NamedTuple):
+    """One checked instance of a finite summation identity.
+
+    The invariant under test is value = rhs_constant + boundary, exactly;
+    ``residual`` is the difference and must be zero.
+    """
+
+    n_terms: int
+    value: Fraction
+    rhs_constant: Fraction
+    boundary: Fraction
+
+    @property
+    def residual(self) -> Fraction:
+        return self.value - self.rhs_constant - self.boundary
+
+
+def _failure(result: PartialSumResult, what: str, where: str) -> VerificationError:
+    """The error for a record whose residual is nonzero, naming its operands."""
+    return VerificationError(f"{what} residual {result.residual} != 0 at {where}", result)

@@ -187,8 +187,9 @@ def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: in
     x**(alpha*n + beta) converges p-adically iff v_p(x) > -S/((p-1)*alpha)
     with S = ``mu_lambda_sum`` = sum(mu_i * lambda_i).  The threshold is
     exclusive, and it is <= 0, so every integer x (valuation >= 0) lies in
-    the domain whenever S >= 1.
+    the domain whenever S >= 1.  alpha < 1 raises ``ValueError``.
     """
+    _at_least("alpha", alpha, 1)
     threshold = Fraction(-mu_lambda_sum, (p - 1) * alpha)
     if not val_rat(x, p) > threshold:
         raise ConvergenceDomainError(x, p, threshold)

@@ -14,9 +14,10 @@ to end and a ``Fraction`` appears only where an input is fractional or a
 division happens.  Floats and ``bool`` values are refused.
 
 Storage is dense, as degrees stay small (a few hundred at most).  Horner
-evaluation and shifted accumulation, ``_horner`` and ``_add_shifted``, are
-written once, here, for both layers and for the integer rows of ``tables``
-and ``series``.
+evaluation, shifted accumulation, products and derivatives, ``_horner``,
+``_add_shifted``, ``_add_product`` and ``_derivative``, are written once,
+here, on coefficient lists: for both layers, for the integer rows of
+``tables`` and ``series``, and for the truncated series of ``fps``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def _exact_scalar(c) -> Scalar:
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
+def _exact(value) -> Scalar:
+    """``value`` as an int when its denominator is 1.  The only place that
+    normalises; ``_exact_scalar`` is the type gate that rejects floats."""
+    value = _exact_scalar(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _sign(eps) -> int:
     """``eps`` if it is the int +1 or -1 (not ``True``, ``1.0``, ...); else ValueError."""
     if type(eps) is not int or eps not in (1, -1):
@@ -51,12 +59,24 @@ def _add_shifted(acc: list, coeffs, scale: Scalar, shift: int = 0) -> None:
         acc[i] += scale * c
 
 
+def _add_product(acc: list, coeffs, other) -> None:
+    """acc += coeffs * other, the product of two polynomials, on coefficient lists."""
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            _add_shifted(acc, other, c, i)
+
+
 def _horner(coeffs, t, total=0):
     """The polynomial with ``coeffs`` (lowest degree first) at t, by Horner's
     rule; ``total`` is the value of an empty list (``RatPoly.zero()`` for a polynomial)."""
     for c in reversed(coeffs):
         total = total * t + c
     return total
+
+
+def _derivative(coeffs) -> tuple:
+    """The coefficients of the derivative of the polynomial with ``coeffs``."""
+    return tuple(i * c for i, c in enumerate(coeffs[1:], 1))
 
 
 def _power(var: str, i: int) -> str:
@@ -169,9 +189,7 @@ class RatPoly(Record):
         if not isinstance(other, RatPoly):
             return NotImplemented
         out: list = []
-        for i, a in enumerate(self.coeffs):
-            if a != 0:
-                _add_shifted(out, other.coeffs, a, i)
+        _add_product(out, self.coeffs, other.coeffs)
         return RatPoly(out)
 
     __rmul__ = __mul__
@@ -192,7 +210,7 @@ class RatPoly(Record):
         return _horner(self.coeffs, RatPoly((delta, 1)), RatPoly.zero())
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])))
+        return RatPoly(_derivative(self.coeffs))
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""

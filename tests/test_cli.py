@@ -15,6 +15,7 @@ import pytest
 import padsum.cli
 import padsum.fps
 import padsum.series
+import padsum.telescope
 from padsum.cli import (
     BFileError,
     build_parser,
@@ -184,12 +185,23 @@ def test_cli_import_loads_no_hashlib():
     assert done.returncode == 0, done.stderr
 
 
+# the module of padsum.commands that runs each command family
+COMMANDS = {f"commands.{name}" for name in
+            ("tables", "verify_finite", "verify_padic", "verify_telescope", "verify_ode")}
+
 # (argv, a module it runs, the modules it must leave unexecuted); "" is the import alone
 COMMAND_MODULES = [
-    ("", "cli", {"tables", "series", "padic", "fps"}),
-    ("verify ode --nmax 5", "fps", {"series", "tables", "padic"}),
-    ("verify telescope --count 2 --nmax 4", "series", {"tables", "padic", "fps"}),
-    ("tables --kmax 2", "tables", {"series", "padic", "fps"}),
+    ("", "cli", {"tables", "series", "telescope", "padic", "fps", "commands", *COMMANDS}),
+    ("verify ode --nmax 5", "fps",
+     {"series", "telescope", "tables", "padic", *COMMANDS - {"commands.verify_ode"}}),
+    ("verify telescope --count 2 --nmax 4", "telescope",
+     {"series", "tables", "padic", "fps", *COMMANDS - {"commands.verify_telescope"}}),
+    ("tables --kmax 2", "tables",
+     {"series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
+    ("verify finite --kmax 1 --nmax 2", "series",
+     {"padic", "fps", *COMMANDS - {"commands.verify_finite"}}),
+    ("verify padic --kmax 1 --nmax 3 --primes 3", "padic",
+     {"fps", *COMMANDS - {"commands.verify_padic"}}),
 ]
 
 
@@ -308,6 +320,23 @@ def test_io_errors_exit_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("under_file", ["--out", "--cache-dir"])
+def test_directory_under_a_file_is_refused_before_the_build(under_file, tmp_path, monkeypatch,
+                                                            capsys):
+    def unreachable(*args):
+        raise AssertionError("the tables were built")
+
+    monkeypatch.setattr(TableSet, "build", staticmethod(unreachable))
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    dirs = {"--out": tmp_path / "out", "--cache-dir": tmp_path / "cache"}
+    dirs[under_file] = regular / "dir"
+    assert run(["tables", "--kmax", 60, *(a for pair in dirs.items() for a in pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_tables_without_cache_dir_writes_nothing_else(tmp_path, monkeypatch, capsys):
     # no default cache directory: neither HOME nor the old variable picks one
     home = tmp_path / "home"
@@ -368,9 +397,10 @@ def test_verify_suites_exit_zero(capsys):
     ],
 )
 def test_pass_lines_count_what_the_engine_ran(argv, counted, monkeypatch, capsys):
-    # every step loop in series stops two short of its flag: the PASS lines
+    # every step loop in series and telescope stops two short of its flag: the PASS lines
     # print what the engine checked, not what the flags asked for
-    monkeypatch.setattr(padsum.series, "range", lambda *args: range(*args)[:-2], raising=False)
+    for module in (padsum.series, padsum.telescope):
+        monkeypatch.setattr(module, "range", lambda *args: range(*args)[:-2], raising=False)
     assert run(argv.split()) == 0
     assert counted in capsys.readouterr().out
 
@@ -882,3 +912,7 @@ def test_parse_bfile_rules():
         parse_bfile("0 1\n0 2\n")  # indices must increase
     with pytest.raises(BFileError):
         parse_bfile("0 x\n")
+    # int() reads an underscore and other scripts' digits; a b-file holds neither
+    for text, line in (("1 1_0\n", 1), ("1 1\n2 \u0663\n", 2)):
+        with pytest.raises(BFileError, match=f"^line {line}: non-integer entry"):
+            parse_bfile(text)

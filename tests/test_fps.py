@@ -1,6 +1,7 @@
 """The truncated factorial series and its ODE residuals."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 import padsum.fps
 from padsum.fps import (
@@ -100,3 +101,25 @@ def test_order_bookkeeping():
         first_order_residual(1)
     with pytest.raises(ValueError):
         second_order_residual(2)
+
+
+def _reference_operator(series, terms):
+    """sum_i q_i * d^(d_i) series in RatPoly arithmetic, the reference for
+    the coefficient-list version."""
+    derivatives = [series]
+    for _ in range(max((d for _, d in terms), default=0)):
+        derivatives.append(derivatives[-1].derivative())
+    total = RatPoly.zero()
+    for q, d in terms:
+        total = total + q * derivatives[d]
+    return total
+
+
+_SCALARS = st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=7))
+_POLYS = st.lists(_SCALARS, max_size=8).map(RatPoly)
+
+
+@given(series=_POLYS, terms=st.lists(st.tuples(_POLYS, st.integers(0, 3)), max_size=4))
+def test_apply_diff_operator_matches_ratpoly_arithmetic(series, terms):
+    assert apply_diff_operator(series, terms) == _reference_operator(series, terms)
+

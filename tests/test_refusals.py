@@ -8,7 +8,7 @@ import pytest
 
 from padsum.fps import factorial_series, first_order_residual, second_order_residual
 from padsum.kernel import digit_sum, rising_block
-from padsum.padic import PadicApprox, Prime, Valuation, expand, val_factorial
+from padsum.padic import PadicApprox, Prime, Valuation, expand, require_convergence, val_factorial
 from padsum.poly import RatPoly
 from padsum.series import (
     SeriesSpec,
@@ -53,6 +53,8 @@ REFUSALS = {
     "SeriesSpec k": (lambda: SeriesSpec(1, 1, k=0), ValueError, "k must be >= 1, got 0"),
     "TelescopeSpec alpha": (lambda: telescope(alpha=0), ValueError, "alpha must be >= 1, got 0"),
     "TelescopeSpec beta": (lambda: telescope(beta=-1), ValueError, "beta must be >= 0, got -1"),
+    "require_convergence alpha": (lambda: require_convergence(1, Prime(2), 0, 1),
+                                  ValueError, "alpha must be >= 1, got 0"),
     "telescope_sweep": (lambda: telescope_sweep(telescope(), 0),
                         ValueError, "n_max must be >= 1, got 0"),
     "gen_poly_table": (lambda: gen_poly_table(-1, 1), ValueError, "kmax must be >= 0, got -1"),

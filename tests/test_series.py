@@ -403,6 +403,41 @@ def test_construct_telescope_poly_generates_matching_summand():
             assert poly(n) == bracket
 
 
+def reference_term(spec, n):
+    """The n-th term in Fraction arithmetic, the reference for the integer one."""
+    bracket = spec.block_product(n) * spec.aux(n + 1) * spec.x**spec.alpha - spec.eps * spec.aux(n)
+    return spec.eps**n * spec.factorial_product(n) * bracket * spec.x ** (spec.alpha * n + spec.beta)
+
+
+def reference_boundary(spec, n):
+    power = spec.x ** (spec.alpha * n + spec.beta)
+    return spec.eps ** (n - 1) * spec.factorial_product(n) * spec.aux(n) * power
+
+
+@st.composite
+def telescope_specs(draw):
+    factors = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2))
+    nu = tuple(draw(st.integers(min_value=max(1 - m, -2), max_value=2)) for m in factors)
+    lam = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=len(factors),
+                        max_size=len(factors)).filter(any))
+    aux = draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=4))
+    x = Fraction(draw(st.integers(min_value=-5, max_value=5)),
+                 draw(st.sampled_from([1, 2, 3, 4, 7])))
+    return TelescopeSpec(mu=tuple(factors), nu=nu, lam=tuple(lam),
+                         alpha=draw(st.integers(min_value=1, max_value=3)),
+                         beta=draw(st.integers(min_value=0, max_value=2)),
+                         eps=draw(st.sampled_from([1, -1])), x=x, aux=RatPoly(aux))
+
+
+@given(spec=telescope_specs(), n=st.integers(min_value=1, max_value=12))
+def test_telescope_values_match_fraction_formulas(spec, n):
+    for value, expected in ((spec.term(n), reference_term(spec, n)),
+                            (spec.boundary(n), reference_boundary(spec, n))):
+        assert value == expected
+        if type(spec.x) is int:  # an integer x keeps every value an int
+            assert type(value) is int
+
+
 def test_padic_sum_verify_true_and_false_claims(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), k=1)
     verdict = padic_sum_verify(series_error_profile(spec, Fraction(-1), 80, tables_plus), Prime(2))

@@ -48,6 +48,7 @@ def test_traced_warm_read_runs_the_checks(tmp_path):
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
     counts = json.loads(stats.read_text())["counts"]
+    assert counts["cli.load_or_build_bundle"] == 1  # the tables command's call is traced
     assert counts["tables.TableSet.build"] == 0  # a cache hit for the benchmark
     assert counts["tables.recurrence_residuals"] == 1  # the cached A was checked
 
