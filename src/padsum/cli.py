@@ -307,4 +307,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under ``-m``, so that the command modules' ``from .. import cli`` finds
+    # this module rather than running cli.py again
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

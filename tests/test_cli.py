@@ -225,6 +225,27 @@ def test_a_command_executes_only_its_modules(argv, runs, skips, tmp_path):
     assert not executed & skips, f"{argv or 'import'} executed {sorted(executed & skips)}"
 
 
+def test_python_m_runs_cli_once(tmp_path):
+    # ``-m`` runs cli.py as __main__; a command module's ``from .. import cli``
+    # must find that module, not run cli.py a second time as padsum.cli
+    code = (
+        "import runpy, sys\n"
+        "runs = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec'\n"
+        "                 and args[0].co_filename.endswith('cli.py') and runs.append(1))\n"
+        "try:\n"
+        "    runpy.run_module('padsum.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(len(runs), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, "verify", "ode", "--nmax", "5"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS ode: ")
+    assert done.stderr == "1\n"
+
+
 def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):
     # a float coefficient in a warm entry must not reach the text renderer
     out, cache = dirs
@@ -755,6 +776,7 @@ def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
         raise AssertionError("verify finite built a Fraction")
 
     monkeypatch.setattr(padsum.series, "Fraction", refuse)
+    monkeypatch.setattr(padsum.series, "_quotient", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("PASS finite: ")
 
