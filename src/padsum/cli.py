@@ -40,7 +40,10 @@ FINITE_X_SET = (
     Fraction(-2, 3),
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# a number on the command line or in a b-file: ASCII digits after an optional
+# sign; int() and Fraction() also read "1_0", " 5", "1\n" and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"{_INTEGER.pattern}(?:/[0-9]+)?")
 
 
 class BFileError(ValueError):
@@ -50,7 +53,7 @@ class BFileError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Exact rational literal: 'p' or 'p/q' with q != 0.  Decimal floats
     are refused."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
         )
@@ -68,13 +71,23 @@ def parse_eps(text: str) -> int:
     raise argparse.ArgumentTypeError(f"eps must be +1 or -1, got {text!r}")
 
 
+def _int(text: str) -> int:
+    """An argparse ``type=``: ``text`` as an int, when it matches ``_INTEGER``."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")  # argparse's own wording
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _in_range(floor: int, cap: int):
     """An argparse ``type=``: an int from ``floor`` to ``cap``.  Every flag that
     sizes a run's work has one: the floor is the least value that runs a check,
     and the cap is sized so that the flag at its cap (the others at their
     defaults) runs in seconds; outside, argparse exits 2 before any work."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if value < floor:
             raise argparse.ArgumentTypeError(f"{value} is under the floor of {floor}")
         if value > cap:
@@ -159,9 +172,7 @@ def _failed(
 def cmd_verify(args) -> int:
     runs = [args]
     if args.suite == "all":  # each suite on the namespace its own parser gives with no flags
-        parser = build_parser()
-        runs = [parser.parse_args(["verify", suite, "--format", args.format])
-                for suite in ("finite", "telescope", "padic", "ode")]
+        runs = [parser.parse_args(["--format", args.format]) for parser in args.suites]
     # exact results print in full, whatever their length; the arguments were parsed under
     # the interpreter's int-to-str digit limit, and no suite reads a file
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (CPython < 3.10.7)
@@ -198,10 +209,7 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
-            # ASCII digits alone: int() also reads "1_0" and other scripts' digits
-            if not all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
-                raise ValueError
-            index, value = int(parts[0]), int(parts[1])
+            index, value = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise BFileError(f"line {lineno}: non-integer entry in {raw!r}") from None
         if last_index is not None and index <= last_index:
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_telescope.add_argument("--nmax", type=_in_range(1, 500), default=15)
     p_telescope.add_argument("--count", type=_in_range(0, 1000), default=20,
                              help="random telescoping specs")
-    p_telescope.add_argument("--seed", type=int, default=0)
+    p_telescope.add_argument("--seed", type=_int, default=0)
     p_padic = add_suite("padic", "claimed sums against exact p-adic remainders",
                         formats=("text", "json", "csv"))
     p_padic.add_argument("--kmax", type=_in_range(1, 60), default=None,
@@ -275,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="digits shown for p-adic expansions in reports")
     p_ode = add_suite("ode", "ODE residuals of sum n! x^n")
     p_ode.add_argument("--nmax", type=_in_range(3, 500), default=50)
-    add_suite("all", "every suite on its defaults")
+    add_suite("all", "every suite on its defaults").set_defaults(
+        suites=(p_finite, p_telescope, p_padic, p_ode))
 
     p_seq = sub.add_parser("seq", help="emit a named integer sequence")
     p_seq.add_argument("id", choices=sorted(SEQUENCE_IDS))

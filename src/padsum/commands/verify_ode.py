@@ -3,7 +3,7 @@ report of the first that fails."""
 
 from __future__ import annotations
 
-from .. import cli, fps
+from .. import fps
 
 
 def _ode_report(check: str, order: int, result: fps.OdeCheck) -> dict:

@@ -1,29 +1,23 @@
-"""The factorial series F(x) = sum_n n! P(n) x^n and residual checks for
-the differential equations it satisfies.
+"""The factorial series F(x) = sum_n n! x^n and residual checks for the
+two differential equations it satisfies.
 
-A truncation of F is an exact polynomial, so it is a ``RatPoly`` and
-every operator applies to it exactly.  The arithmetic runs on
-coefficient lists, through ``poly._horner``, ``poly._derivative`` and
-``poly._add_product``, and one ``RatPoly`` is built per result: a
-residual builds neither the series nor the operator's polynomials as
-objects.  The checks then decide which degrees of a residual are genuine
-and which are truncation artifacts.  Artifacts are whitelisted by
-explicit degree and pinned to their exact values, never judged by
-magnitude: with exact arithmetic any unexpected nonzero coefficient is a
-bug, not noise.
+A truncation of F is an exact polynomial, and its coefficients are the
+factorials themselves.  Each residual applies its operator to them on
+coefficient lists, through ``poly._derivative`` and
+``poly._add_product``, and builds one ``RatPoly``, the result: it builds
+neither the series nor the operator's polynomials as objects.  The
+checks then decide which degrees of a residual are genuine and which are
+truncation artifacts.  Artifacts are whitelisted by explicit degree and
+pinned to their exact values, never judged by magnitude: with exact
+arithmetic any unexpected nonzero coefficient is a bug, not noise.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .kernel import _at_least, factorial
-from .poly import RatPoly, Scalar, _add_product, _derivative, _horner
-
-
-def _series_coeffs(poly_coeffs, order: int) -> list:
-    """c_n = n! * P(n) for n = 0..order, P given by its coefficients."""
-    return [factorial(n) * _horner(poly_coeffs, n) for n in range(order + 1)]
+from .poly import RatPoly, Scalar, _add_product, _derivative
 
 
 def _apply(coeffs, terms) -> list:
@@ -38,17 +32,6 @@ def _apply(coeffs, terms) -> list:
     return total
 
 
-def factorial_series(poly: RatPoly, order: int) -> RatPoly:
-    """The truncation sum_{n<=order} n! P(n) x^n of F: c_n = n! * P(n)."""
-    _at_least("order", order, 0)
-    return RatPoly(_series_coeffs(poly.coeffs, order))
-
-
-def apply_diff_operator(series: RatPoly, terms: Sequence[tuple[RatPoly, int]]) -> RatPoly:
-    """Apply sum_i q_i(x) * d^(d_i)/dx^(d_i) to a polynomial, exactly."""
-    return RatPoly(_apply(series.coeffs, [(q.coeffs, d) for q, d in terms]))
-
-
 def first_order_residual(order: int) -> RatPoly:
     """Residual of x^2 F' + (x - 1) F + 1 for F = sum_{n<=order} n! x^n.
 
@@ -57,7 +40,7 @@ def first_order_residual(order: int) -> RatPoly:
     (order+1)! at degree order+1.  Requires order >= 2.
     """
     _at_least("order", order, 2)
-    residual = _apply(_series_coeffs((1,), order), [((0, 0, 1), 1), ((-1, 1), 0)])
+    residual = _apply([factorial(n) for n in range(order + 1)], [((0, 0, 1), 1), ((-1, 1), 0)])
     residual[0] += 1
     return RatPoly(residual)
 
@@ -72,7 +55,7 @@ def second_order_residual(order: int) -> RatPoly:
     """
     _at_least("order", order, 3)
     operator = [((0, 0, 1), 2), ((-1, 3), 1), ((1,), 0)]
-    return RatPoly(_apply(_series_coeffs((1,), order), operator))
+    return RatPoly(_apply([factorial(n) for n in range(order + 1)], operator))
 
 
 class OdeCheck(NamedTuple):

@@ -21,9 +21,8 @@ costs no gcd.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Container, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import padic
 from .kernel import PartialSumResult, Record, VerificationError, _at_least, _failure, _quotient
@@ -38,7 +37,10 @@ from .telescope import (  # noqa: F401
     telescope_sweep,
 )
 
-if TYPE_CHECKING:  # annotations only: series loads neither module
+if TYPE_CHECKING:  # annotations only: series loads neither module, nor calls these
+    from fractions import Fraction
+    from typing import Container, Iterator
+
     from .padic import Prime
     from .tables import TableSet
 

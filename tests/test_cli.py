@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 import padsum.cli
 import padsum.fps
+import padsum.kernel
 import padsum.series
 import padsum.telescope
 from padsum.cli import (
@@ -239,10 +241,11 @@ def test_python_m_runs_cli_once(tmp_path):
         "    print(len(runs), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", code, "verify", "ode", "--nmax", "5"],
+    argv = ["verify", "telescope", "--count", "1", "--nmax", "2"]
+    done = subprocess.run([sys.executable, "-c", code, *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("PASS ode: ")
+    assert done.stdout.startswith("PASS telescope: ")
     assert done.stderr == "1\n"
 
 
@@ -459,6 +462,22 @@ def test_verify_all_runs_the_defaults(capsys):
         assert limits in out
 
 
+def test_verify_all_builds_the_parsers_once(monkeypatch, capsys):
+    # padsum, tables, verify and its five suites, seq and seq-compare: the suites
+    # run on the namespaces of the suite parsers this parse built
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["verify", "all"]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 4
+    assert len(built) == 10
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -626,6 +645,14 @@ OVER_CAP = [
     # flags whose type checks more than a range: a sign, and a list of primes
     ("verify padic --eps 2", "--eps: eps must be +1 or -1, got '2'"),
     ("verify padic --primes 4", "--primes: not a prime: 4 = 2 * 2"),
+    # a number is ASCII digits after an optional sign; int() and Fraction() read more
+    ("verify finite --kmax 1_0", "--kmax: invalid int value: '1_0'"),
+    ("verify ode --nmax ' 5'", "--nmax: invalid int value: ' 5'"),
+    ("verify telescope --seed 1_0", "--seed: invalid int value: '1_0'"),
+    ("verify padic --primes ,2", "--primes: invalid int value: ''"),
+    ("verify padic --x \u0663", "--x: exact rational 'p' or 'p/q' required, got '\u0663'"),
+    ("verify padic --claim=-1 --x '1\n'",
+     "--x: exact rational 'p' or 'p/q' required, got '1\\n'"),
 ]
 
 
@@ -642,7 +669,7 @@ def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monke
     monkeypatch.setattr(padsum.padic, "Prime",
                         lambda p: prime(p) if 2 <= p <= 10**12 else unreachable())
     with pytest.raises(SystemExit) as exc:
-        run(argv.split())
+        run(shlex.split(argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -775,7 +802,7 @@ def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("verify finite built a Fraction")
 
-    monkeypatch.setattr(padsum.series, "Fraction", refuse)
+    monkeypatch.setattr(padsum.kernel, "Fraction", refuse)
     monkeypatch.setattr(padsum.series, "_quotient", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("PASS finite: ")

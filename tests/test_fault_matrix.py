@@ -19,6 +19,7 @@ from padsum.cli import main
 
 FACTORIAL, RISING_BLOCK = kernel.factorial, kernel.rising_block
 ADD_SHIFTED, HORNER = poly._add_shifted, poly._horner
+ADD_PRODUCT, DERIVATIVE = poly._add_product, poly._derivative
 
 
 def _add_unshifted(acc, coeffs, scale, shift=0):
@@ -33,6 +34,15 @@ def _horner_at_t_plus_1(coeffs, t, *start):
     return HORNER(coeffs, t + 1, *start)
 
 
+def _add_product_short(acc, coeffs, other):
+    ADD_PRODUCT(acc, coeffs[:-1], other)
+
+
+def _derivative_top_unscaled(coeffs):
+    derivative = DERIVATIVE(coeffs)
+    return (*derivative[:-1], coeffs[-1]) if derivative else derivative
+
+
 TABLE_READERS = {"finite", "padic", "tables"}  # the commands that build checked tables
 
 # fault: (original, replacement, the commands that must fail besides ``verify all``)
@@ -43,6 +53,8 @@ FAULTS = {
     "_add_shifted ignores shift": (ADD_SHIFTED, _add_unshifted, TABLE_READERS | {"ode"}),
     "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, TABLE_READERS | {"ode"}),
     "_horner at t + 1": (HORNER, _horner_at_t_plus_1, TABLE_READERS),
+    "_add_product drops a last term": (ADD_PRODUCT, _add_product_short, {"ode"}),
+    "_derivative top unscaled": (DERIVATIVE, _derivative_top_unscaled, {"ode"}),
 }
 
 CASES = [(fault, cmd) for fault, (_, _, cmds) in FAULTS.items() for cmd in sorted(cmds | {"all"})]

@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 
 import padsum.fps
 from padsum.fps import (
-    apply_diff_operator,
+    _apply,
     check_first_order_ode,
     check_second_order_ode,
-    factorial_series,
     first_order_residual,
     second_order_residual,
 )
@@ -16,25 +15,17 @@ from padsum.kernel import factorial
 from padsum.poly import RatPoly
 
 
-def test_factorial_series_coefficients():
-    assert factorial_series(RatPoly.one(), 3).coeffs == (1, 1, 2, 6)
-    assert factorial_series(RatPoly.monomial(1), 3).coeffs == (0, 1, 4, 18)
-    # termwise oracle: n! * (n^2 + 1) for n = 0, 1, 2
-    assert factorial_series(RatPoly((1, 0, 1)), 2).coeffs == (1, 2, 10)
+FIRST_ORDER = [((0, 0, 1), 1), ((-1, 1), 0)]  # x^2 d/dx + (x - 1), on coefficient lists
+SECOND_ORDER = [((0, 0, 1), 2), ((-1, 3), 1), ((1,), 0)]  # x^2 d^2/dx^2 + (3x - 1) d/dx + 1
 
 
-def test_series_ratio_invariant():
-    poly = RatPoly((1, -3, 1))  # n^2 - 3n + 1, nonzero away from its roots
-    series = factorial_series(poly, 12)
-    for n in range(12):
-        if poly(n) != 0 and poly(n + 1) != 0:
-            assert series.coeff(n + 1) / series.coeff(n) == (n + 1) * poly(n + 1) / poly(n)
+def _factorials(order):
+    return [factorial(n) for n in range(order + 1)]
 
 
 def test_derivative_of_plain_factorial_series():
     # (n+1)! shifted down: 1, 4, 18, 96
-    derivative = factorial_series(RatPoly.one(), 5).derivative()
-    assert derivative.coeffs[:4] == (1, 4, 18, 96)
+    assert _apply(_factorials(5), [((1,), 1)])[:4] == [1, 4, 18, 96]
 
 
 def test_first_order_residual_structure():
@@ -46,11 +37,9 @@ def test_first_order_residual_structure():
 def test_first_order_residual_detects_corruption():
     # corrupt c_2 from 2 to 3; the residual coefficient m*c_{m-1} - c_m at
     # degree 2 becomes 2*1 - 3 = -1
-    coeffs = [factorial(n) for n in range(6)]
+    coeffs = _factorials(5)
     coeffs[2] = 3
-    terms = [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]
-    residual = apply_diff_operator(RatPoly(coeffs), terms) + 1
-    assert residual.coeff(2) == -1
+    assert _apply(coeffs, FIRST_ORDER)[2] == -1
 
 
 def test_second_order_residual_structure():
@@ -62,12 +51,8 @@ def test_second_order_residual_structure():
 
 def test_second_order_rejects_wrong_series():
     # F = sum n! n x^n does not satisfy the homogeneous equation
-    wrong = factorial_series(RatPoly.monomial(1), 6)
-    residual = apply_diff_operator(
-        wrong,
-        [(RatPoly.monomial(2), 2), (RatPoly((-1, 3)), 1), (RatPoly.one(), 0)],
-    )
-    assert residual.coeff(0) != 0 or residual.coeff(1) != 0
+    residual = _apply([n * c for n, c in enumerate(_factorials(6))], SECOND_ORDER)
+    assert residual[0] != 0 or residual[1] != 0
 
 
 def test_ode_checks_over_a_range():
@@ -89,11 +74,10 @@ def test_second_order_artifacts_are_pinned(monkeypatch, offset):
 
 
 def test_operator_linearity():
-    terms = [(RatPoly.monomial(2), 1), (RatPoly((-1, 1)), 0)]
-    f = factorial_series(RatPoly.one(), 8)
-    g = factorial_series(RatPoly.monomial(1), 8)
-    lhs = apply_diff_operator(3 * f + 2 * g, terms)
-    assert lhs == 3 * apply_diff_operator(f, terms) + 2 * apply_diff_operator(g, terms)
+    f = _factorials(8)
+    g = [n * c for n, c in enumerate(f)]
+    lhs = _apply([3 * a + 2 * b for a, b in zip(f, g)], FIRST_ORDER)
+    assert lhs == [3 * a + 2 * b for a, b in zip(_apply(f, FIRST_ORDER), _apply(g, FIRST_ORDER))]
 
 
 def test_order_bookkeeping():
@@ -121,5 +105,6 @@ _POLYS = st.lists(_SCALARS, max_size=8).map(RatPoly)
 
 @given(series=_POLYS, terms=st.lists(st.tuples(_POLYS, st.integers(0, 3)), max_size=4))
 def test_apply_diff_operator_matches_ratpoly_arithmetic(series, terms):
-    assert apply_diff_operator(series, terms) == _reference_operator(series, terms)
+    applied = _apply(series.coeffs, [(q.coeffs, d) for q, d in terms])
+    assert RatPoly(applied) == _reference_operator(series, terms)
 

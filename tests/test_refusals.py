@@ -6,7 +6,7 @@ The floor refusals share one wording, ``{name} must be >= {floor}, got
 
 import pytest
 
-from padsum.fps import factorial_series, first_order_residual, second_order_residual
+from padsum.fps import first_order_residual, second_order_residual
 from padsum.kernel import digit_sum, rising_block
 from padsum.padic import PadicApprox, Prime, Valuation, expand, require_convergence, val_factorial
 from padsum.poly import RatPoly
@@ -65,8 +65,6 @@ REFUSALS = {
     "bell_numbers": (lambda: bell_numbers(-1), ValueError, "kmax must be >= 0, got -1"),
     "diagonal_closed_form": (lambda: diagonal_closed_form(0), ValueError, "k must be >= 1, got 0"),
     "linear_closed_form": (lambda: linear_closed_form(0, 1), ValueError, "k must be >= 1, got 0"),
-    "factorial_series": (lambda: factorial_series(RatPoly.one(), -1),
-                         ValueError, "order must be >= 0, got -1"),
     "first_order_residual": (lambda: first_order_residual(1), ValueError, "order must be >= 2, got 1"),
     "second_order_residual": (lambda: second_order_residual(2),
                               ValueError, "order must be >= 3, got 2"),
