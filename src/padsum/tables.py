@@ -20,8 +20,14 @@ of A_kj(n), the x^j coefficient of A_k, so row k has exactly k+1 columns,
 and ``CorrectionPolys.us[k-1]`` / ``.vs[k-1]`` hold the coefficients in x
 of U_k / V_k.  Each coefficient list is a tuple of ints with no trailing
 zero.  ``poly(k)``, ``u_poly(k)`` and ``v_poly(k)`` build a fresh
-``GenPoly`` or ``RatPoly`` for the callers that want one.  Rows are summed
-and evaluated by ``poly._add_shifted`` and ``poly._horner``.
+``GenPoly`` or ``RatPoly`` for the callers that want one.
+
+The generator and the residual check work on one integer per column, its
+coefficient list evaluated at 2^w (``_pack`` and ``_unpack``).  The width
+w is set by a proved bound on the coefficients, so unpacking and the
+packed zero test are exact.  The correction recurrence sums rows by
+``poly._add_shifted``, and the pairs evaluate them by ``poly._horner``:
+these cross-check routes share no packing code with the generator.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .kernel import SEQUENCE_IDS, _at_least, _dumps
@@ -62,25 +69,75 @@ class GenPolyTable(NamedTuple):
         return GenPoly(self.eps, map(RatPoly, self.rows[k]))
 
 
+def _coefficient_bounds(kmax: int) -> list[int]:
+    """B_0..B_kmax, where B_0 = 1 and B_k = B_{k-1} + sum_{m=1}^{k} C(k+1, m) B_{k-m}.
+
+    By the triangle inequality on the recurrence of :class:`GenPolyTable`,
+    every coefficient of A_k is at most B_k in absolute value.
+    """
+    bounds = [1]
+    for k in range(1, kmax + 1):
+        bounds.append(bounds[k - 1] + sum(comb(k + 1, m) * bounds[k - m] for m in range(1, k + 1)))
+    return bounds
+
+
+def _width(bound: int) -> int:
+    """The least slot width w with bound < 2^(w-1)."""
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs, width: int) -> int:
+    """The polynomial with ``coeffs`` (lowest degree first) at 2^width, by
+    Horner's rule with shifts (``poly._horner``'s multiplications by
+    2^width cost over twice as much).
+
+    Packing is the evaluation map Z[n] -> Z at 2^width, so a packed linear
+    combination of columns equals the combination of their packed values.
+    When every coefficient has |c| < 2^(width-1), :func:`_unpack` recovers
+    the coefficients exactly, and a packed value is 0 only for the zero
+    polynomial.
+    """
+    total = 0
+    for c in reversed(coeffs):
+        total = (total << width) + c
+    return total
+
+
+def _unpack(value: int, width: int) -> tuple[int, ...]:
+    """The balanced base-2^width digits of ``value``, each in
+    [-2^(width-1), 2^(width-1)), lowest first and with no trailing zero."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    while value:
+        value += half
+        digits.append((value & mask) - half)
+        value >>= width
+    return tuple(digits)
+
+
 def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
     """Generate A_0..A_kmax by the column-by-column recurrence.
 
-    Each A_kj is solved for on its integer coefficient list in n, as
-    eps * A_{k-1,j} (n^k for j = k) minus the C(k+1, m) A_{k-m,j-m} terms,
-    and the lists become tuples once, at the end.
+    Each A_kj is solved for as one integer, its column packed at 2^w
+    (:func:`_pack`): eps * A_{k-1,j} (n^k for j = k) minus the
+    C(k+1, m) A_{k-m,j-m} terms.  The width w fits B_kmax, which bounds
+    every coefficient of the table, so each column is unpacked once, exactly,
+    into its stored tuple.
     """
     _at_least("kmax", kmax, 0)
     _sign(eps)
-    rows: list[list[list]] = [[[1]]]
+    width = _width(_coefficient_bounds(kmax)[-1])
+    diagonals: list[list[int]] = [[1]]  # diagonals[d][j] is A_{d+j, j}, packed
     for k in range(1, kmax + 1):
-        row: list[list] = []
+        binom = [comb(k + 1, m) for m in range(1, k + 1)]
+        diagonals.append([])
         for j in range(k + 1):
-            coeffs = [eps * c for c in rows[k - 1][j]] if j < k else [0] * k + [1]
-            for m in range(1, j + 1):
-                _add_shifted(coeffs, rows[k - m][j - m], -comb(k + 1, m))
-            row.append(coeffs)
-        rows.append(row)
-    return GenPolyTable(eps, tuple(tuple(map(tuple, row)) for row in rows))
+            line = diagonals[k - j]  # A_{k-m, j-m} for m = j..1
+            value = eps * diagonals[k - j - 1][j] if j < k else 1 << (k * width)
+            line.append(value - sum(map(mul, binom, reversed(line))))
+    return GenPolyTable(eps, tuple(
+        tuple(_unpack(diagonals[k - j][j], width) for j in range(k + 1)) for k in range(kmax + 1)
+    ))
 
 
 def recurrence_residuals(table: GenPolyTable) -> int | None:
@@ -93,21 +150,35 @@ def recurrence_residuals(table: GenPolyTable) -> int | None:
     is not identically zero, or None when every residual vanishes.
 
     This is an independent route from the generator: it sums whole
-    two-variable polynomials, as exact coefficient arrays acc[j][i] of
-    n^i x^j, rather than solving coefficient by coefficient.
+    two-variable polynomials, one packed integer per power of x, rather
+    than solving column by column.  A row with a coefficient above B_k
+    (:func:`_coefficient_bounds`) is reported at its k before anything is
+    packed, and a bad A_0, which has no residual, at k = 1: for rows of
+    the stored shape, what the recurrence makes of rows within their
+    bounds is within B_k, so such a row cannot satisfy it.  The rows before
+    it are within their bounds, so every residual coefficient is within
+    2 B_kmax + 1; the width fits that, and each packed zero test is exact.
     """
     eps, rows = table.eps, table.rows
-    for k in range(1, table.kmax + 1):
-        terms = [(rows[l - 1], comb(k + 1, l), k + 1 - l) for l in range(1, k + 2)]
-        terms += [(rows[k - 1], -eps, 0), ([(0,) * k + (-1,)], 1, k)]  # - eps A_{k-1} - n^k x^k
-        acc: list[list] = []
+    bounds = _coefficient_bounds(table.kmax)
+    over = (
+        k for k, (row, bound) in enumerate(zip(rows, bounds))
+        if any(col and (max(col) > bound or min(col) < -bound) for col in row)
+    )
+    first = max(next(over, len(rows)), 1)
+    width = _width(2 * bounds[-1] + 1)
+    packed = [[_pack(col, width) for col in row] for row in rows[:first]]
+    for k in range(1, first):
+        terms = [(packed[k - m], comb(k + 1, m), m) for m in range(k + 1)]
+        terms.append((packed[k - 1], -eps, 0))
+        acc = [0] * k + [-1 << (k * width)]  # - n^k x^k
         for row, scale, shift in terms:
-            acc.extend([] for _ in range(shift + len(row) - len(acc)))
-            for j, coeffs in enumerate(row, shift):
-                _add_shifted(acc[j], coeffs, scale)
-        if any(any(coeffs) for coeffs in acc):
+            acc.extend([0] * (shift + len(row) - len(acc)))
+            for j, value in enumerate(row, shift):
+                acc[j] += scale * value
+        if any(acc):
             return k
-    return None
+    return first if first < len(rows) else None
 
 
 def _kth(items: tuple, k: int):
@@ -144,7 +215,8 @@ def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
     column's coefficient sum.
 
     The result is compared, row for row, against the self-contained
-    recurrence route; disagreement is a hard failure.
+    recurrence route; disagreement, in a row or in the number of rows, is
+    a hard failure.
     """
     eps = table.eps
     us: list[tuple] = []
@@ -156,6 +228,11 @@ def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
         us.append(tuple(a + b for a, b in zip(x_at_one, v + [0])))
     direct = corrections_by_recurrence(table.kmax + 1, eps)
     for name, ours, theirs in (("U", us, direct.us), ("V", vs, direct.vs)):
+        if len(ours) != len(theirs):
+            raise CrossCheckError(
+                f"{name} has {len(ours)} rows by the table route and {len(theirs)}"
+                f" by the recurrence route (eps={eps:+d})"
+            )
         for k, (a, b) in enumerate(zip(ours, theirs), 1):
             if a != b:
                 raise CrossCheckError(
@@ -386,7 +463,8 @@ class TableSet(NamedTuple):
         the module docstring, which ``bundle_text`` writes as it is.  Then
         the table is re-substituted into its recurrence, the corrections are
         compared against their independent route, and the pairs against the
-        integer recurrence (u_k, v_k), k = 1..kmax+1.  The residuals start at
+        integer recurrence (u_k, v_k), k = 1..kmax+1, each route first for
+        its length.  The residuals start at
         k = 1, so the seed A_0 = 1 is pinned separately; with it fixed, the
         recurrence fixes every later row.  Any disagreement raises
         :class:`CrossCheckError`.
@@ -405,6 +483,11 @@ class TableSet(NamedTuple):
             raise CrossCheckError(f"generating-polynomial residual nonzero at k={bad_k}")
         tables = cls(gen, derive_corrections(gen))
         pairs, derived = int_pairs(gen.kmax + 1), tables.pairs
+        if (len(pairs.us), len(pairs.vs)) != (len(derived.us), len(derived.vs)):
+            raise CrossCheckError(
+                f"the pair recurrence gives {len(pairs.us)} u and {len(pairs.vs)} v,"
+                f" the corrections {len(derived.us)} of each"
+            )
         for k in range(1, gen.kmax + 2):
             if (pairs.u(k), pairs.v(k)) != (derived.u(k), derived.v(k)):
                 raise CrossCheckError(

@@ -750,6 +750,23 @@ def test_long_integers_read_from_files_are_refused_at_once(dirs, capsys):
     assert entry.read_bytes() == fresh
 
 
+def test_cache_entry_with_a_huge_coefficient_is_rebuilt_at_once(dirs, capsys):
+    # the residual check packs at the width of the proved bound B_k, and a
+    # coefficient above it is refused before anything is packed
+    out, cache = dirs
+    args = ["tables", "--kmax", 30, "--format", "json", "--out", out, "--cache-dir", cache]
+    assert run(args) == 0
+    fresh = (out / "tables_k30_p1.json").read_bytes()
+    (entry,) = cache.iterdir()
+    bundle = json.loads(entry.read_text())
+    bundle["A"][1][0] = [10**1000]
+    entry.write_text(_dumps(bundle))
+    start = time.perf_counter()
+    assert run(args) == 0
+    assert time.perf_counter() - start < 1
+    assert entry.read_bytes() == fresh == (out / "tables_k30_p1.json").read_bytes()
+
+
 def test_caps_admit_every_default_and_benchmark_argument():
     parser = build_parser()
     for argv in (

@@ -14,12 +14,13 @@ import sys
 
 import pytest
 
-from padsum import kernel, poly
+from padsum import kernel, poly, tables
 from padsum.cli import main
 
 FACTORIAL, RISING_BLOCK = kernel.factorial, kernel.rising_block
 ADD_SHIFTED, HORNER = poly._add_shifted, poly._horner
 ADD_PRODUCT, DERIVATIVE = poly._add_product, poly._derivative
+PACK, UNPACK = tables._pack, tables._unpack
 
 
 def _add_unshifted(acc, coeffs, scale, shift=0):
@@ -51,8 +52,14 @@ FAULTS = {
     "factorial wrong at n=7": (FACTORIAL, lambda n: FACTORIAL(n) + (n == 7), {"telescope", "ode"}),
     "rising_block x2": (RISING_BLOCK, lambda *args: 2 * RISING_BLOCK(*args), {"telescope"}),
     "_add_shifted ignores shift": (ADD_SHIFTED, _add_unshifted, TABLE_READERS | {"ode"}),
-    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, TABLE_READERS | {"ode"}),
+    # scale 3 reaches no table route: the generator and the residual check run
+    # on packed integers, and the correction recurrence scales by -C(k+1, l) and eps
+    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, {"finite", "ode"}),
     "_horner at t + 1": (HORNER, _horner_at_t_plus_1, TABLE_READERS),
+    "_pack drops its last coefficient": (PACK, lambda coeffs, width: PACK(coeffs[:-1], width),
+                                         TABLE_READERS),
+    "_unpack drops its top digit": (UNPACK, lambda value, width: UNPACK(value, width)[:-1],
+                                    TABLE_READERS),
     "_add_product drops a last term": (ADD_PRODUCT, _add_product_short, {"ode"}),
     "_derivative top unscaled": (DERIVATIVE, _derivative_top_unscaled, {"ode"}),
 }
@@ -83,3 +90,21 @@ def test_fault_is_reported(fault, command, monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     reported = any(line.startswith("FAIL ") for line in captured.out.splitlines())
     assert reported or captured.err.startswith("verification failure: ")
+
+
+@pytest.mark.parametrize("argv", [["tables", "--kmax", "8", "--format", "json"],
+                                  ["verify", "padic", "--format", "json"]], ids=["tables", "padic"])
+def test_scale_3_fault_leaves_tables_and_padic_output_as_it_is(argv, monkeypatch, capsys, tmp_path):
+    # why the scale-3 row leaves out tables and padic: under the fault they
+    # exit as a correct run does, with the same bytes
+    if argv[0] == "tables":
+        argv = [*argv, "--out", str(tmp_path)]
+    runs = []
+    for faulty in (False, True):
+        if faulty:
+            _inject(monkeypatch, ADD_SHIFTED, _add_doubling_3)
+        code = main(argv)
+        written = [path.read_bytes() for path in sorted(tmp_path.iterdir())]
+        runs.append((code, capsys.readouterr(), written))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]

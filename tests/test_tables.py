@@ -1,13 +1,21 @@
 """Recurrence-generated tables and their cross-checks."""
 
 import json
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 import padsum.tables
-from padsum.poly import GenPoly, RatPoly
+from padsum.cli import main
+from padsum.poly import GenPoly, RatPoly, _add_shifted
 from padsum.tables import (
+    _coefficient_bounds,
+    _pack,
+    _unpack,
+    _width,
     CrossCheckError,
     GenPolyTable,
     IntPairTable,
@@ -77,9 +85,108 @@ def test_first_generating_polys():
     assert minus.poly(1) == GenPoly(-1, (RatPoly.constant(-1), RatPoly((-2, 1))))
 
 
+def list_route(kmax, eps):
+    """A_0..A_kmax solved for on coefficient lists, the reference for the packed generator."""
+    rows = [[[1]]]
+    for k in range(1, kmax + 1):
+        row = []
+        for j in range(k + 1):
+            coeffs = [eps * c for c in rows[k - 1][j]] if j < k else [0] * k + [1]
+            for m in range(1, j + 1):
+                _add_shifted(coeffs, rows[k - m][j - m], -comb(k + 1, m))
+            row.append(coeffs)
+        rows.append(row)
+    return tuple(tuple(map(tuple, row)) for row in rows)
+
+
+@pytest.mark.parametrize("eps", (1, -1))
+def test_packed_generator_matches_the_list_route(eps):
+    # each kmax packs at its own width, so every kmax up to 60 is generated afresh
+    reference = list_route(60, eps)
+    for kmax in range(61):
+        assert gen_poly_table(kmax, eps).rows == reference[: kmax + 1]
+
+
+def test_coefficient_bounds_cover_the_table():
+    bounds = _coefficient_bounds(100)
+    assert (bounds[30].bit_length(), bounds[100].bit_length()) == (131, 587)
+    for eps in (1, -1):
+        rows = gen_poly_table(30, eps).rows
+        assert all(abs(c) <= bound for row, bound in zip(rows, bounds) for col in row for c in col)
+
+
+@st.composite
+def bounded_columns(draw):
+    """(coefficients, width) with every |c| < 2^(width-1), extremes and negatives included."""
+    width = draw(st.integers(1, 80))
+    top = (1 << (width - 1)) - 1
+    coefficient = st.one_of(st.sampled_from([0, top, -top]), st.integers(-top, top))
+    return draw(st.lists(coefficient, max_size=12)), width
+
+
+@given(bounded_columns())
+def test_unpack_inverts_pack_under_the_bound(column):
+    coeffs, width = column
+    trimmed = list(coeffs)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert _unpack(_pack(coeffs, width), width) == tuple(trimmed)
+    assert (_pack(coeffs, width) == 0) == (not any(coeffs))  # the packed zero test
+
+
+@given(st.lists(st.integers(), max_size=8), st.lists(st.integers(), max_size=8),
+       st.integers(), st.integers(1, 64))
+def test_pack_is_linear(a, b, scale, width):
+    # packing evaluates at 2^width, so it commutes with linear combinations, unbounded
+    combined = [scale * x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+    assert _pack(combined, width) == scale * _pack(a, width) + _pack(b, width)
+
+
+@pytest.mark.parametrize("eps", (1, -1))
+def test_residuals_flag_a_column_change_at_its_k(eps):
+    # + 2(n^2 - n) keeps each row's n = 0 value and coefficient sum, so U, V and
+    # the pairs cannot see it; within B_k, only the packed residual at k can
+    rows, bounds = gen_poly_table(12, eps).rows, _coefficient_bounds(12)
+    for k in range(1, 13):
+        j = k // 2
+        col = list(rows[k][j]) + [0] * 2
+        col[1] -= 2
+        col[2] += 2
+        col = tuple(col[: max(3, len(rows[k][j]))])
+        assert col[-1] and max(map(abs, col)) <= bounds[k]
+        changed = rows[k][:j] + (col,) + rows[k][j + 1:]
+        table = GenPolyTable(eps, rows[:k] + (changed,) + rows[k + 1:])
+        assert recurrence_residuals(table) == k
+        with pytest.raises(CrossCheckError, match=f"residual nonzero at k={k}$"):
+            TableSet.checked(table)
+
+
+def test_residuals_refuse_a_change_the_packed_value_cannot_see():
+    # c_0 + 2^w and c_1 - 1 pack to the same integer at width w; the bound
+    # check, which runs before any packing, reports the row
+    rows = gen_poly_table(6, 1).rows
+    width = _width(2 * _coefficient_bounds(6)[-1] + 1)
+    col = list(rows[4][2])
+    col[0] += 1 << width
+    col[1] -= 1
+    assert _pack(col, width) == _pack(rows[4][2], width)
+    changed = rows[4][:2] + (tuple(col),) + rows[4][3:]
+    assert recurrence_residuals(GenPolyTable(1, rows[:4] + (changed,) + rows[5:])) == 4
+
+
+def test_residuals_report_a_huge_coefficient_at_once():
+    rows = gen_poly_table(30, 1).rows
+    start = time.perf_counter()
+    huge = GenPolyTable(1, (rows[0], ((10**1000,), rows[1][1]), *rows[2:]))
+    assert recurrence_residuals(huge) == 1
+    bad_seed = GenPolyTable(1, (((2,),), *rows[1:]))  # A_0 has no residual of its own
+    assert recurrence_residuals(bad_seed) == 1
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("eps", (1, -1))
 def test_generator_does_no_polynomial_arithmetic(monkeypatch, eps):
-    # the recurrence steps on integer coefficient lists; RatPoly only wraps rows
+    # the recurrence steps on packed integers; RatPoly only wraps rows
     expected = gen_poly_table(8, eps)
 
     def refuse(*args):
@@ -134,6 +241,23 @@ def test_corrections_cross_check_detects_corruption():
     corrupted = GenPolyTable(1, (table.rows[0], corrupted_entry) + table.rows[2:])
     with pytest.raises(CrossCheckError):
         derive_corrections(corrupted)
+
+
+def test_a_short_correction_route_fails_the_check(monkeypatch, capsys, tmp_path):
+    honest = padsum.tables.corrections_by_recurrence
+    monkeypatch.setattr(padsum.tables, "corrections_by_recurrence",
+                        lambda kmax, eps: honest(kmax - 2, eps))
+    assert main(["tables", "--kmax", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: U has 9 rows by the table route and 7 by")
+
+
+def test_a_short_pair_route_fails_the_check(monkeypatch, capsys, tmp_path):
+    honest = padsum.tables.int_pairs
+    monkeypatch.setattr(padsum.tables, "int_pairs", lambda kmax: honest(kmax - 1))
+    assert main(["tables", "--kmax", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: the pair recurrence gives 8 u and 8 v, the corrections 9")
 
 
 def test_int_pairs_first_values():
