@@ -27,9 +27,11 @@ padsum's names still finds each of them: reading a module's namespace
 ``padsum.commands`` that runs the command, so a command runs only its own
 code: ``verify ode`` runs ``kernel``, ``poly`` and ``fps``;
 ``verify telescope`` runs ``kernel``, ``poly`` and ``telescope``;
-``tables``, ``seq`` and ``seq-compare`` run ``kernel``, ``poly`` and
-``tables``; ``verify finite`` adds ``series`` and ``telescope`` (which
-``series`` binds) to those, and ``verify padic`` adds ``padic`` as well.
+``tables --format json`` and ``--format csv`` run ``kernel`` and
+``tables`` alone, on integer rows; ``tables --format text``, ``seq`` and
+``seq-compare`` add ``poly``; ``verify finite`` adds ``series`` and
+``telescope`` (which ``series`` binds) to those, and ``verify padic`` adds
+``padic`` as well.
 """
 
 import importlib.util

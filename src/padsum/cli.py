@@ -19,9 +19,8 @@ import importlib
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 # Modules, not names, so that each loads when a command first uses it;
 # ``tables`` is also the name of this module's table sets.
@@ -29,16 +28,8 @@ from . import padic
 from . import tables as tablemod
 from .kernel import SEQUENCE_IDS, VerificationError, _dumps
 
-FINITE_X_SET = (
-    Fraction(-3),
-    Fraction(-2),
-    Fraction(-1),
-    Fraction(1),
-    Fraction(2),
-    Fraction(3),
-    Fraction(1, 2),
-    Fraction(-2, 3),
-)
+if TYPE_CHECKING:  # annotations only: ``fractions`` loads with the first rational parsed
+    from fractions import Fraction
 
 # a number on the command line or in a b-file: ASCII digits after an optional
 # sign; int() and Fraction() also read "1_0", " 5", "1\n" and other scripts' digits
@@ -57,6 +48,8 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
         )
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -167,6 +160,12 @@ def _failed(
     """A suite's outcome at its first failure: one ``FAIL <label>`` line and its report."""
     report = {"check": check, "verdict": "FAIL", "detail": str(exc)}
     return False, [f"FAIL {label}: {exc}"], [report]
+
+
+def _shortfall(check: str, got: int, expected: int) -> tuple[bool, list[str], list[dict]]:
+    """A suite's outcome when its engine checked ``got`` where its arguments
+    imply ``expected``: a sweep that stops short, or runs on, is no PASS."""
+    return _failed(check, check, VerificationError(f"checked {got} of {expected}"))
 
 
 def cmd_verify(args) -> int:

@@ -1,21 +1,37 @@
 """``verify finite``: the finite identities, with zero residuals, on the
-grid of k, both signs and ``cli.FINITE_X_SET``."""
+grid of k, both signs and ``FINITE_X_SET``."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .. import cli, series
 from ..kernel import VerificationError
 
+FINITE_X_SET = (
+    Fraction(-3),
+    Fraction(-2),
+    Fraction(-1),
+    Fraction(1),
+    Fraction(2),
+    Fraction(3),
+    Fraction(1, 2),
+    Fraction(-2, 3),
+)
+
 
 def run(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
-    for eps, tables, k, x in cli._grid(args.kmax, cli.FINITE_X_SET):
+    for eps, tables, k, x in cli._grid(args.kmax, FINITE_X_SET):
         try:
             checks += series.finite_identity_sweep(k, eps, x, args.nmax, tables, keep=()).checked
         except VerificationError as exc:
             return cli._failed("finite", "finite", exc)
+    expected = 2 * args.kmax * len(FINITE_X_SET) * args.nmax  # one check per N of each sweep
+    if checks != expected:
+        return cli._shortfall("finite", checks, expected)
     line = (
         f"PASS finite: zero residual on {checks} identity checks"
-        f" (k<={args.kmax}, eps=+-1, {len(cli.FINITE_X_SET)} x values, n<={args.nmax})"
+        f" (k<={args.kmax}, eps=+-1, {len(FINITE_X_SET)} x values, n<={args.nmax})"
     )
     return True, [line], [{"check": "finite", "verdict": "PASS", "checks": checks}]

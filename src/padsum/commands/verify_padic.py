@@ -49,6 +49,8 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
         spec = series.SeriesSpec(eps=eps, x=x, k=k)
         claimed = spec.claimed_sum(tables)
         profile = series.series_error_profile(spec, claimed, args.nmax, tables)
+        if len(profile.errors) != args.nmax:
+            return cli._shortfall("padic", len(profile.errors), args.nmax)
         perturbed = profile.shifted_claim(1)
         for p in args.primes:
             verdict = series.padic_sum_verify(profile, p)
@@ -73,8 +75,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
     line = (
         f"PASS padic: {total}/{total} claims verified, {total}/{total}"
         f" perturbations rejected (k<={kmax}, x in {{{','.join(map(str, x_values))}}},"
-        f" p in {{{','.join(str(p) for p in args.primes)}}},"
-        f" N<={min(report['n_max'] for report in reports)})"
+        f" p in {{{','.join(str(p) for p in args.primes)}}}, N<={args.nmax})"
     )
     return True, [line], reports
 
@@ -86,6 +87,8 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     spec = series.SeriesSpec(eps=eps, x=x, k=k)
     tables = tablemod.TableSet.build(k, eps)
     profile = series.series_error_profile(spec, args.claim, args.nmax, tables)
+    if len(profile.errors) != args.nmax:
+        return cli._shortfall("padic", len(profile.errors), args.nmax)
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
         verdict = series.padic_sum_verify(profile, p)

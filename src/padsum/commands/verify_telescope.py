@@ -22,14 +22,15 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
     rng = random.Random(seed)
     named = _named_telescope_specs()
     specs = [(f"random-{i}", telescope.random_telescope_spec(rng)) for i in range(count)] + named
-    reached = []  # the last N of each sweep
     for name, spec in specs:
         try:
-            reached.append(telescope.telescope_sweep(spec, nmax)[-1].n_terms)
+            reached = telescope.telescope_sweep(spec, nmax)[-1].n_terms
         except VerificationError as exc:
             return cli._failed("telescope", f"telescope[{name}]", exc)
+        if reached != nmax:
+            return cli._shortfall("telescope", reached, nmax)
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
-        f" (seed {seed}) + {len(named)} named instances, N<={min(reached)}"
+        f" (seed {seed}) + {len(named)} named instances, N<={nmax}"
     )
     return True, [line], [{"check": "telescope", "verdict": "PASS", "specs": len(specs)}]

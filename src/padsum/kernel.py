@@ -1,11 +1,14 @@
 """Exact integer primitives: factorials, rising blocks, digit sums, and
-``_quotient``, the one division of two ints; ``Record``, the immutable base
-of the records that check their fields; what ``series`` and ``telescope``
-both report, without loading each other: ``PartialSumResult``, a checked
-instance of a finite identity, and ``VerificationError``, raised by
-``_failure`` when its residual is nonzero; and two things the command line
-reads without loading ``tables``: ``_dumps``, the JSON style of every file
-padsum writes, and ``SEQUENCE_IDS``, the ids of the named sequences.
+the coefficient-list primitives that need no rational, ``_horner``
+(evaluation by Horner's rule), ``_add_shifted`` (shifted accumulation) and
+``_sign`` (the gate on eps), which ``poly`` and every table and sum run
+on; ``Record``, the immutable base of the records that check their
+fields; what ``series`` and ``telescope`` both report, without loading
+each other: ``PartialSumResult``, a checked instance of a finite identity,
+and ``VerificationError``, raised by ``_failure`` when its residual is
+nonzero; and two things the command line reads without loading
+``tables``: ``_dumps``, the JSON style of every file padsum writes, and
+``SEQUENCE_IDS``, the ids of the named sequences.
 
 ``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
 here so that ``fps`` and ``telescope`` resolve it through one module.
@@ -15,15 +18,18 @@ Every function here is pure and exact, and the module holds no state.
 Integers are plain Python ints (arbitrary precision), and they stay ints
 through the rest of the package: a ``fractions.Fraction`` (reduced,
 positive denominator) appears only where an input is fractional or a
-division happens.
+division happens, and is built in ``poly``.  This module imports neither
+``fractions`` nor ``json``, so a process that runs only integer code (a
+cold ``tables --format json``) loads neither.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # annotations only: this module builds no Fraction
+    from fractions import Fraction
 
 _setattr = object.__setattr__  # the one way past Record.__setattr__
 
@@ -47,8 +53,58 @@ SEQUENCE_IDS: dict[str, tuple[str, int, int | None, int]] = {
 }
 
 
-def _dumps(obj) -> str:  # the JSON style of every file padsum writes
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
+    byte: the JSON style of every file padsum writes.
+
+    ``json`` encodes in pure Python whenever ``indent`` is set, so the
+    values padsum writes are encoded here instead (:func:`_encode`), and
+    ``json`` is imported only for a value it does not cover.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _plain(text: str) -> bool:
+    """Whether ``json`` writes ``text`` as itself between quotes: printable
+    ASCII with no quote and no backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as :func:`_dumps` writes it (without the last newline), where
+    ``newline`` is a line break and the indentation of ``obj``'s own level.
+
+    Lists and tuples, dicts with plain string keys (sorted), plain strings,
+    ints (``Prime`` included), ``bool`` and ``None`` are written here; a
+    list of plain ints is a single join.  Anything else is ``json.dumps``
+    of that value with its lines indented to this level; ``json`` writes
+    no line break inside a string, so this is the bytes it would write in
+    place.
+    """
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(obj) is dict and set(map(type, obj)) <= {str} and all(map(_plain, obj)):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [f'"{key}": {_encode(value, inner)}' for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is str and _plain(obj):
+        return f'"{obj}"'
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    import json  # the leaves padsum does not write: floats, escaped strings, ...
+
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _at_least(name: str, value: int, floor: int) -> None:
@@ -57,9 +113,26 @@ def _at_least(name: str, value: int, floor: int) -> None:
         raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
-def _quotient(num: int, den: int) -> Fraction | int:
-    """num / den exactly: an int when den is 1, else a Fraction."""
-    return num if den == 1 else Fraction(num, den)
+def _sign(eps) -> int:
+    """``eps`` if it is the int +1 or -1 (not ``True``, ``1.0``, ...); else ValueError."""
+    if type(eps) is not int or eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+    return eps
+
+
+def _add_shifted(acc: list, coeffs, scale, shift: int = 0) -> None:
+    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
+    acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs, shift):
+        acc[i] += scale * c
+
+
+def _horner(coeffs, t, total=0):
+    """The polynomial with ``coeffs`` (lowest degree first) at t, by Horner's
+    rule; ``total`` is the value of an empty list (``RatPoly.zero()`` for a polynomial)."""
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
 
 
 def rising_block(base: int, width: int, power: int) -> int:

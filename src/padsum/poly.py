@@ -14,10 +14,16 @@ to end and a ``Fraction`` appears only where an input is fractional or a
 division happens.  Floats and ``bool`` values are refused.
 
 Storage is dense, as degrees stay small (a few hundred at most).  Horner
-evaluation, shifted accumulation, products and derivatives, ``_horner``,
-``_add_shifted``, ``_add_product`` and ``_derivative``, are written once,
-here, on coefficient lists: for both layers, for the integer rows of
-``tables`` and ``series``, and for the truncated series of ``fps``.
+evaluation, shifted accumulation, products and derivatives are written
+once, on coefficient lists: ``_horner`` and ``_add_shifted``, which need
+no rational, in ``kernel`` (imported here), and ``_add_product`` and
+``_derivative`` here.  They serve both layers, the integer rows of
+``tables`` and ``series``, and the truncated series of ``fps``.
+
+This module is where rationals are built: ``_exact`` normalises a value
+and ``_quotient`` divides two ints, so ``fractions`` loads only with it,
+and a process that runs on integer rows alone (a cold
+``tables --format json``) never loads this module.
 """
 
 from __future__ import annotations
@@ -25,15 +31,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .kernel import Record, _at_least, _setattr
+from .kernel import Record, _add_shifted, _at_least, _horner, _setattr, _sign
 
 Scalar = Union[int, Fraction]
+_EXACT = (int, Fraction)  # the types of a Scalar, for isinstance
 
 
 def _exact_scalar(c) -> Scalar:
     """``c`` unchanged when it is exact (an int or a Fraction, not a ``bool``);
     else TypeError."""
-    if isinstance(c, (int, Fraction)) and type(c) is not bool:
+    if isinstance(c, _EXACT) and type(c) is not bool:
         return c
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
@@ -45,18 +52,9 @@ def _exact(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _sign(eps) -> int:
-    """``eps`` if it is the int +1 or -1 (not ``True``, ``1.0``, ...); else ValueError."""
-    if type(eps) is not int or eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
-    return eps
-
-
-def _add_shifted(acc: list, coeffs, scale: Scalar, shift: int = 0) -> None:
-    """acc += scale * t^shift * coeffs on coefficient lists; acc grows as needed."""
-    acc.extend([0] * (shift + len(coeffs) - len(acc)))
-    for i, c in enumerate(coeffs, shift):
-        acc[i] += scale * c
+def _quotient(num: int, den: int) -> Scalar:
+    """num / den exactly: an int when den is 1, else a Fraction."""
+    return num if den == 1 else Fraction(num, den)
 
 
 def _add_product(acc: list, coeffs, other) -> None:
@@ -64,14 +62,6 @@ def _add_product(acc: list, coeffs, other) -> None:
     for i, c in enumerate(coeffs):
         if c != 0:
             _add_shifted(acc, other, c, i)
-
-
-def _horner(coeffs, t, total=0):
-    """The polynomial with ``coeffs`` (lowest degree first) at t, by Horner's
-    rule; ``total`` is the value of an empty list (``RatPoly.zero()`` for a polynomial)."""
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
 
 
 def _derivative(coeffs) -> tuple:
@@ -159,7 +149,7 @@ class RatPoly(Record):
         return 0
 
     def __add__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT):
             other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -173,7 +163,7 @@ class RatPoly(Record):
         return RatPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT):
             other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -183,7 +173,7 @@ class RatPoly(Record):
         return (-self) + other
 
     def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT):
             c = _exact_scalar(other)
             return RatPoly(tuple(a * c for a in self.coeffs))
         if not isinstance(other, RatPoly):

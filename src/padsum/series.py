@@ -25,8 +25,17 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import padic
-from .kernel import PartialSumResult, Record, VerificationError, _at_least, _failure, _quotient
-from .poly import _add_shifted, _exact, _exact_scalar, _horner, _sign
+from .kernel import (
+    PartialSumResult,
+    Record,
+    VerificationError,
+    _add_shifted,
+    _at_least,
+    _failure,
+    _horner,
+    _sign,
+)
+from .poly import _exact, _exact_scalar, _quotient
 
 # bound here too: the benchmark's tracer binds series.telescope_sweep
 from .telescope import (  # noqa: F401

@@ -26,20 +26,26 @@ The generator and the residual check work on one integer per column, its
 coefficient list evaluated at 2^w (``_pack`` and ``_unpack``).  The width
 w is set by a proved bound on the coefficients, so unpacking and the
 packed zero test are exact.  The correction recurrence sums rows by
-``poly._add_shifted``, and the pairs evaluate them by ``poly._horner``:
+``kernel._add_shifted``, and the pairs evaluate them by ``kernel._horner``:
 these cross-check routes share no packing code with the generator.
+
+Building, checking and writing a table runs on ints alone.  ``poly``, with
+its ``GenPoly``, ``RatPoly`` and ``Fraction``, is reached through the
+module (``polymod``), which loads at its first use: in ``poly(k)``,
+``u_poly``/``v_poly``, ``aux_poly``, the closed forms and ``eps_split``.
+So ``tables --format json`` and ``--format csv`` load neither ``poly`` nor
+``fractions``, and ``json`` is imported only to read a bundle back.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+from itertools import chain
 from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .kernel import SEQUENCE_IDS, _at_least, _dumps
-from .poly import GenPoly, RatPoly, _add_shifted, _horner, _sign
+from . import poly as polymod  # loads at its first attribute access
+from .kernel import SEQUENCE_IDS, _add_shifted, _at_least, _dumps, _horner, _sign
 
 
 class CrossCheckError(RuntimeError):
@@ -64,9 +70,9 @@ class GenPolyTable(NamedTuple):
     def kmax(self) -> int:
         return len(self.rows) - 1
 
-    def poly(self, k: int) -> GenPoly:
+    def poly(self, k: int) -> polymod.GenPoly:
         """A_k, built afresh from its row."""
-        return GenPoly(self.eps, map(RatPoly, self.rows[k]))
+        return polymod.GenPoly(self.eps, map(polymod.RatPoly, self.rows[k]))
 
 
 def _coefficient_bounds(kmax: int) -> list[int]:
@@ -88,7 +94,7 @@ def _width(bound: int) -> int:
 
 def _pack(coeffs, width: int) -> int:
     """The polynomial with ``coeffs`` (lowest degree first) at 2^width, by
-    Horner's rule with shifts (``poly._horner``'s multiplications by
+    Horner's rule with shifts (``kernel._horner``'s multiplications by
     2^width cost over twice as much).
 
     Packing is the evaluation map Z[n] -> Z at 2^width, so a packed linear
@@ -202,11 +208,11 @@ class CorrectionPolys(NamedTuple):
     def kmax(self) -> int:
         return len(self.us)
 
-    def u_poly(self, k: int) -> RatPoly:
-        return RatPoly(_kth(self.us, k))
+    def u_poly(self, k: int) -> polymod.RatPoly:
+        return polymod.RatPoly(_kth(self.us, k))
 
-    def v_poly(self, k: int) -> RatPoly:
-        return RatPoly(_kth(self.vs, k))
+    def v_poly(self, k: int) -> polymod.RatPoly:
+        return polymod.RatPoly(_kth(self.vs, k))
 
 
 def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
@@ -316,7 +322,7 @@ class AuxSolution(NamedTuple):
         (n+1) A(n+1) - A(n) = n^k + u,    v = -A(0).
     """
 
-    poly: RatPoly
+    poly: polymod.RatPoly
     u: int
     v: int
 
@@ -338,7 +344,7 @@ def aux_poly(k: int) -> AuxSolution:
     for j in range(k, 0, -1):
         # the n^j coefficient of a_i [(n+1)^(i+1) - n^i] is C(i+1, j) - [i == j]
         a[j - 1] = (j == k) - sum(a[i] * (comb(i + 1, j) - (i == j)) for i in range(j, k))
-    return AuxSolution(RatPoly(a), sum(a[1:]), -a[0])
+    return AuxSolution(polymod.RatPoly(a), sum(a[1:]), -a[0])
 
 
 def bell_numbers(kmax: int) -> tuple[int, ...]:
@@ -350,14 +356,14 @@ def bell_numbers(kmax: int) -> tuple[int, ...]:
     return tuple(b)
 
 
-def diagonal_closed_form(k: int) -> RatPoly:
+def diagonal_closed_form(k: int) -> polymod.RatPoly:
     """Closed form of the top x-coefficient A_kk(n): the n^i coefficient is
     (-1)^(k+i) C(k+1, i+1), independent of the sign eps."""
     _at_least("k", k, 1)
-    return RatPoly([(-1) ** (k + i) * comb(k + 1, i + 1) for i in range(k + 1)])
+    return polymod.RatPoly([(-1) ** (k + i) * comb(k + 1, i + 1) for i in range(k + 1)])
 
 
-def linear_closed_form(k: int, eps: int) -> RatPoly:
+def linear_closed_form(k: int, eps: int) -> polymod.RatPoly:
     """Closed form of the x^1 coefficient: (n - k(k+3)/2) * eps^(k+1).
 
     The constant k(k+3)/2 is the sum 2 + 3 + ... + (k+1).
@@ -365,10 +371,10 @@ def linear_closed_form(k: int, eps: int) -> RatPoly:
     _at_least("k", k, 1)
     _sign(eps)
     sign = eps ** (k + 1)
-    return RatPoly([-k * (k + 3) // 2 * sign, sign])
+    return polymod.RatPoly([-k * (k + 3) // 2 * sign, sign])
 
 
-def closed_forms(k: int, eps: int) -> tuple[RatPoly, RatPoly]:
+def closed_forms(k: int, eps: int) -> tuple[polymod.RatPoly, polymod.RatPoly]:
     """The pair (A_kk, A_k1) of closed-form coefficient polynomials."""
     return diagonal_closed_form(k), linear_closed_form(k, eps)
 
@@ -407,7 +413,9 @@ def sequence_slice(which: str, kmax: int) -> list[int]:
     return [corr.u_poly(k)(x) for k in range(1, kmax + 1)]
 
 
-def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
+def eps_split(
+    plus: polymod.GenPoly, minus: polymod.GenPoly
+) -> list[tuple[polymod.RatPoly, polymod.RatPoly]]:
     """Recombine the two concrete-sign runs into (even, odd) parts per x^j.
 
     ``even + sign * odd`` reproduces either run, so the pairs are the
@@ -415,7 +423,7 @@ def eps_split(plus: GenPoly, minus: GenPoly) -> list[tuple[RatPoly, RatPoly]]:
     """
     if plus.eps != 1 or minus.eps != -1:
         raise ValueError("expected a (+1)-run and a (-1)-run, in that order")
-    half = Fraction(1, 2)
+    half = polymod.Fraction(1, 2)
     deg = max(plus.degree_x, minus.degree_x)
     return [
         ((plus.coeff(j) + minus.coeff(j)) * half, (plus.coeff(j) - minus.coeff(j)) * half)
@@ -470,11 +478,9 @@ class TableSet(NamedTuple):
         :class:`CrossCheckError`.
         """
         for k, row in enumerate(gen.rows):
-            trimmed_ints = all(
-                type(col) is tuple and col[-1:] != (0,) and all(type(c) is int for c in col)
-                for col in row
-            )
-            if len(row) != k + 1 or not trimmed_ints:
+            if (len(row) != k + 1 or set(map(type, row)) != {tuple}
+                    or not set(map(type, chain.from_iterable(row))) <= {int}
+                    or any(col[-1:] == (0,) for col in row)):
                 raise CrossCheckError(f"A_{k} is not {k + 1} trimmed columns of plain ints")
         if gen.rows[:1] != (((1,),),):
             raise CrossCheckError("A_0 is not 1")
@@ -540,6 +546,8 @@ def bundle_from_text(text: str) -> TableSet:
     byte, from ``bundle_text`` of the checked tables (a ``1.0`` or ``true``
     for 1, another layout of the same data).
     """
+    import json  # only a warm read parses JSON; every writer goes through ``_dumps``
+
     try:
         data = json.loads(text)
         rows = tuple(tuple(map(tuple, row)) for row in data["A"])

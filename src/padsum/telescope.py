@@ -5,7 +5,7 @@ A :class:`TelescopeSpec` fixes a boundary function G, and its n-th term is
 G(n+1) - G(n), so every partial sum from n = 1 telescopes to G(N) - G(1);
 :func:`telescope_sweep` checks this exactly at every N.  At x = a/b each
 term and boundary value is built in integers (the powers of a and b, the
-factorial and block products, and ``aux`` through ``poly._horner``) and
+factorial and block products, and ``aux`` through ``kernel._horner``) and
 divided once, so a sweep at an integer x handles only ints.
 """
 
@@ -20,11 +20,12 @@ from .kernel import (
     Record,
     _at_least,
     _failure,
-    _quotient,
+    _horner,
+    _sign,
     factorial,
     rising_block,
 )
-from .poly import RatPoly, _exact, _horner, _sign
+from .poly import RatPoly, _exact, _quotient
 
 if TYPE_CHECKING:  # annotations only
     import random

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import padsum.cli
+import padsum.commands.verify_finite
 import padsum.fps
-import padsum.kernel
+import padsum.poly
 import padsum.series
 import padsum.telescope
 from padsum.cli import (
@@ -187,6 +188,39 @@ def test_cli_import_loads_no_hashlib():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_loads_neither_json_nor_fractions():
+    # ``_dumps`` writes JSON without ``json``, and a rational argument loads
+    # ``fractions`` when it is parsed, so neither is part of every start-up
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys; before = set(sys.modules); import padsum.cli\n"
+            "assert not {'json', 'fractions'} & (set(sys.modules) - before), sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_tables_json_loads_no_rational_code(tmp_path):
+    # a cold build runs on ints alone and writes with ``_dumps``; a warm read adds ``json``
+    code = (
+        "import sys; before = set(sys.modules); from padsum.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted({'json', 'fractions', 'decimal'} & (set(sys.modules) - before)),\n"
+        "      file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["tables", "--kmax", "8", "--format", "json", "--cache-dir", "cache"]
+    loaded = []
+    for _ in ("cold", "warm"):
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded.append(done.stderr.split())
+    assert loaded == [[], ["json"]]
+    assert (tmp_path / "tables_k8_p1.json").read_bytes() == (
+        tmp_path / "cache" / "tables_kmax8_eps+1.json").read_bytes()
+
+
 # the module of padsum.commands that runs each command family
 COMMANDS = {f"commands.{name}" for name in
             ("tables", "verify_finite", "verify_padic", "verify_telescope", "verify_ode")}
@@ -200,6 +234,11 @@ COMMAND_MODULES = [
      {"series", "tables", "padic", "fps", *COMMANDS - {"commands.verify_telescope"}}),
     ("tables --kmax 2", "tables",
      {"series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
+    # the bundle and the pairs are integer rows: no ``RatPoly`` is built
+    ("tables --kmax 2 --format json", "tables",
+     {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
+    ("tables --kmax 2 --format csv", "tables",
+     {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
     ("verify finite --kmax 1 --nmax 2", "series",
      {"padic", "fps", *COMMANDS - {"commands.verify_finite"}}),
     ("verify padic --kmax 1 --nmax 3 --primes 3", "padic",
@@ -411,22 +450,68 @@ def test_verify_suites_exit_zero(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, counted",
+    "argv, failed",
     [
-        ("verify finite", "PASS finite: zero residual on 5520 identity checks"),
-        ("verify padic", "p in {2,3,5,7,11}, N<=198)"),
-        ("verify padic --claim=-1 --k 1 --nmax 30 --primes 2", "holds to N=28 at p=2"),
+        ("verify finite", "FAIL finite: checked 5520 of 6000"),
+        ("verify padic", "FAIL padic: checked 198 of 200"),
+        ("verify padic --claim=-1 --k 1 --nmax 30 --primes 2", "FAIL padic: checked 28 of 30"),
         # a random spec draws its factors with range, so only the named ones run
-        ("verify telescope --count 0", "named instances, N<=13"),
+        ("verify telescope --count 0", "FAIL telescope: checked 13 of 15"),
     ],
 )
-def test_pass_lines_count_what_the_engine_ran(argv, counted, monkeypatch, capsys):
-    # every step loop in series and telescope stops two short of its flag: the PASS lines
-    # print what the engine checked, not what the flags asked for
+def test_a_short_engine_fails_its_suite(argv, failed, monkeypatch, capsys):
+    # every step loop in series and telescope stops two short of its flag: each suite
+    # compares what the engine checked with what the flags asked for, and fails
     for module in (padsum.series, padsum.telescope):
         monkeypatch.setattr(module, "range", lambda *args: range(*args)[:-2], raising=False)
-    assert run(argv.split()) == 0
-    assert counted in capsys.readouterr().out
+    assert run(argv.split()) == 1
+    assert capsys.readouterr().out == f"{failed}\n"
+
+
+def _steps_off_by(delta, monkeypatch):
+    """Make ``series._steps``, the finite checks' and the profiles' engine, run delta N long."""
+    steps = padsum.series._steps
+    monkeypatch.setattr(padsum.series, "_steps",
+                        lambda spec, n_max, tables: steps(spec, n_max + delta, tables))
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_verify_finite_fails_when_its_sweeps_run_off_by_one(delta, monkeypatch, capsys):
+    _steps_off_by(delta, monkeypatch)
+    argv = ["verify", "finite", "--kmax", 2, "--nmax", 5]
+    got = 2 * 2 * 8 * (5 + delta)
+    assert run(argv) == 1
+    assert capsys.readouterr().out == f"FAIL finite: checked {got} of 160\n"
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "finite", "verdict": "FAIL", "detail": f"checked {got} of 160"}]
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("mode", [[], ["--claim=-1", "--k", 1]], ids=["grid", "claim"])
+def test_verify_padic_fails_when_its_profiles_run_off_by_one(mode, delta, monkeypatch, capsys):
+    _steps_off_by(delta, monkeypatch)
+    argv = ["verify", "padic", *mode, "--nmax", 6, "--primes", 3]
+    if not mode:
+        argv += ["--kmax", 1]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == f"FAIL padic: checked {6 + delta} of 6\n"
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "padic", "verdict": "FAIL", "detail": f"checked {6 + delta} of 6"}]
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_verify_telescope_fails_when_a_sweep_runs_off_by_one(delta, monkeypatch, capsys):
+    sweep = padsum.telescope.telescope_sweep
+    monkeypatch.setattr(padsum.telescope, "telescope_sweep",
+                        lambda spec, n_max: sweep(spec, n_max + delta))
+    argv = ["verify", "telescope", "--count", 2, "--nmax", 6]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == f"FAIL telescope: checked {6 + delta} of 6\n"
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "telescope", "verdict": "FAIL", "detail": f"checked {6 + delta} of 6"}]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
@@ -802,9 +887,10 @@ def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
 
 def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
     # the x set holds 1/2 and -2/3, so a per-N record would hold Fractions
-    assert {Fraction(1, 2), Fraction(-2, 3)} <= set(padsum.cli.FINITE_X_SET)
+    x_set = padsum.commands.verify_finite.FINITE_X_SET
+    assert {Fraction(1, 2), Fraction(-2, 3)} <= set(x_set)
     argv = ["verify", "finite", "--kmax", "3", "--nmax", "6"]
-    sweeps = 2 * 3 * len(padsum.cli.FINITE_X_SET)
+    sweeps = 2 * 3 * len(x_set)
     record = padsum.series.PartialSumResult
     built = []
 
@@ -819,7 +905,7 @@ def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("verify finite built a Fraction")
 
-    monkeypatch.setattr(padsum.kernel, "Fraction", refuse)
+    monkeypatch.setattr(padsum.poly, "Fraction", refuse)  # the class _quotient builds
     monkeypatch.setattr(padsum.series, "_quotient", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("PASS finite: ")

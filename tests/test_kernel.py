@@ -1,12 +1,14 @@
 """Exact integer primitives."""
 
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from padsum.kernel import digit_sum, factorial, rising_block
+from padsum.kernel import _dumps, digit_sum, factorial, rising_block
+from padsum.padic import Prime
 
 
 def product_block_oracle(base: int, width: int, power: int) -> int:
@@ -101,3 +103,52 @@ def test_fraction_arithmetic_stays_reduced(a, b):
 def test_fraction_zero_division_is_hard_error():
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 0)
+
+
+# JSON-shaped values: every leaf json writes, strings that need escaping
+# (quotes, backslashes, control characters, non-ASCII and non-BMP text),
+# and the containers padsum writes, nested and empty
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.sampled_from([2, 3, 5, 7, 11, 997]).map(Prime)
+    | st.floats()
+    | st.text()
+    | st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7e))  # " and \ too
+    | st.text(alphabet='"\\\n\t\x00\x1f\x7f é€😀 az')
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(
+            st.text() | st.text(alphabet='"\\\x01é😀 k') | st.sampled_from('"\\k'), inner
+        )
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+def test_dumps_writes_the_bytes_of_json(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [], (), {}, [[]], {"a": {}}, [{}, [()]], "", True, None, -0.0, float("nan"),
+    '"', "a\\b", "\x7f", "é", {'"': 1, "a\\": ["\n"]},
+    {"b": 1, "a": [True, False, None], "c": (Prime(3), -(10**80))},
+    {1: "int keys", 2: [1.5]}, {None: 0}, [1, True, 2], [Prime(5), 7],
+])
+def test_dumps_writes_the_bytes_of_json_on_edge_values(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_refuses_what_json_refuses():
+    for value in ([Fraction(1, 2)], {"a": {1j}}, {(1,): 0}):
+        with pytest.raises(TypeError):
+            _dumps(value)

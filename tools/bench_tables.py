@@ -1,5 +1,6 @@
 """Per-layer timings of padsum's tables: generation, the residual check, a
-checked build and a cache read, at several kmax for both signs.
+checked build, the bundle's serialisation and a cache read, at several
+kmax for both signs.
 
     python3 tools/bench_tables.py --src src > timings.json
     python3 tools/bench_tables.py --src ../other-checkout/src --kmax 15,30
@@ -22,7 +23,8 @@ import time
 from pathlib import Path
 
 KMAXES = (15, 30, 60, 100)
-TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_from_text")
+TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text",
+         "bundle_from_text")
 
 
 def runs(kmax: int) -> int:
@@ -53,11 +55,13 @@ def measure(src, kmaxes=KMAXES) -> dict:
     for kmax in kmaxes:
         for eps in (1, -1):
             gen = tables.gen_poly_table(kmax, eps)
-            text = tables.bundle_text(tables.TableSet.build(kmax, eps))
+            checked = tables.TableSet.build(kmax, eps)
+            text = tables.bundle_text(checked)
             calls = (
                 lambda: tables.gen_poly_table(kmax, eps),
                 lambda: tables.recurrence_residuals(gen),
                 lambda: tables.TableSet.build(kmax, eps),
+                lambda: tables.bundle_text(checked),
                 lambda: tables.bundle_from_text(text),
             )
             count = runs(kmax)
