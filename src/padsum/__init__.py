@@ -25,13 +25,13 @@ padsum's names still finds each of them: reading a module's namespace
 
 ``padsum.cli`` parses the arguments and imports the module of
 ``padsum.commands`` that runs the command, so a command runs only its own
-code: ``verify ode`` runs ``kernel``, ``poly`` and ``fps``;
-``verify telescope`` runs ``kernel``, ``poly`` and ``telescope``;
-``tables --format json`` and ``--format csv`` run ``kernel`` and
-``tables`` alone, on integer rows; ``tables --format text``, ``seq`` and
-``seq-compare`` add ``poly``; ``verify finite`` adds ``series`` and
-``telescope`` (which ``series`` binds) to those, and ``verify padic`` adds
-``padic`` as well.
+code, and ``poly`` only where a rational or a polynomial object is needed.
+``verify ode`` runs ``kernel`` and ``fps``; ``tables --format json`` and
+``--format csv``, ``seq`` and ``seq-compare`` run ``kernel`` and ``tables``
+alone, on integer rows; ``verify telescope`` runs ``kernel``, ``poly`` and
+``telescope``; ``tables --format text`` runs ``kernel``, ``tables`` and
+``poly``, ``verify finite`` adds ``series`` and ``telescope`` (which
+``series`` binds) to those, and ``verify padic`` adds ``padic`` as well.
 """
 
 import importlib.util

@@ -68,10 +68,12 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
                     f"FAIL padic: perturbed claim {claimed + 1} for k={k}"
                     f" eps={eps:+d} x={x} p={p} was not rejected"
                 )
+    total = 2 * kmax * len(x_values) * len(args.primes)  # a verdict per cell and prime
+    if len(reports) != total:
+        return cli._shortfall("padic", len(reports), total)
     if failures:
         return False, failures, reports
     # no failure: every report's claim passed and its perturbation was rejected
-    total = len(reports)
     line = (
         f"PASS padic: {total}/{total} claims verified, {total}/{total}"
         f" perturbations rejected (k<={kmax}, x in {{{','.join(map(str, x_values))}}},"

@@ -3,21 +3,21 @@ two differential equations it satisfies.
 
 A truncation of F is an exact polynomial, and its coefficients are the
 factorials themselves.  Each residual applies its operator to them on
-coefficient lists, through ``poly._derivative`` and
-``poly._add_product``, and builds one ``RatPoly``, the result: it builds
-neither the series nor the operator's polynomials as objects.  The
-checks then decide which degrees of a residual are genuine and which are
-truncation artifacts.  Artifacts are whitelisted by explicit degree and
-pinned to their exact values, never judged by magnitude: with exact
-arithmetic any unexpected nonzero coefficient is a bug, not noise.
+integer coefficient lists, through ``kernel._derivative`` and
+``kernel._add_product``, and is returned as the tuple of its coefficients,
+lowest degree first: this module builds no polynomial object and runs on
+``kernel`` alone.  The checks then decide which degrees of a residual are
+genuine and which are truncation artifacts.  Artifacts are whitelisted by
+explicit degree and pinned to their exact values, never judged by
+magnitude: with exact arithmetic any unexpected nonzero coefficient is a
+bug, not noise.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .kernel import _at_least, factorial
-from .poly import RatPoly, Scalar, _add_product, _derivative
+from .kernel import _add_product, _at_least, _derivative, factorial
 
 
 def _apply(coeffs, terms) -> list:
@@ -32,7 +32,7 @@ def _apply(coeffs, terms) -> list:
     return total
 
 
-def first_order_residual(order: int) -> RatPoly:
+def first_order_residual(order: int) -> tuple[int, ...]:
     """Residual of x^2 F' + (x - 1) F + 1 for F = sum_{n<=order} n! x^n.
 
     For the full series the left side is identically zero; for the
@@ -42,10 +42,10 @@ def first_order_residual(order: int) -> RatPoly:
     _at_least("order", order, 2)
     residual = _apply([factorial(n) for n in range(order + 1)], [((0, 0, 1), 1), ((-1, 1), 0)])
     residual[0] += 1
-    return RatPoly(residual)
+    return tuple(residual)
 
 
-def second_order_residual(order: int) -> RatPoly:
+def second_order_residual(order: int) -> tuple[int, ...]:
     """Residual of x^2 F'' + (3x - 1) F' + F for F = sum_{n<=order} n! x^n.
 
     Its x^m coefficient is (m+1)^2 c_m - (m+1) c_(m+1) with c_m = m! up to
@@ -55,7 +55,7 @@ def second_order_residual(order: int) -> RatPoly:
     """
     _at_least("order", order, 3)
     operator = [((0, 0, 1), 2), ((-1, 3), 1), ((1,), 0)]
-    return RatPoly(_apply([factorial(n) for n in range(order + 1)], operator))
+    return tuple(_apply([factorial(n) for n in range(order + 1)], operator))
 
 
 class OdeCheck(NamedTuple):
@@ -64,14 +64,13 @@ class OdeCheck(NamedTuple):
 
     ok: bool
     bad_degree: int | None
-    artifacts: dict[int, Scalar]
+    artifacts: dict[int, int]
 
 
-def _verdict(residual: RatPoly, expected: dict[int, Scalar]) -> OdeCheck:
-    """Every coefficient must vanish except at the artifact degrees in
-    ``expected``, which must equal their expected values."""
-    coeffs = residual.coeffs
-    coeffs += (0,) * (max(expected) + 1 - len(coeffs))
+def _verdict(residual: tuple[int, ...], expected: dict[int, int]) -> OdeCheck:
+    """Every coefficient of ``residual`` must vanish except at the artifact
+    degrees in ``expected``, which must equal their expected values."""
+    coeffs = residual + (0,) * (max(expected) + 1 - len(residual))
     bad = next((d for d, c in enumerate(coeffs) if c != expected.get(d, 0)), None)
     return OdeCheck(bad is None, bad, {d: coeffs[d] for d in expected})
 

@@ -1,14 +1,14 @@
-"""Exact integer primitives: factorials, rising blocks, digit sums, and
-the coefficient-list primitives that need no rational, ``_horner``
-(evaluation by Horner's rule), ``_add_shifted`` (shifted accumulation) and
-``_sign`` (the gate on eps), which ``poly`` and every table and sum run
-on; ``Record``, the immutable base of the records that check their
-fields; what ``series`` and ``telescope`` both report, without loading
-each other: ``PartialSumResult``, a checked instance of a finite identity,
-and ``VerificationError``, raised by ``_failure`` when its residual is
-nonzero; and two things the command line reads without loading
-``tables``: ``_dumps``, the JSON style of every file padsum writes, and
-``SEQUENCE_IDS``, the ids of the named sequences.
+"""Exact integer primitives: factorials, rising blocks, digit sums; the
+one home of the coefficient-list primitives, ``_horner`` (Horner's rule),
+``_add_shifted`` (shifted accumulation), ``_add_product`` and
+``_derivative``, which ``poly``, ``fps`` and every table and sum run on;
+``_sign``, the gate on eps; ``Record``, the immutable base of the records
+that check their fields; what ``series`` and ``telescope`` both report,
+without loading each other: ``PartialSumResult``, a checked instance of a
+finite identity, and ``VerificationError``, raised by ``_failure`` when
+its residual is nonzero; and two things the command line reads without
+loading ``tables``: ``_dumps``, the JSON style of every file padsum
+writes, and ``SEQUENCE_IDS``, the ids of the named sequences.
 
 ``factorial`` is ``math.factorial`` itself (ValueError for n < 0), named
 here so that ``fps`` and ``telescope`` resolve it through one module.
@@ -18,9 +18,9 @@ Every function here is pure and exact, and the module holds no state.
 Integers are plain Python ints (arbitrary precision), and they stay ints
 through the rest of the package: a ``fractions.Fraction`` (reduced,
 positive denominator) appears only where an input is fractional or a
-division happens, and is built in ``poly``.  This module imports neither
-``fractions`` nor ``json``, so a process that runs only integer code (a
-cold ``tables --format json``) loads neither.
+division happens, and is built in ``poly``.  This module imports no
+padsum module, nor ``fractions`` or ``json``: a process of integer code
+(a cold ``tables --format json``, ``seq``, ``verify ode``) loads neither.
 """
 
 from __future__ import annotations
@@ -125,6 +125,18 @@ def _add_shifted(acc: list, coeffs, scale, shift: int = 0) -> None:
     acc.extend([0] * (shift + len(coeffs) - len(acc)))
     for i, c in enumerate(coeffs, shift):
         acc[i] += scale * c
+
+
+def _add_product(acc: list, coeffs, other) -> None:
+    """acc += coeffs * other, the product of two polynomials, on coefficient lists."""
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            _add_shifted(acc, other, c, i)
+
+
+def _derivative(coeffs) -> tuple:
+    """The coefficients of the derivative of the polynomial with ``coeffs``."""
+    return tuple(i * c for i, c in enumerate(coeffs[1:], 1))
 
 
 def _horner(coeffs, t, total=0):

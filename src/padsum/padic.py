@@ -24,8 +24,8 @@ class Prime(int):
     division, at construction.  Anything but an int (a bool, a float, a
     Fraction) is refused.
 
-    Trial division is plenty: primes used here are small (single or double
-    digits in practice, a few thousand at most).
+    Trial division is plenty: ``--primes`` caps a prime at 10^12, whose
+    10^6 trial divisors take about 0.1 s, and in practice primes are tiny.
     """
 
     __slots__ = ()

@@ -15,15 +15,14 @@ division happens.  Floats and ``bool`` values are refused.
 
 Storage is dense, as degrees stay small (a few hundred at most).  Horner
 evaluation, shifted accumulation, products and derivatives are written
-once, on coefficient lists: ``_horner`` and ``_add_shifted``, which need
-no rational, in ``kernel`` (imported here), and ``_add_product`` and
-``_derivative`` here.  They serve both layers, the integer rows of
-``tables`` and ``series``, and the truncated series of ``fps``.
+once, on coefficient lists, in ``kernel``, and imported here; the integer
+rows of ``tables`` and ``series`` and the residuals of ``fps`` call them
+there, without a polynomial object.
 
 This module is where rationals are built: ``_exact`` normalises a value
-and ``_quotient`` divides two ints, so ``fractions`` loads only with it,
-and a process that runs on integer rows alone (a cold
-``tables --format json``) never loads this module.
+and ``_quotient`` divides two ints, so ``fractions`` loads only with it.
+A process that runs on integers alone (a cold ``tables --format json``,
+``seq``, ``verify ode``) never loads this module.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .kernel import Record, _add_shifted, _at_least, _horner, _setattr, _sign
+from .kernel import (Record, _add_product, _add_shifted, _at_least, _derivative, _horner,
+                     _setattr, _sign)
 
 Scalar = Union[int, Fraction]
 _EXACT = (int, Fraction)  # the types of a Scalar, for isinstance
@@ -55,18 +55,6 @@ def _exact(value) -> Scalar:
 def _quotient(num: int, den: int) -> Scalar:
     """num / den exactly: an int when den is 1, else a Fraction."""
     return num if den == 1 else Fraction(num, den)
-
-
-def _add_product(acc: list, coeffs, other) -> None:
-    """acc += coeffs * other, the product of two polynomials, on coefficient lists."""
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            _add_shifted(acc, other, c, i)
-
-
-def _derivative(coeffs) -> tuple:
-    """The coefficients of the derivative of the polynomial with ``coeffs``."""
-    return tuple(i * c for i, c in enumerate(coeffs[1:], 1))
 
 
 def _power(var: str, i: int) -> str:

@@ -25,16 +25,18 @@ zero.  ``poly(k)``, ``u_poly(k)`` and ``v_poly(k)`` build a fresh
 The generator and the residual check work on one integer per column, its
 coefficient list evaluated at 2^w (``_pack`` and ``_unpack``).  The width
 w is set by a proved bound on the coefficients, so unpacking and the
-packed zero test are exact.  The correction recurrence sums rows by
-``kernel._add_shifted``, and the pairs evaluate them by ``kernel._horner``:
-these cross-check routes share no packing code with the generator.
+packed zero test are exact.  Rows are summed by ``kernel._add_shifted``
+(packed in the residual check, as stored in the correction recurrence)
+and evaluated by ``kernel._horner`` (the pairs and the named sequences);
+the correction and pair routes share no packing code with the generator.
 
-Building, checking and writing a table runs on ints alone.  ``poly``, with
-its ``GenPoly``, ``RatPoly`` and ``Fraction``, is reached through the
-module (``polymod``), which loads at its first use: in ``poly(k)``,
-``u_poly``/``v_poly``, ``aux_poly``, the closed forms and ``eps_split``.
-So ``tables --format json`` and ``--format csv`` load neither ``poly`` nor
-``fractions``, and ``json`` is imported only to read a bundle back.
+Building, checking, evaluating and writing a table runs on ints alone.
+``poly``, with its ``GenPoly``, ``RatPoly`` and ``Fraction``, is reached
+through the module (``polymod``), which loads at its first use: in
+``poly(k)``, ``u_poly``/``v_poly``, ``aux_poly``, the closed forms and
+``eps_split``.  So ``tables --format json`` and ``--format csv``, ``seq``
+and ``seq-compare`` load neither ``poly`` nor ``fractions``, and ``json``
+is imported only to read a bundle back.
 """
 
 from __future__ import annotations
@@ -179,9 +181,7 @@ def recurrence_residuals(table: GenPolyTable) -> int | None:
         terms.append((packed[k - 1], -eps, 0))
         acc = [0] * k + [-1 << (k * width)]  # - n^k x^k
         for row, scale, shift in terms:
-            acc.extend([0] * (shift + len(row) - len(acc)))
-            for j, value in enumerate(row, shift):
-                acc[j] += scale * value
+            _add_shifted(acc, row, scale, shift)
         if any(acc):
             return k
     return first if first < len(rows) else None
@@ -405,12 +405,11 @@ def sequence_slice(which: str, kmax: int) -> list[int]:
     """
     family, eps, n, x = _sequence_params(which)
     if family == "A":
-        table = TableSet.build(kmax, eps).gen
-        return [table.poly(k).eval(n, x) for k in range(kmax + 1)]
+        rows = TableSet.build(kmax, eps).gen.rows
+        return [_horner([_horner(col, n) for col in row], x) for row in rows]
     if kmax < 1:
         raise ValueError(f"U-sequences need kmax >= 1, got {kmax}")
-    corr = TableSet.build(kmax - 1, eps).corr
-    return [corr.u_poly(k)(x) for k in range(1, kmax + 1)]
+    return [_horner(u, x) for u in TableSet.build(kmax - 1, eps).corr.us]
 
 
 def eps_split(

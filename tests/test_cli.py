@@ -199,8 +199,9 @@ def test_cli_import_loads_neither_json_nor_fractions():
     assert done.returncode == 0, done.stderr
 
 
-def test_tables_json_loads_no_rational_code(tmp_path):
-    # a cold build runs on ints alone and writes with ``_dumps``; a warm read adds ``json``
+def _rational_modules_loaded(argv: list[str], cwd: Path) -> list[str]:
+    """Which of ``json``, ``fractions`` and ``decimal`` a ``main(argv)`` process
+    imports after ``import sys``, sorted; the process must exit 0."""
     code = (
         "import sys; before = set(sys.modules); from padsum.cli import main\n"
         "code = main(sys.argv[1:])\n"
@@ -209,16 +210,31 @@ def test_tables_json_loads_no_rational_code(tmp_path):
         "sys.exit(code)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stderr.split()
+
+
+def test_tables_json_loads_no_rational_code(tmp_path):
+    # a cold build runs on ints alone and writes with ``_dumps``; a warm read adds ``json``
     argv = ["tables", "--kmax", "8", "--format", "json", "--cache-dir", "cache"]
-    loaded = []
-    for _ in ("cold", "warm"):
-        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        loaded.append(done.stderr.split())
+    loaded = [_rational_modules_loaded(argv, tmp_path) for _ in ("cold", "warm")]
     assert loaded == [[], ["json"]]
     assert (tmp_path / "tables_k8_p1.json").read_bytes() == (
         tmp_path / "cache" / "tables_kmax8_eps+1.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    "seq A+0,1 --kmax 8",
+    "seq U-1 --kmax 8 --format json",
+    "seq-compare A+0,1 --kmax 5 --bfile ref.txt",
+    "verify ode --nmax 5",
+])
+def test_integer_commands_load_no_rational_code(argv, tmp_path):
+    # the sequences are read off integer rows and the ODE residuals are integer tuples
+    (tmp_path / "ref.txt").write_text("0 1\n1 -1\n2 -1\n3 5\n")
+    assert _rational_modules_loaded(argv.split(), tmp_path) == []
 
 
 # the module of padsum.commands that runs each command family
@@ -228,8 +244,9 @@ COMMANDS = {f"commands.{name}" for name in
 # (argv, a module it runs, the modules it must leave unexecuted); "" is the import alone
 COMMAND_MODULES = [
     ("", "cli", {"tables", "series", "telescope", "padic", "fps", "commands", *COMMANDS}),
+    # the residuals are integer tuples: no ``RatPoly`` is built
     ("verify ode --nmax 5", "fps",
-     {"series", "telescope", "tables", "padic", *COMMANDS - {"commands.verify_ode"}}),
+     {"poly", "series", "telescope", "tables", "padic", *COMMANDS - {"commands.verify_ode"}}),
     ("verify telescope --count 2 --nmax 4", "telescope",
      {"series", "tables", "padic", "fps", *COMMANDS - {"commands.verify_telescope"}}),
     ("tables --kmax 2", "tables",
@@ -243,6 +260,11 @@ COMMAND_MODULES = [
      {"padic", "fps", *COMMANDS - {"commands.verify_finite"}}),
     ("verify padic --kmax 1 --nmax 3 --primes 3", "padic",
      {"fps", *COMMANDS - {"commands.verify_padic"}}),
+    # the sequences are evaluated on the integer rows
+    ("seq A+1,-1 --kmax 4", "tables",
+     {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
+    ("seq U--1 --kmax 4 --format json", "tables",
+     {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
 ]
 
 
@@ -499,6 +521,18 @@ def test_verify_padic_fails_when_its_profiles_run_off_by_one(mode, delta, monkey
     assert run([*argv, "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out) == [
         {"check": "padic", "verdict": "FAIL", "detail": f"checked {6 + delta} of 6"}]
+
+
+def test_verify_padic_fails_when_its_grid_skips_a_cell(monkeypatch, capsys):
+    # 2 signs x 2 k x 3 x-values x 2 primes = 24 verdicts; a grid one cell short gives 22
+    grid = padsum.cli._grid
+    monkeypatch.setattr(padsum.cli, "_grid", lambda *args: list(grid(*args))[:-1])
+    argv = ["verify", "padic", "--kmax", 2, "--nmax", 20, "--primes", "2,3"]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == "FAIL padic: checked 22 of 24\n"
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "padic", "verdict": "FAIL", "detail": "checked 22 of 24"}]
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
@@ -937,7 +971,8 @@ def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
 
 def test_verify_ode_json_reports_the_failure(monkeypatch, capsys):
     residual = padsum.fps.second_order_residual
-    monkeypatch.setattr(padsum.fps, "second_order_residual", lambda order: residual(order) + 1)
+    monkeypatch.setattr(padsum.fps, "second_order_residual",
+                        lambda order: (residual(order)[0] + 1, *residual(order)[1:]))
     assert run("verify ode --nmax 4 --format json".split()) == 1
     assert json.loads(capsys.readouterr().out) == [
         {

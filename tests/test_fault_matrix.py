@@ -52,9 +52,9 @@ FAULTS = {
     "factorial wrong at n=7": (FACTORIAL, lambda n: FACTORIAL(n) + (n == 7), {"telescope", "ode"}),
     "rising_block x2": (RISING_BLOCK, lambda *args: 2 * RISING_BLOCK(*args), {"telescope"}),
     "_add_shifted ignores shift": (ADD_SHIFTED, _add_unshifted, TABLE_READERS | {"ode"}),
-    # scale 3 reaches no table route: the generator and the residual check run
-    # on packed integers, and the correction recurrence scales by -C(k+1, l) and eps
-    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, {"finite", "ode"}),
+    # the residual check sums its packed rows by _add_shifted, scaled by C(k+1, m):
+    # C(3, 1) = 3 at k = 2 breaks every table build
+    "_add_shifted doubles scale 3": (ADD_SHIFTED, _add_doubling_3, TABLE_READERS | {"ode"}),
     "_horner at t + 1": (HORNER, _horner_at_t_plus_1, TABLE_READERS),
     "_pack drops its last coefficient": (PACK, lambda coeffs, width: PACK(coeffs[:-1], width),
                                          TABLE_READERS),
@@ -90,21 +90,3 @@ def test_fault_is_reported(fault, command, monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     reported = any(line.startswith("FAIL ") for line in captured.out.splitlines())
     assert reported or captured.err.startswith("verification failure: ")
-
-
-@pytest.mark.parametrize("argv", [["tables", "--kmax", "8", "--format", "json"],
-                                  ["verify", "padic", "--format", "json"]], ids=["tables", "padic"])
-def test_scale_3_fault_leaves_tables_and_padic_output_as_it_is(argv, monkeypatch, capsys, tmp_path):
-    # why the scale-3 row leaves out tables and padic: under the fault they
-    # exit as a correct run does, with the same bytes
-    if argv[0] == "tables":
-        argv = [*argv, "--out", str(tmp_path)]
-    runs = []
-    for faulty in (False, True):
-        if faulty:
-            _inject(monkeypatch, ADD_SHIFTED, _add_doubling_3)
-        code = main(argv)
-        written = [path.read_bytes() for path in sorted(tmp_path.iterdir())]
-        runs.append((code, capsys.readouterr(), written))
-    assert runs[0][0] == 0
-    assert runs[1] == runs[0]

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import padsum.tables
 from padsum.cli import main
+from padsum.kernel import SEQUENCE_IDS
 from padsum.poly import GenPoly, RatPoly, _add_shifted
 from padsum.tables import (
     _coefficient_bounds,
@@ -323,6 +324,21 @@ def test_sequence_slices():
     assert sequence_slice("U-1", 6) == [2, -5, 15, -52, 203, -877]
     with pytest.raises(ValueError):
         sequence_slice("A+2,1", 5)
+
+
+@pytest.mark.parametrize("which", sorted(SEQUENCE_IDS))
+def test_sequence_slice_matches_the_polynomial_route(which):
+    # the object route sequence_slice once took: each row as a GenPoly or RatPoly, evaluated
+    family, eps, n, x = SEQUENCE_IDS[which]
+    tables = TableSet.build(30, eps)
+    if family == "A":
+        reference = [tables.gen.poly(k).eval(n, x) for k in range(31)]
+    else:
+        reference = [tables.corr.u_poly(k)(x) for k in range(1, 31)]
+        with pytest.raises(ValueError, match="kmax >= 1"):
+            sequence_slice(which, 0)
+    for kmax in range(family == "U", 31):
+        assert sequence_slice(which, kmax) == reference[:kmax + (family == "A")]
 
 
 def test_sequence_slice_checks_its_table(monkeypatch):
