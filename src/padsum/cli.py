@@ -112,9 +112,10 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
 
 def load_or_build_bundle(
     kmax: int, eps: int, cache_dir: Path | None
-) -> tuple[tablemod.TableSet, str]:
+) -> tuple[tablemod.TableSet, str | None]:
     """Checked tables for (kmax, eps) and their :func:`tables.bundle_text`; with no
-    ``cache_dir``, a plain :meth:`tables.TableSet.build`.
+    ``cache_dir``, a plain :meth:`tables.TableSet.build` and no text, which
+    only ``tables --format json`` needs and encodes itself.
 
     In ``cache_dir``, the entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a
     hit, served as is, when it equals byte for byte the bundle of its own
@@ -123,8 +124,7 @@ def load_or_build_bundle(
     temporary file and renamed into place, so a reader never sees half a file.
     """
     if cache_dir is None:
-        tables = tablemod.TableSet.build(kmax, eps)
-        return tables, tablemod.bundle_text(tables)
+        return tablemod.TableSet.build(kmax, eps), None
     cache_file = cache_dir / f"tables_kmax{kmax}_eps{eps:+d}.json"
     try:
         text = cache_file.read_text()

@@ -39,7 +39,7 @@ def cmd_tables(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # a file in the way fails before the build
     tables, text = cli.load_or_build_bundle(args.kmax, args.eps, args.cache_dir)
     if args.format == "json":
-        content = text
+        content = tablemod.bundle_text(tables) if text is None else text
         ext = "json"
     elif args.format == "csv":
         content = _render_tables_csv(tables)

@@ -91,8 +91,16 @@ class Valuation:
 Valuation.INFINITE = Valuation(None)
 
 
+def _require_prime(p) -> None:
+    """``TypeError`` unless p is a :class:`Prime`, first in every function here
+    that takes p: a composite p gives no valuation, and p = 1 never returns."""
+    if not isinstance(p, Prime):
+        raise TypeError(f"p must be a padic.Prime, got {p!r}")
+
+
 def val_int(n: int, p: Prime) -> Valuation:
     """Largest e with p**e dividing n; infinite for n = 0."""
+    _require_prime(p)
     if n == 0:
         return Valuation.INFINITE
     n = abs(n)
@@ -105,6 +113,7 @@ def val_int(n: int, p: Prime) -> Valuation:
 
 def val_factorial(n: int, p: Prime) -> Valuation:
     """v_p(n!) via the digit-sum form (n - s_n)/(p - 1) of Legendre's formula."""
+    _require_prime(p)
     if n < 0:
         raise ValueError(f"factorial valuation needs n >= 0, got {n}")
     return Valuation((n - digit_sum(n, p)) // (p - 1))
@@ -113,6 +122,7 @@ def val_factorial(n: int, p: Prime) -> Valuation:
 def val_rat(q: RationalLike, p: Prime) -> Valuation:
     """v_p of an exact rational: v_p(numerator) - v_p(denominator).
     Floats raise TypeError."""
+    _require_prime(p)
     q = _exact_scalar(q)
     if q == 0:
         return Valuation.INFINITE
@@ -151,6 +161,7 @@ def expand(q: RationalLike, p: Prime, m: int) -> PadicApprox:
     A denominator divisible by p is absorbed by the (then negative) offset;
     every rational has such an expansion.
     """
+    _require_prime(p)
     _at_least("precision", m, 1)
     q = _exact_scalar(q)
     if q == 0:
@@ -189,6 +200,7 @@ def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: in
     exclusive, and it is <= 0, so every integer x (valuation >= 0) lies in
     the domain whenever S >= 1.  alpha < 1 raises ``ValueError``.
     """
+    _require_prime(p)
     _at_least("alpha", alpha, 1)
     threshold = Fraction(-mu_lambda_sum, (p - 1) * alpha)
     if not val_rat(x, p) > threshold:

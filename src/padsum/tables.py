@@ -11,8 +11,8 @@ single source of truth.  Everything else is derived from it:
 
 U_k is the correction completing n^k x^k so the factorial series
 sum eps^n n! [n^k x^k + U_k(x)] x^n telescopes; V_k is its closed-form sum.
-Independent recurrences for U, V, u, v exist and are run as cross-checks,
-never as definitions.
+Independent recurrences for U, V, u, v are cross-checks, never definitions:
+:meth:`TableSet.checked` compares each derived table with its own route.
 
 Every table is stored as integer rows, lowest power first, never as
 polynomial objects: ``GenPolyTable.rows[k][j]`` holds the coefficients in n
@@ -220,9 +220,8 @@ def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
     n = 0 value is each column's constant term, its n = 1 value each
     column's coefficient sum.
 
-    The result is compared, row for row, against the self-contained
-    recurrence route; disagreement, in a row or in the number of rows, is
-    a hard failure.
+    This only derives; :meth:`TableSet.checked` compares the result with
+    its independent route.
     """
     eps = table.eps
     us: list[tuple] = []
@@ -232,19 +231,6 @@ def derive_corrections(table: GenPolyTable) -> CorrectionPolys:
         x_at_one = [0, *map(sum, row)]  # x A_{k-1}(1; x)
         vs.append(tuple(v))
         us.append(tuple(a + b for a, b in zip(x_at_one, v + [0])))
-    direct = corrections_by_recurrence(table.kmax + 1, eps)
-    for name, ours, theirs in (("U", us, direct.us), ("V", vs, direct.vs)):
-        if len(ours) != len(theirs):
-            raise CrossCheckError(
-                f"{name} has {len(ours)} rows by the table route and {len(theirs)}"
-                f" by the recurrence route (eps={eps:+d})"
-            )
-        for k, (a, b) in enumerate(zip(ours, theirs), 1):
-            if a != b:
-                raise CrossCheckError(
-                    f"{name}_{k} mismatch (eps={eps:+d}): table route {a!r}"
-                    f" vs recurrence route {b!r}"
-                )
     return CorrectionPolys(tuple(us), tuple(vs))
 
 
@@ -299,20 +285,15 @@ def int_pairs(kmax: int) -> IntPairTable:
         u_{k+1} = -k*u_k - sum_{l=1}^{k-1} C(k+1, l) u_l + 1,   u_1 = 0
         v_{k+1} = -k*v_k - sum_{l=1}^{k-1} C(k+1, l) v_l,       v_1 = -1
 
-    Every :meth:`TableSet.checked` compares its U/V with these integers.
+    Every :meth:`TableSet.checked` compares its pairs with these integers.
     """
     _at_least("kmax", kmax, 1)
-    u: dict[int, int] = {1: 0}
-    v: dict[int, int] = {1: -1}
+    u, v = [0], [-1]  # u[k - 1] is u_k
     for k in range(1, kmax):
-        su = sum(comb(k + 1, l) * u[l] for l in range(1, k))
-        sv = sum(comb(k + 1, l) * v[l] for l in range(1, k))
-        u[k + 1] = -k * u[k] - su + 1
-        v[k + 1] = -k * v[k] - sv
-    return IntPairTable(
-        tuple(u[k] for k in range(1, kmax + 1)),
-        tuple(v[k] for k in range(1, kmax + 1)),
-    )
+        binom = [comb(k + 1, l) for l in range(1, k)]
+        u.append(-k * u[k - 1] - sum(map(mul, binom, u)) + 1)
+        v.append(-k * v[k - 1] - sum(map(mul, binom, v)))
+    return IntPairTable(tuple(u), tuple(v))
 
 
 class AuxSolution(NamedTuple):
@@ -463,19 +444,19 @@ class TableSet(NamedTuple):
 
     @classmethod
     def checked(cls, gen: GenPolyTable) -> "TableSet":
-        """A_0..A_kmax plus U/V through kmax+1, after checking them.
+        """A_0..A_kmax plus U/V through kmax+1, after every table check.
 
-        First the shape: row k must be k+1 columns of plain ints (no
-        ``bool``, no ``float``) with no trailing zero, the stored form of
-        the module docstring, which ``bundle_text`` writes as it is.  Then
-        the table is re-substituted into its recurrence, the corrections are
-        compared against their independent route, and the pairs against the
-        integer recurrence (u_k, v_k), k = 1..kmax+1, each route first for
-        its length.  The residuals start at
-        k = 1, so the seed A_0 = 1 is pinned separately; with it fixed, the
-        recurrence fixes every later row.  Any disagreement raises
-        :class:`CrossCheckError`.
+        First eps must be the int +1 or -1 (``ValueError``), and row k must
+        be k+1 columns of plain ints (no ``bool``, no ``float``) with no
+        trailing zero, the stored form that ``bundle_text`` writes as it is.
+        Then A is re-substituted into its recurrence; the residuals start at
+        k = 1, so the seed A_0 = 1 is pinned separately, and with it fixed
+        the recurrence fixes every later row.  Last, U and V are
+        compared with :func:`corrections_by_recurrence`, and the pairs u, v
+        with :func:`int_pairs`, by one rule: the lengths, then the first row
+        that differs.  Any disagreement raises :class:`CrossCheckError`.
         """
+        eps = _sign(gen.eps)
         for k, row in enumerate(gen.rows):
             if (len(row) != k + 1 or set(map(type, row)) != {tuple}
                     or not set(map(type, chain.from_iterable(row))) <= {int}
@@ -487,19 +468,25 @@ class TableSet(NamedTuple):
         if bad_k is not None:
             raise CrossCheckError(f"generating-polynomial residual nonzero at k={bad_k}")
         tables = cls(gen, derive_corrections(gen))
-        pairs, derived = int_pairs(gen.kmax + 1), tables.pairs
-        if (len(pairs.us), len(pairs.vs)) != (len(derived.us), len(derived.vs)):
-            raise CrossCheckError(
-                f"the pair recurrence gives {len(pairs.us)} u and {len(pairs.vs)} v,"
-                f" the corrections {len(derived.us)} of each"
-            )
-        for k in range(1, gen.kmax + 2):
-            if (pairs.u(k), pairs.v(k)) != (derived.u(k), derived.v(k)):
+        corr, pairs = tables.corr, tables.pairs
+        direct, integers = corrections_by_recurrence(gen.kmax + 1, eps), int_pairs(gen.kmax + 1)
+        for name, ours, theirs in (
+            ("U", corr.us, direct.us),
+            ("V", corr.vs, direct.vs),
+            ("u", pairs.us, integers.us),
+            ("v", pairs.vs, integers.vs),
+        ):
+            if len(ours) != len(theirs):
                 raise CrossCheckError(
-                    f"(u_{k}, v_{k}) = ({pairs.u(k)}, {pairs.v(k)}) disagrees with"
-                    f" eps^{k} (U_{k}(eps), V_{k}(eps)) = ({derived.u(k)}, {derived.v(k)})"
-                    f" at eps={gen.eps:+d}"
+                    f"{name} has {len(ours)} rows by the table route and {len(theirs)}"
+                    f" by the recurrence route (eps={eps:+d})"
                 )
+            for k, (a, b) in enumerate(zip(ours, theirs), 1):
+                if a != b:
+                    raise CrossCheckError(
+                        f"{name}_{k} mismatch (eps={eps:+d}): table route {a!r}"
+                        f" vs recurrence route {b!r}"
+                    )
         return tables
 
     @classmethod

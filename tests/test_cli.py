@@ -18,6 +18,7 @@ import padsum.commands.verify_finite
 import padsum.fps
 import padsum.poly
 import padsum.series
+import padsum.tables
 import padsum.telescope
 from padsum.cli import (
     BFileError,
@@ -383,6 +384,19 @@ def test_tables_file_is_pinned(fmt, kmax, eps, dirs, capsys):
     assert run(["tables", "--kmax", kmax, "--eps", eps, "--format", fmt, "--out", out]) == 0
     (path,) = out.iterdir()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TABLES[fmt, kmax, eps]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_tables_without_a_cache_encode_no_bundle(fmt, dirs, monkeypatch):
+    # only --format json and the cache write the JSON bundle
+    def unreachable(tables):
+        raise AssertionError("a bundle was encoded and thrown away")
+
+    monkeypatch.setattr(padsum.tables, "bundle_text", unreachable)
+    out, _ = dirs
+    assert run(["tables", "--kmax", 5, "--format", fmt, "--out", out]) == 0
+    (path,) = out.iterdir()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TABLES[fmt, 5, "1"]
 
 
 # a missing b-file, and output or cache directories under a regular file

@@ -8,14 +8,25 @@ import pytest
 
 from padsum.fps import first_order_residual, second_order_residual
 from padsum.kernel import digit_sum, rising_block
-from padsum.padic import PadicApprox, Prime, Valuation, expand, require_convergence, val_factorial
+from padsum.padic import (
+    PadicApprox,
+    Prime,
+    Valuation,
+    expand,
+    require_convergence,
+    val_factorial,
+    val_int,
+    val_rat,
+)
 from padsum.poly import RatPoly
 from padsum.series import (
     SeriesSpec,
     TelescopeSpec,
     finite_identity_sweep,
     general_sum_check,
+    padic_sum_verify,
     partial_sums,
+    series_error_profile,
     telescope_sweep,
 )
 from padsum.tables import (
@@ -24,11 +35,16 @@ from padsum.tables import (
     bell_numbers,
     corrections_by_recurrence,
     diagonal_closed_form,
+    GenPolyTable,
     eps_split,
     gen_poly_table,
     int_pairs,
     linear_closed_form,
 )
+
+
+def profile():
+    return series_error_profile(SeriesSpec(1, 1, k=1), -1, 5, TableSet.build(1, 1))
 
 
 def telescope(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, aux=RatPoly.one()):
@@ -78,6 +94,27 @@ REFUSALS = {
                               ValueError, "mu, nu, lam must be equal-length, nonempty"),
     "TelescopeSpec aux": (lambda: telescope(aux=1), TypeError, "aux must be a RatPoly"),
     "IntPairTable.u": (lambda: int_pairs(3).u(4), IndexError, "k must be in 1..3, got 4"),
+    # p must be a Prime: at p = 1 val_int and expand never returned, and a composite p
+    # gave an answer that is no p-adic valuation
+    "val_int p = 1": (lambda: val_int(5, 1), TypeError, "p must be a padic.Prime, got 1"),
+    "val_int composite": (lambda: val_int(8, 4), TypeError, "p must be a padic.Prime, got 4"),
+    "val_factorial composite": (lambda: val_factorial(8, 4),
+                                TypeError, "p must be a padic.Prime, got 4"),
+    "val_rat composite": (lambda: val_rat(8, 4), TypeError, "p must be a padic.Prime, got 4"),
+    "val_rat zero": (lambda: val_rat(0, 4), TypeError, "p must be a padic.Prime, got 4"),
+    "expand p = 1": (lambda: expand(5, 1, 3), TypeError, "p must be a padic.Prime, got 1"),
+    "expand zero": (lambda: expand(0, 4, 3), TypeError, "p must be a padic.Prime, got 4"),
+    "require_convergence composite": (lambda: require_convergence(1, 4, 1, 1),
+                                      TypeError, "p must be a padic.Prime, got 4"),
+    "padic_sum_verify p = 1": (lambda: padic_sum_verify(profile(), 1),
+                               TypeError, "p must be a padic.Prime, got 1"),
+    "padic_sum_verify composite": (lambda: padic_sum_verify(profile(), 4),
+                                   TypeError, "p must be a padic.Prime, got 4"),
+    # the sign is judged before any table check
+    "TableSet.checked eps": (lambda: TableSet.checked(GenPolyTable(2, gen_poly_table(3, 1).rows)),
+                             ValueError, "eps must be +1 or -1, got 2"),
+    "TableSet.checked true eps": (lambda: TableSet.checked(GenPolyTable(True, ((),))),
+                                  ValueError, "eps must be +1 or -1, got True"),
     "eps_split": (lambda: eps_split(gen_poly_table(2, -1).poly(2), gen_poly_table(2, 1).poly(2)),
                   ValueError, "expected a (+1)-run and a (-1)-run, in that order"),
 }

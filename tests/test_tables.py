@@ -240,8 +240,10 @@ def test_corrections_cross_check_detects_corruption():
     table = gen_poly_table(3, 1)
     corrupted_entry = ((1,), (-1, 1))  # (n-1)x + 1
     corrupted = GenPolyTable(1, (table.rows[0], corrupted_entry) + table.rows[2:])
+    # derive_corrections only derives; the routes disagree, and checked refuses the table
+    assert derive_corrections(corrupted).us != corrections_by_recurrence(4, 1).us
     with pytest.raises(CrossCheckError):
-        derive_corrections(corrupted)
+        TableSet.checked(corrupted)
 
 
 def test_a_short_correction_route_fails_the_check(monkeypatch, capsys, tmp_path):
@@ -258,7 +260,46 @@ def test_a_short_pair_route_fails_the_check(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(padsum.tables, "int_pairs", lambda kmax: honest(kmax - 1))
     assert main(["tables", "--kmax", "8", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("verification failure: the pair recurrence gives 8 u and 8 v, the corrections 9")
+    assert err.startswith(
+        "verification failure: u has 9 rows by the table route and 8 by the recurrence route"
+    )
+
+
+# each derived table's name in the messages, with its independent route and field
+ROUTES = {
+    "U": ("corrections_by_recurrence", "us"),
+    "V": ("corrections_by_recurrence", "vs"),
+    "u": ("int_pairs", "us"),
+    "v": ("int_pairs", "vs"),
+}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("name", list(ROUTES))
+@pytest.mark.parametrize("short", [True, False], ids=["short", "changed"])
+def test_checked_compares_every_route_by_one_rule(monkeypatch, eps, name, short):
+    function, field = ROUTES[name]
+    honest = getattr(padsum.tables, function)
+
+    def corrupted(*args):  # the route one row short, or with row 3 changed
+        route = honest(*args)
+        rows = getattr(route, field)
+        if short:
+            rows = rows[:-1]
+        else:
+            changed = rows[2] + ((1,) if name in "UV" else 1)
+            rows = rows[:2] + (changed,) + rows[3:]
+        return route._replace(**{field: rows})
+
+    TableSet.build(6, eps)
+    monkeypatch.setattr(padsum.tables, function, corrupted)
+    with pytest.raises(CrossCheckError) as exc:
+        TableSet.build(6, eps)
+    if short:
+        expected = f"{name} has 7 rows by the table route and 6 by the recurrence route (eps={eps:+d})"
+    else:
+        expected = f"{name}_3 mismatch (eps={eps:+d}): table route"
+    assert str(exc.value).startswith(expected)
 
 
 def test_int_pairs_first_values():
@@ -366,7 +407,7 @@ def test_build_checks_integer_pairs(monkeypatch, eps):
 
     TableSet.build(4, eps)  # the pairs agree with eps^k (U_k(eps), V_k(eps)) for both signs
     monkeypatch.setattr(padsum.tables, "int_pairs", shifted)
-    with pytest.raises(CrossCheckError, match=r"^\(u_3, v_3\) = "):
+    with pytest.raises(CrossCheckError, match=r"^u_3 mismatch"):
         TableSet.build(4, eps)
 
 
