@@ -41,13 +41,18 @@ class BFileError(ValueError):
     """A reference b-file could not be parsed; the message names the line."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact rational literal: 'p' or 'p/q' with q != 0.  Decimal floats
-    are refused."""
+def parse_rational(text: str, caps: tuple[int, ...] = ()) -> Fraction:
+    """Exact rational literal: 'p' or 'p/q' with q != 0, with at most
+    ``caps[0]`` digits in p and ``caps[1]`` in q when ``caps`` are given,
+    counted before either is parsed.  Decimal floats are refused."""
     if not _RATIONAL.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
         )
+    for part, digits, cap in zip(("numerator", "denominator"), text.lstrip("+-").split("/"), caps):
+        if len(digits) > cap:
+            raise argparse.ArgumentTypeError(
+                f"a {part} of {len(digits)} digits is over the cap of {cap}")
     from fractions import Fraction
 
     try:
@@ -91,6 +96,24 @@ def _in_range(floor: int, cap: int):
     return parse
 
 
+def _rational(*caps: int):
+    """An argparse ``type=``: :func:`parse_rational` with the digit caps of its
+    numerator and denominator, sized like the caps of :func:`_in_range`."""
+    def parse(text: str) -> Fraction:
+        return parse_rational(text, caps)
+    parse.__name__ = "parse_rational"  # argparse names the type in "invalid ... value"
+    return parse
+
+
+def _entries(text: str, cap: int) -> list[str]:
+    """``text`` split at its commas, unless that gives over ``cap`` entries;
+    counted before any entry is parsed."""
+    parts = text.split(",")
+    if len(parts) > cap:
+        raise argparse.ArgumentTypeError(f"{len(parts)} entries is over the cap of {cap}")
+    return parts
+
+
 def _distinct(values: tuple, text: str) -> tuple:
     """``values`` unless two are equal (``1,2/2`` repeats): a repeat counts its checks twice."""
     if len(set(values)) < len(values):
@@ -101,13 +124,13 @@ def _distinct(values: tuple, text: str) -> tuple:
 def parse_prime_list(text: str) -> tuple[padic.Prime, ...]:
     capped = _in_range(2, 10**12)  # checked before Prime's trial division, 0.1 s at the cap
     try:
-        return _distinct(tuple(padic.Prime(capped(part)) for part in text.split(",")), text)
+        return _distinct(tuple(padic.Prime(capped(part)) for part in _entries(text, 50)), text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    return _distinct(tuple(parse_rational(part) for part in text.split(",")), text)
+    return _distinct(tuple(parse_rational(part, (120, 10)) for part in _entries(text, 200)), text)
 
 
 def load_or_build_bundle(
@@ -272,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through ``type`` only when this suite is parsed
     p_padic.add_argument("--primes", type=parse_prime_list, default="2,3,5,7,11")
     p_padic.add_argument("--x-values", type=parse_rational_list, default=None)
-    p_padic.add_argument("--claim", type=parse_rational, default=None,
+    p_padic.add_argument("--claim", type=_rational(4000, 4000), default=None,
                          help="verify a single claimed sum instead of the grid")
     p_padic.add_argument("--k", type=_in_range(1, 100), default=None,
                          help="series power for --claim mode")
     p_padic.add_argument("--eps", type=parse_eps, default=None)
-    p_padic.add_argument("--x", type=parse_rational, default=None)
+    p_padic.add_argument("--x", type=_rational(100, 100), default=None)
     p_padic.add_argument("--precision", type=_in_range(1, 1000), default=16,
                          help="digits shown for p-adic expansions in reports")
     p_ode = add_suite("ode", "ODE residuals of sum n! x^n")

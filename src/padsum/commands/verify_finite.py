@@ -24,7 +24,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
     checks = 0
     for eps, tables, k, x in cli._grid(args.kmax, FINITE_X_SET):
         try:
-            checks += series.finite_identity_sweep(k, eps, x, args.nmax, tables, keep=()).checked
+            checks += series.finite_identity_sweep(k, eps, x, args.nmax, tables)
         except VerificationError as exc:
             return cli._failed("finite", "finite", exc)
     expected = 2 * args.kmax * len(FINITE_X_SET) * args.nmax  # one check per N of each sweep

@@ -24,7 +24,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
     specs = [(f"random-{i}", telescope.random_telescope_spec(rng)) for i in range(count)] + named
     for name, spec in specs:
         try:
-            reached = telescope.telescope_sweep(spec, nmax)[-1].n_terms
+            reached = telescope.telescope_sweep(spec, nmax).n_terms
         except VerificationError as exc:
             return cli._failed("telescope", f"telescope[{name}]", exc)
         if reached != nmax:

@@ -12,7 +12,9 @@ step in integers, carrying the power of b beside them.  The p-adic
 profiles map each step to its exact S_N and B_N through
 :func:`partial_sums`.  The finite checks compare the step's integers
 directly, so each N is one comparison, and a :class:`PartialSumResult`
-is built only at a failure or for the records a caller asks for.  A
+is built only at a failure or for the one record a caller reads: a
+sweep returns how far it checked, and the check of a rational
+combination the record at its n.  A
 p-adic verdict walks a profile's errors and remainders in order and
 stops at the first N that violates; where the error equals the
 remainder, as at every N of a true claim, the quotient is 1 and that N
@@ -48,7 +50,7 @@ from .telescope import (  # noqa: F401
 
 if TYPE_CHECKING:  # annotations only: series loads neither module, nor calls these
     from fractions import Fraction
-    from typing import Container, Iterator
+    from typing import Iterator
 
     from .padic import Prime
     from .tables import TableSet
@@ -181,55 +183,41 @@ def partial_sums(
             for n, t, r, _, den in _steps(spec, n_max, tables))
 
 
-class SweepRecords(list):
-    """The :class:`PartialSumResult` records a sweep keeps, and in
-    ``checked`` the last N it compared: it checked every N up to that one."""
-
-    checked = 0
+def _result(b: int, n: int, t: int, r: int, rhs: int, den: int) -> PartialSumResult:
+    """The record, with its ``Fraction``s, of a step of :func:`_steps` at x = a/b."""
+    return PartialSumResult(n, _quotient(t, den), _quotient(rhs, b * den), _quotient(r, b * den))
 
 
 def _checked_sweep(
-    spec: SeriesSpec, n_max: int, tables: TableSet, keep: Container[int], what: str, where: str
-) -> SweepRecords:
+    spec: SeriesSpec, n_max: int, tables: TableSet, what: str, where: str
+) -> tuple[int, ...]:
     """The identity of :func:`_steps` at every N = 1..n_max, each checked
     exactly by one comparison of the integers of its step: times b^N d it
     reads
 
         b T_N - eps W_N (d R)(N) = b^N (d V).
 
-    Raises on the first N where the two sides differ.  Only there, and at
-    the N in ``keep``, whose records are returned, is a
-    :class:`PartialSumResult` built, with its ``Fraction``s."""
+    Raises on the first N where the two sides differ, with the one record
+    it builds (:func:`_result`); otherwise returns the integers of the last
+    step, (n_max, T, eps W (d R), b^N (d V), b^(N-1) d), and builds none."""
     b = spec.x.denominator
-    records, n = SweepRecords(), 0
     for n, t, r, rhs, den in _steps(spec, n_max, tables):
-        failed = b * t - r != rhs
-        if failed or n in keep:
-            result = PartialSumResult(n, _quotient(t, den), _quotient(rhs, b * den),
-                                      _quotient(r, b * den))
-            if failed:
-                raise _failure(result, what, f"{where} n={n}")
-            records.append(result)
-    records.checked = n
-    return records
+        if b * t - r != rhs:
+            raise _failure(_result(b, n, t, r, rhs, den), what, f"{where} n={n}")
+    return n, t, r, rhs, den
 
 
 def finite_identity_sweep(
-    k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet,
-    keep: Container[int] | None = None,
-) -> SweepRecords:
+    k: int, eps: int, x: Fraction | int, n_max: int, tables: TableSet
+) -> int:
     """Check sum_{i<n} eps^i i! [i^k x^k + U_k(x)] x^i
     = V_k(x) + eps^(n-1) n! A_{k-1}(n; x) x^n exactly, for every
     n = 1..n_max, one integer comparison per n (see :func:`_checked_sweep`);
-    raises on the first nonzero residual.  Returns the records of the n in
-    ``keep``, by default every n, with ``checked``, the number of n it
-    compared: ``keep=()`` checks every n and builds no record, and so no
-    ``Fraction``, while the identity holds."""
+    raises on the first nonzero residual.  Returns the number of n it
+    compared, and builds no record, so no ``Fraction``, while it holds."""
     spec = SeriesSpec(eps=eps, x=x, k=k)
-    return _checked_sweep(
-        spec, n_max, tables, range(1, n_max + 1) if keep is None else keep,
-        "finite identity", f"k={k} eps={eps:+d} x={spec.x}",
-    )
+    where = f"k={k} eps={eps:+d} x={spec.x}"
+    return _checked_sweep(spec, n_max, tables, "finite identity", where)[0]
 
 
 def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumResult:
@@ -243,7 +231,7 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
     (see :func:`_checked_sweep`).  One record is built: the one at n, or
     at the first N that fails."""
     where = f"coeffs={spec.coeffs} eps={spec.eps:+d} x={spec.x}"
-    return _checked_sweep(spec, n, tables, (n,), "general sum", where)[0]
+    return _result(spec.x.denominator, *_checked_sweep(spec, n, tables, "general sum", where))
 
 
 class SeriesErrorProfile(NamedTuple):

@@ -809,6 +809,35 @@ def test_numeric_flag_over_its_cap_is_a_usage_error(argv, message, capsys, monke
     assert captured.err.endswith(f"error: argument {message}\n")
 
 
+def _size_caps():
+    """(flag, value at its cap, value one over it, the message's tail) for each
+    cap on the size of a number or of a list."""
+    for flag, top, bottom in (("--x", 100, 100), ("--x-values", 120, 10), ("--claim", 4000, 4000)):
+        at_cap = f"{'7' * top}/{'1' * bottom}"
+        for over, part, cap in ((f"{'7' * (top + 1)}/1", "numerator", top),
+                                (f"-1/{'1' * (bottom + 1)}", "denominator", bottom)):
+            yield pytest.param(flag, at_cap, over, f"a {part} of {cap + 1} digits is over the"
+                               f" cap of {cap}", id=f"{flag} {part}")
+    primes = [str(p) for p in range(2, 240) if all(p % q for q in range(2, p))]
+    points = [str(x) for x in range(1, 202)]
+    for flag, values, cap in (("--primes", primes, 50), ("--x-values", points, 200)):
+        yield pytest.param(flag, ",".join(values[:cap]), ",".join(values[:cap + 1]),
+                           f"{cap + 1} entries is over the cap of {cap}", id=f"{flag} entries")
+
+
+@pytest.mark.parametrize("flag, at_cap, over_cap, message", list(_size_caps()))
+def test_size_of_a_number_or_list_is_capped(flag, at_cap, over_cap, message, capsys):
+    # the digits of a point or claim and the entries of a list are counted before
+    # any is parsed, so an oversized argument is a usage error before any work
+    parser = build_parser()
+    assert getattr(parser.parse_args(["verify", "padic", f"{flag}={at_cap}"]),
+                   flag[2:].replace("-", "_"))
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "padic", f"{flag}={over_cap}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

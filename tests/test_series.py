@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from padsum.kernel import factorial
+import padsum.telescope
+from padsum.kernel import PartialSumResult, factorial
 from padsum.padic import ConvergenceDomainError, Prime, val_rat
 from padsum.poly import GenPoly, RatPoly
 from padsum.series import (
@@ -56,7 +57,8 @@ def reference_partial_sums(spec, n_max, tables):
 def test_finite_identity_factorial_times_n(tables_plus):
     # sum_{i<n} i! * i = -1 + n! with a trivial boundary polynomial
     for n in range(1, 8):
-        result = finite_identity_sweep(1, 1, 1, n, tables_plus)[-1]
+        assert finite_identity_sweep(1, 1, 1, n, tables_plus) == n
+        result = general_sum_check(SeriesSpec(1, 1, k=1), n, tables_plus)
         assert result.value == factorial(n) - 1
         assert result.rhs_constant == -1
         assert result.boundary == factorial(n)
@@ -64,18 +66,21 @@ def test_finite_identity_factorial_times_n(tables_plus):
 
 def test_finite_identity_hand_case(tables_minus):
     # k=1, eps=-1, x=1, n=2: 2 - 3 = 1 + (-2), by enumeration
-    result = finite_identity_sweep(1, -1, 1, 2, tables_minus)[-1]
+    assert finite_identity_sweep(1, -1, 1, 2, tables_minus) == 2
+    result = general_sum_check(SeriesSpec(-1, 1, k=1), 2, tables_minus)
     assert result.value == -1
     assert result.rhs_constant == 1
     assert result.boundary == -2
 
 
 def test_finite_identity_sweep_matches_single(tables_plus):
-    swept = finite_identity_sweep(2, 1, Fraction(1, 2), 10, tables_plus)
-    assert len(swept) == 10
-    assert swept.checked == finite_identity_sweep(2, 1, 2, 10, tables_plus, keep=()).checked == 10
-    single = finite_identity_sweep(2, 1, Fraction(1, 2), 7, tables_plus)[-1]
-    assert swept[6] == single
+    # the sweep counts every n it compared; the record at each n is the reference's
+    x = Fraction(1, 2)
+    assert finite_identity_sweep(2, 1, x, 10, tables_plus) == 10
+    assert finite_identity_sweep(2, 1, 2, 10, tables_plus) == 10
+    spec, v2 = SeriesSpec(1, x, k=2), tables_plus.corr.v_poly(2)(x)
+    for n, value, boundary in reference_partial_sums(spec, 10, tables_plus):
+        assert general_sum_check(spec, n, tables_plus) == (n, value, v2, boundary)
 
 
 def test_finite_checks_raise_on_tampered_table(tables_plus, tamper_v1):
@@ -203,10 +208,10 @@ def test_general_sum_verdict_is_the_exact_residual(
 def test_general_sum_single_power_reduction(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(1), coeffs=(Fraction(1),))
     combined = general_sum_check(spec, 6, tables_plus)
-    single = finite_identity_sweep(1, 1, 1, 6, tables_plus)[-1]
-    assert combined.value == single.value
-    assert combined.rhs_constant == single.rhs_constant
-    assert combined.boundary == single.boundary
+    _, value, boundary = reference_partial_sums(SeriesSpec(1, 1, k=1), 6, tables_plus)[-1]
+    assert combined.value == value
+    assert combined.rhs_constant == tables_plus.corr.v_poly(1)(1)
+    assert combined.boundary == boundary
 
 
 def test_general_sum_square_plus_one(tables_plus):
@@ -221,10 +226,10 @@ def test_general_sum_square_plus_one(tables_plus):
 def test_general_sum_rational_mix_is_average(tables_plus):
     spec = SeriesSpec(eps=1, x=Fraction(2), coeffs=(Fraction(1, 2), Fraction(1, 2)))
     mixed = general_sum_check(spec, 7, tables_plus)
-    first = finite_identity_sweep(1, 1, 2, 7, tables_plus)[-1]
-    second = finite_identity_sweep(2, 1, 2, 7, tables_plus)[-1]
-    assert mixed.value == (first.value + second.value) / 2
-    assert mixed.boundary == (first.boundary + second.boundary) / 2
+    first, second = (reference_partial_sums(SeriesSpec(1, 2, k=k), 7, tables_plus)[-1]
+                     for k in (1, 2))
+    assert mixed.value == (first[1] + second[1]) / 2
+    assert mixed.boundary == (first[2] + second[2]) / 2
 
 
 def test_tables_too_small_for_spec():
@@ -368,6 +373,29 @@ def test_telescope_checks_raise_on_perturbed_term():
             check(spec, 4)
         assert err.value.result.n_terms == 2  # N = 1 is the empty sum
         assert err.value.result.residual == 1
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7])
+def test_telescope_sweep_computes_no_term_past_its_last_n(n_max, monkeypatch):
+    # N = n_max reads the terms 1..n_max-1, and one record is built, at N = n_max
+    terms, built = [], []
+
+    class Counted(TelescopeSpec):
+        def term(self, n):
+            terms.append(n)
+            return super().term(n)
+
+    def record(*args):
+        built.append(args)
+        return PartialSumResult(*args)
+
+    monkeypatch.setattr(padsum.telescope, "PartialSumResult", record)
+    spec = Counted(mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=Fraction(1, 2),
+                   aux=RatPoly.monomial(1))
+    result = telescope_sweep(spec, n_max)
+    assert terms == list(range(1, n_max))
+    assert built == [tuple(result)] and result.n_terms == n_max
+    assert telescope_check is telescope_sweep
 
 
 def test_construct_telescope_poly():

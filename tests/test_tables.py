@@ -175,6 +175,34 @@ def test_residuals_refuse_a_change_the_packed_value_cannot_see():
     assert recurrence_residuals(GenPolyTable(1, rows[:4] + (changed,) + rows[5:])) == 4
 
 
+def _with_cubic_change(rows, k, j, root):
+    """``rows`` with 2n(n-1)(n-root) added to column j of A_k: zero at n = 0 and
+    n = 1, so U, V and the pairs cannot see it, and within B_k for k >= 3 and
+    root <= 32, so only the packed residual check can."""
+    col = list(rows[k][j])
+    _add_shifted(col, (0, 2 * root, -2 * (1 + root), 2), 1)
+    while col and not col[-1]:
+        col.pop()
+    assert max(map(abs, col), default=0) <= _coefficient_bounds(k)[-1]
+    return rows[:k] + (rows[k][:j] + (tuple(col),) + rows[k][j + 1:],) + rows[k + 1:]
+
+
+def test_residuals_refuse_a_change_that_vanishes_at_n_4():
+    # columns packed at 2 bits would be tested only at n = 4, where this change is 0
+    rows = _with_cubic_change(gen_poly_table(10, 1).rows, 10, 3, 4)
+    with pytest.raises(CrossCheckError, match="^generating-polynomial residual nonzero at k=10$"):
+        TableSet.checked(GenPolyTable(1, rows))
+
+
+@given(st.sampled_from([1, -1]), st.integers(3, 12), st.data(), st.integers(1, 5))
+def test_residuals_refuse_a_change_that_vanishes_at_a_power_of_two(eps, k, data, w):
+    # at a width of w bits the packed zero test would read only n = 2^w
+    j = data.draw(st.integers(0, k))
+    rows = _with_cubic_change(gen_poly_table(12, eps).rows, k, j, 1 << w)
+    with pytest.raises(CrossCheckError, match=f"^generating-polynomial residual nonzero at k={k}$"):
+        TableSet.checked(GenPolyTable(eps, rows))
+
+
 def test_residuals_report_a_huge_coefficient_at_once():
     rows = gen_poly_table(30, 1).rows
     start = time.perf_counter()
