@@ -6,10 +6,10 @@ deterministic for a fixed configuration and seed, so repeated runs are
 byte-identical.  Nothing is written outside ``--out``, except the table
 cache that ``tables --cache-dir DIR`` names.
 
-This module parses the arguments and holds what several commands share.
-The runner and the reports of each command family are in a module of
-``padsum.commands``, which the parser names and :func:`main` imports only
-when one of its commands runs.
+This module parses the arguments and holds what several commands share,
+:func:`cmd_verify` among them: the one place where a ``VerificationError``
+out of a ``verify`` suite becomes its FAIL.  Each command family runs from
+its own module of ``padsum.commands``, which is loaded only then.
 """
 
 from __future__ import annotations
@@ -177,21 +177,14 @@ def _grid(kmax: int, x_values) -> Iterator[tuple[int, tablemod.TableSet, int, Fr
                 yield eps, tables, k, x
 
 
-def _failed(
-    check: str, label: str, exc: VerificationError
-) -> tuple[bool, list[str], list[dict]]:
-    """A suite's outcome at its first failure: one ``FAIL <label>`` line and its report."""
-    report = {"check": check, "verdict": "FAIL", "detail": str(exc)}
-    return False, [f"FAIL {label}: {exc}"], [report]
-
-
-def _shortfall(check: str, got: int, expected: int) -> tuple[bool, list[str], list[dict]]:
-    """A suite's outcome when its engine checked ``got`` where its arguments
-    imply ``expected``: a sweep that stops short, or runs on, is no PASS."""
-    return _failed(check, check, VerificationError(f"checked {got} of {expected}"))
+def _expect(got: int, expected: int) -> None:
+    """Fail a suite whose engine checked more or fewer than its arguments ask for."""
+    if got != expected:
+        raise VerificationError(f"checked {got} of {expected}")
 
 
 def cmd_verify(args) -> int:
+    """Run the suite, or each of ``verify all``; a ``VerificationError`` it raises is its FAIL."""
     runs = [args]
     if args.suite == "all":  # each suite on the namespace its own parser gives with no flags
         runs = [parser.parse_args(["--format", args.format]) for parser in args.suites]
@@ -203,7 +196,11 @@ def cmd_verify(args) -> int:
     try:
         ok, lines, reports = True, [], []
         for suite_args in runs:
-            sub_ok, sub_lines, sub_reports = suite_args.run(suite_args)
+            try:
+                sub_ok, sub_lines, sub_reports = suite_args.run(suite_args)
+            except VerificationError as exc:  # the suite's first failed check
+                sub_ok, sub_lines = False, [f"FAIL {exc.label or suite_args.check}: {exc}"]
+                sub_reports = [{"check": suite_args.check, "verdict": "FAIL", "detail": str(exc)}]
             ok &= sub_ok
             lines += sub_lines
             reports += sub_reports
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_suite.add_argument("--format", choices=formats, default="text")
         # ``verify all`` runs the namespaces of the other suites
         run = None if name == "all" else _runner(f"verify_{name}", "run")
-        p_suite.set_defaults(func=cmd_verify, run=run)
+        p_suite.set_defaults(func=cmd_verify, run=run, check=name)
         return p_suite
 
     p_finite = add_suite("finite", "finite identities with zero residuals")
@@ -329,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (tablemod.CrossCheckError, VerificationError) as exc:
+    except VerificationError as exc:  # a table cross-check outside ``verify``
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -6,5 +6,6 @@
 of its commands runs, so a command compiles and runs no other command's
 code.  A module here calls library functions and ``cli``'s helpers
 through their modules, looked up at call time, so that a function rebound
-in its module (by a test, or by a tracer) is the one called.
+in its module (by a test, or by a tracer) is the one called.  A check that
+fails in a ``verify`` runner raises ``VerificationError`` to ``cli.cmd_verify``.
 """

@@ -49,8 +49,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
         spec = series.SeriesSpec(eps=eps, x=x, k=k)
         claimed = spec.claimed_sum(tables)
         profile = series.series_error_profile(spec, claimed, args.nmax, tables)
-        if len(profile.errors) != args.nmax:
-            return cli._shortfall("padic", len(profile.errors), args.nmax)
+        cli._expect(len(profile.errors), args.nmax)
         perturbed = profile.shifted_claim(1)
         for p in args.primes:
             verdict = series.padic_sum_verify(profile, p)
@@ -69,8 +68,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
                     f" eps={eps:+d} x={x} p={p} was not rejected"
                 )
     total = 2 * kmax * len(x_values) * len(args.primes)  # a verdict per cell and prime
-    if len(reports) != total:
-        return cli._shortfall("padic", len(reports), total)
+    cli._expect(len(reports), total)
     if failures:
         return False, failures, reports
     # no failure: every report's claim passed and its perturbation was rejected
@@ -89,8 +87,7 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     spec = series.SeriesSpec(eps=eps, x=x, k=k)
     tables = tablemod.TableSet.build(k, eps)
     profile = series.series_error_profile(spec, args.claim, args.nmax, tables)
-    if len(profile.errors) != args.nmax:
-        return cli._shortfall("padic", len(profile.errors), args.nmax)
+    cli._expect(len(profile.errors), args.nmax)
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
     for p in args.primes:
         verdict = series.padic_sum_verify(profile, p)

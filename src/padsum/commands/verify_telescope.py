@@ -25,10 +25,10 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
     for name, spec in specs:
         try:
             reached = telescope.telescope_sweep(spec, nmax).n_terms
-        except VerificationError as exc:
-            return cli._failed("telescope", f"telescope[{name}]", exc)
-        if reached != nmax:
-            return cli._shortfall("telescope", reached, nmax)
+        except VerificationError as exc:  # its FAIL line names the spec
+            exc.label = f"telescope[{name}]"
+            raise
+        cli._expect(reached, nmax)
     line = (
         f"PASS telescope: exact telescoping for {count} random specs"
         f" (seed {seed}) + {len(named)} named instances, N<={nmax}"

@@ -217,7 +217,8 @@ class Record:
 
 
 class VerificationError(RuntimeError):
-    """An identity that must hold exactly has a nonzero residual."""
+    """A check that must hold exactly failed; ``tables.CrossCheckError`` is one kind."""
+    label: str | None = None  # the failed check's name in its FAIL line, if not its suite's
 
     def __init__(self, message: str, result: "PartialSumResult | None" = None):
         super().__init__(message)

@@ -48,9 +48,10 @@ from typing import NamedTuple
 
 from . import poly as polymod  # loads at its first attribute access
 from .kernel import SEQUENCE_IDS, _add_shifted, _at_least, _dumps, _horner, _sign
+from .kernel import VerificationError
 
 
-class CrossCheckError(RuntimeError):
+class CrossCheckError(VerificationError):
     """Two independent routes to the same table disagreed."""
 
 

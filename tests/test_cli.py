@@ -562,6 +562,50 @@ def test_verify_telescope_fails_when_a_sweep_runs_off_by_one(delta, monkeypatch,
         {"check": "telescope", "verdict": "FAIL", "detail": f"checked {6 + delta} of 6"}]
 
 
+def test_a_table_cross_check_fails_its_suite_and_the_others_run(monkeypatch, capsys):
+    # the pairs' own route one row short: each table build fails its cross-check,
+    # which is the FAIL of the suite that built it, and the suites after it still run
+    int_pairs = padsum.tables.int_pairs
+    monkeypatch.setattr(padsum.tables, "int_pairs", lambda kmax: int_pairs(kmax - 1))
+    finite = "u has 16 rows by the table route and 15 by the recurrence route (eps=+1)"
+    padic = "u has 9 rows by the table route and 8 by the recurrence route (eps=+1)"
+    assert run(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL finite: {finite}",
+        "PASS telescope: exact telescoping for 20 random specs (seed 0) + 2 named instances,"
+        " N<=15",
+        f"FAIL padic: {padic}",
+        "PASS ode: both residuals vanish through the stated degrees for orders 3..50;"
+        " first-order artifact equals (N+1)!",
+    ]
+    assert run(["verify", "all", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == [
+        {"check": "finite", "verdict": "FAIL", "detail": finite},
+        {"check": "telescope", "verdict": "PASS", "specs": 22},
+        {"check": "padic", "verdict": "FAIL", "detail": padic},
+        {"check": "ode", "verdict": "PASS", "orders": [3, 50]},
+    ]
+
+
+def test_verify_telescope_names_the_spec_that_fails(monkeypatch, capsys):
+    rising_block = padsum.telescope.rising_block
+    monkeypatch.setattr(padsum.telescope, "rising_block", lambda *args: 2 * rising_block(*args))
+    argv = ["verify", "telescope", "--count", 2, "--nmax", 6]
+    detail = (
+        "telescoping residual 2903040 != 0 at N=2 for TelescopeSpec(mu=(2, 3), nu=(-1, 1),"
+        " lam=(1, 1), alpha=1, beta=1, eps=1, x=2, aux=RatPoly(['0', '2']))"
+    )
+    assert run(argv) == 1
+    assert capsys.readouterr().out == f"FAIL telescope[random-0]: {detail}\n"
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "telescope", "verdict": "FAIL", "detail": detail}]
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
 def test_verify_stdout_is_pinned(argv, capsys):
     rc = run(argv.split())

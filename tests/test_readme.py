@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import padsum
-from padsum.cli import build_parser, main, parse_prime_list
+from padsum.cli import build_parser, main, parse_prime_list, parse_rational_list
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -98,3 +98,57 @@ def test_readme_floor_cap_table_matches_the_parser():
                             parser.parse_args([*argv, flag, str(value)])
                         assert exc.value.code == 2, (command, flag, value)
     assert listed == _capped_flags(parser)
+
+
+
+def _suite_parser(parser, *names):
+    """The parser of the command ``names`` names under ``parser``."""
+    for name in names:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+def _refusal(parser, argv, capsys) -> str:
+    """The usage error with which ``parser`` refuses ``argv`` (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2, argv[-1][:40]
+    return capsys.readouterr().err
+
+
+def test_readme_size_cap_table_matches_the_parser(capsys):
+    table = re.search(r"\| `verify padic` flag \| cap \|\n.*?\n((?: *\|.*\n)+)",
+                      README.read_text()).group(1)
+    parser = build_parser()
+    # every value is built from digit strings, so parsing it runs no check
+    primes = [str(p) for p in range(2, 240) if all(p % q for q in range(2, p))]
+    digits, entries = set(), set()
+    for row in table.splitlines():
+        flag, cap = row.strip().strip("|").split("|")
+        (flag,) = re.findall(r"`(--[a-z-]+)`", flag)
+        argv = ["verify", "padic", flag]
+        sizes = re.fullmatch(r" ([\d,]+) digits in the numerator, ([\d,]+) in the denominator ",
+                             cap)
+        if sizes:
+            digits.add(flag)
+            top, bottom = (int(size.replace(",", "")) for size in sizes.groups())
+            parser.parse_args([*argv, f"{'7' * top}/{'1' * bottom}"])
+            for over, size in ((f"{'7' * (top + 1)}/1", top), (f"1/{'1' * (bottom + 1)}", bottom)):
+                assert _refusal(parser, [*argv, over], capsys).endswith(
+                    f"{size + 1} digits is over the cap of {size}\n"), (flag, size)
+        else:
+            entries.add(flag)
+            cap = int(re.fullmatch(r" (\d+) entries ", cap).group(1))
+            values = primes if flag == "--primes" else [str(x) for x in range(1, cap + 2)]
+            parser.parse_args([*argv, ",".join(values[:cap])])
+            assert _refusal(parser, [*argv, ",".join(values[:cap + 1])], capsys).endswith(
+                f"{cap + 1} entries is over the cap of {cap}\n"), flag
+    # the table lists every flag with a digit cap and every list with an entry cap
+    types = {action.option_strings[0]: action.type
+             for action in _suite_parser(parser, "verify", "padic")._actions}
+    assert digits == {flag for flag, kind in types.items()
+                      if kind is parse_rational_list
+                      or getattr(kind, "__name__", None) == "parse_rational"}
+    assert entries == {flag for flag, kind in types.items()
+                       if kind in (parse_prime_list, parse_rational_list)}
