@@ -19,7 +19,7 @@ def _padic_report(
         "check": "padic-sum",
         "params": {"k": profile.spec.order, "eps": profile.spec.eps, "x": str(profile.spec.x)},
         "p": p,
-        "n_max": len(profile.errors),
+        "n_max": profile.n_max,
         "first_violation": verdict.first_violation,
         "verdict": "PASS" if verdict.passed else "FAIL",
         "claimed": str(profile.claimed),
@@ -49,7 +49,6 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
         spec = series.SeriesSpec(eps=eps, x=x, k=k)
         claimed = spec.claimed_sum(tables)
         profile = series.series_error_profile(spec, claimed, args.nmax, tables)
-        cli._expect(len(profile.errors), args.nmax)
         perturbed = profile.shifted_claim(1)
         for p in args.primes:
             verdict = series.padic_sum_verify(profile, p)
@@ -82,26 +81,28 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
 
 def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     """One verdict per prime on ``--claim``; under ``--format csv`` the lines
-    are the ``N,partial,valuation`` profile instead of the verdicts."""
+    are the ``N,partial,valuation`` profile instead of the verdicts, read
+    from the summed series (:func:`series.partial_sums`), not from the
+    step identity the verdicts rest on."""
     k, eps, x = (1 if given is None else given for given in (args.k, args.eps, args.x))
     spec = series.SeriesSpec(eps=eps, x=x, k=k)
     tables = tablemod.TableSet.build(k, eps)
     profile = series.series_error_profile(spec, args.claim, args.nmax, tables)
-    cli._expect(len(profile.errors), args.nmax)
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]
+    if args.format == "csv":
+        sums = [s for _, s, _ in series.partial_sums(spec, args.nmax, tables)]
+        cli._expect(len(sums), args.nmax)
     for p in args.primes:
         verdict = series.padic_sum_verify(profile, p)
         reports.append(_padic_report(verdict, profile, p, args.precision))
         ok &= verdict.passed
         if verdict.passed:
-            lines.append(
-                f"PASS padic: claim {args.claim} holds to N={len(profile.errors)} at p={p}"
-            )
+            lines.append(f"PASS padic: claim {args.claim} holds to N={profile.n_max} at p={p}")
         else:
             lines.append(
                 f"FAIL padic: claim {args.claim} violated at N={verdict.first_violation} (p={p})"
             )
         if args.format == "csv":  # the only exact valuations, taken where printed
-            for n, err in enumerate(profile.errors, 1):
-                rows.append(f"{n}/p={p},{err + args.claim},{padic.val_rat(err, p)}")
+            for n, s in enumerate(sums, 1):
+                rows.append(f"{n}/p={p},{s},{padic.val_rat(s - args.claim, p)}")
     return ok, rows if args.format == "csv" else lines, reports

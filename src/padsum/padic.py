@@ -4,7 +4,9 @@ The valuation of zero is a genuine infinite value (``Valuation.INFINITE``),
 kept distinct from every finite exponent so that ultrametric comparisons
 can never be fooled by an integer sentinel.  The p-adic verdict takes no
 valuation per term (``series.padic_sum_verify`` tests p against the
-denominator of error over remainder, and only where the two differ).
+denominator of V - claimed over the remainder, and only for a claim other
+than V).  ``expand`` and ``require_convergence`` take one valuation each
+and build no ``Fraction`` on their way to a result.
 """
 
 from __future__ import annotations
@@ -159,7 +161,10 @@ def expand(q: RationalLike, p: Prime, m: int) -> PadicApprox:
     """First m base-p digits of a rational, starting at its valuation.
 
     A denominator divisible by p is absorbed by the (then negative) offset;
-    every rational has such an expansion.
+    every rational has such an expansion.  The unit's residue mod p**m is
+    found in integers: with v = v_p(q), q = p**v num / den where p**v is
+    divided out of the reduced numerator (v >= 0) or denominator (v < 0),
+    and the residue is num times the inverse of den mod p**m.
     """
     _require_prime(p)
     _at_least("precision", m, 1)
@@ -167,9 +172,13 @@ def expand(q: RationalLike, p: Prime, m: int) -> PadicApprox:
     if q == 0:
         return PadicApprox(p, 0, (0,) * m)
     v = val_rat(q, p).exponent
-    unit = q / Fraction(p) ** v
+    num, den = q.numerator, q.denominator
+    if v >= 0:
+        num //= p**v
+    else:
+        den //= p**-v
     mod = p**m
-    x = unit.numerator * pow(unit.denominator, -1, mod) % mod
+    x = num * pow(den, -1, mod) % mod
     digits = []
     for _ in range(m):
         x, d = divmod(x, p)
@@ -202,6 +211,7 @@ def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: in
     """
     _require_prime(p)
     _at_least("alpha", alpha, 1)
-    threshold = Fraction(-mu_lambda_sum, (p - 1) * alpha)
-    if not val_rat(x, p) > threshold:
-        raise ConvergenceDomainError(x, p, threshold)
+    v = val_rat(x, p)
+    # v_p(x) > -S/((p-1) alpha), multiplied through by (p-1) alpha > 0
+    if not (v.is_infinite or v.exponent * (p - 1) * alpha > -mu_lambda_sum):
+        raise ConvergenceDomainError(x, p, Fraction(-mu_lambda_sum, (p - 1) * alpha))

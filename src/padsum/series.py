@@ -5,20 +5,21 @@ Every check here is exact: partial sums, boundary terms and closed-form
 constants are all exact rationals, and an identity either has a zero
 residual or the check fails loudly.  The only graded outcome is the p-adic
 verdict, which asks whether the partial-sum error over the exact remainder
-is a p-adic integer.  The finite checks, their sweeps and the p-adic error
-profiles all read one step loop, :func:`_steps`, which builds a spec's
-polynomials once at x = a/b as integer coefficient lists and takes each
-step in integers, carrying the power of b beside them.  The p-adic
-profiles map each step to its exact S_N and B_N through
-:func:`partial_sums`.  The finite checks compare the step's integers
-directly, so each N is one comparison, and a :class:`PartialSumResult`
-is built only at a failure or for the one record a caller reads: a
-sweep returns how far it checked, and the check of a rational
-combination the record at its n.  A
-p-adic verdict walks a profile's errors and remainders in order and
-stops at the first N that violates; where the error equals the
-remainder, as at every N of a true claim, the quotient is 1 and that N
-costs no gcd.
+is a p-adic integer.  A spec's polynomials are built once at x = a/b as
+integer coefficient lists (:func:`_scaled`).  The finite checks and their
+sweeps read one step loop over them, :func:`_steps`, which takes each
+step in integers, carrying the power of b beside them; each N is one
+comparison, and a :class:`PartialSumResult` is built only at a failure
+or for the one record a caller reads: a sweep returns how far it checked,
+and the check of a rational combination the record at its n.
+:func:`partial_sums` maps the same steps to exact S_N and B_N.
+
+A p-adic profile sums no series.  It proves the step identity
+(n+1) x R(n+1) - eps R(n) = P(n) once, as a polynomial identity in n at
+its x, which gives S_N = V + B_N at every N with V = -eps R(0).  So a
+verdict needs only delta = V - claimed: delta = 0 passes at once, and
+otherwise the verdict generates B_N in integers and stops at the first N
+where p divides the denominator of delta / B_N.
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
 
 
 def _scaled(spec: SeriesSpec, tables: TableSet) -> tuple[int, tuple, tuple, int]:
-    """(d, dP, dR, dV) for :func:`_steps`: the scale d = m b^K, the integer
-    coefficient lists in n of d P(n; x) and d R(n; x), and the integer
-    d sum_j C_j V_j(x).  Tables that do not fit the spec raise here."""
+    """(d, dP, dR, dV) for :func:`_steps` and :func:`series_error_profile`:
+    the scale d = m b^K, the integer coefficient lists in n of d P(n; x)
+    and d R(n; x), and the integer d sum_j C_j V_j(x).  Tables that do not
+    fit the spec raise here."""
     _check_tables(spec, tables)
     a, b, order = spec.x.numerator, spec.x.denominator, spec.order
     m = lcm(*(c.denominator for c in spec.coeffs))
@@ -235,39 +237,84 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
 
 
 class SeriesErrorProfile(NamedTuple):
-    """Exact partial-sum errors of a series against a claimed sum.
+    """A claimed sum against the sum that a series' proved step identity gives.
 
-    errors[N-1] = S_N - claimed and remainders[N-1] = B_N, the exact
-    remainder, for N = 1..n_max, both read from :func:`partial_sums`, on
-    the steps the finite checks compare.  The profile derives nothing from
-    them: it does not depend on a prime, so one profile serves every
-    prime's verdict, and a shifted claim only subtracts its delta from the
-    errors.
+    :func:`series_error_profile` proves the step identity at the spec's x,
+    so that S_N = V + B_N at every N, with V = ``value``, the sum the A rows
+    give.  The profile keeps the claim, V, ``n_max``, and the scale d and
+    the integer coefficient list ``dr`` of d R(n; x), from which
+    :meth:`boundaries` generates the exact remainders
+
+        B_N = eps W_N (d R)(N) / (b^N d),  W_N = eps^N N! a^N,  x = a/b,
+
+    on demand; it stores nothing per N.  ``remainders`` (B_N) and
+    ``errors`` (S_N - claimed = V - claimed + B_N), for N = 1..n_max, are
+    derived tuples.  A profile does not depend on a prime, so one profile
+    serves every prime's verdict, and a shifted claim changes only
+    ``claimed``.
     """
 
     spec: SeriesSpec
     claimed: Fraction | int
-    errors: tuple[Fraction | int, ...]
-    remainders: tuple[Fraction | int, ...]
+    value: Fraction | int
+    n_max: int
+    scale: int
+    dr: tuple[int, ...]
 
     def shifted_claim(self, delta: Fraction | int) -> "SeriesErrorProfile":
-        delta = _exact_scalar(delta)
-        return self._replace(claimed=self.claimed + delta,
-                             errors=tuple(e - delta for e in self.errors))
+        return self._replace(claimed=self.claimed + _exact_scalar(delta))
+
+    def boundaries(self) -> Iterator[tuple[int, int, int]]:
+        """(N, num, den) with B_N = num / den, in integers, for N = 1..n_max."""
+        eps, a, b = self.spec.eps, self.spec.x.numerator, self.spec.x.denominator
+        w, den = 1, self.scale
+        for n in range(1, self.n_max + 1):
+            w *= eps * n * a
+            den *= b
+            yield n, eps * w * _horner(self.dr, n), den
+
+    @property
+    def remainders(self) -> tuple[Fraction | int, ...]:
+        return tuple(_quotient(num, den) for _, num, den in self.boundaries())
+
+    @property
+    def errors(self) -> tuple[Fraction | int, ...]:
+        gap = self.value - self.claimed
+        return tuple(gap + remainder for remainder in self.remainders)
 
 
 def series_error_profile(
     spec: SeriesSpec, claimed: Fraction | int, n_max: int, tables: TableSet
 ) -> SeriesErrorProfile:
-    """Partial-sum errors and remainders for N = 1..n_max, in one pass over
-    :func:`partial_sums`; raises for n_max < 1, where there would be nothing
-    to check."""
+    """The profile of ``claimed`` for N = 1..n_max, once the step identity
+
+        (n+1) x R(n+1; x) - eps R(n; x) = P(n; x)
+
+    holds as a polynomial identity in n at the spec's x = a/b.  On the
+    integer lists of :func:`_scaled` it reads Q(n) = 0, with
+
+        Q(n) = (n+1) a (d R)(n+1) - eps b (d R)(n) - b (d P)(n),
+
+    a polynomial of degree at most max(len(dR), len(dP) - 1), so it is zero
+    once it is zero at that many consecutive n plus one.  Summed over
+    i < N it gives S_N - B_N = -B_0, so S_N = V + B_N at every N with
+    V = -eps R(0; x).  A nonzero Q raises :class:`VerificationError` at the
+    least n where it is nonzero; n_max < 1 and tables that do not fit the
+    spec raise ``ValueError``.
+    """
     claimed = _exact_scalar(claimed)
-    errors, remainders = [], []
-    for _, s, b in partial_sums(spec, n_max, tables):
-        errors.append(s - claimed)
-        remainders.append(b)
-    return SeriesErrorProfile(spec, claimed, tuple(errors), tuple(remainders))
+    _at_least("n", n_max, 1)
+    d, p_int, r_int, _ = _scaled(spec, tables)
+    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
+    for n in range(max(len(r_int) + 1, len(p_int))):  # deg Q + 1 points
+        residual = ((n + 1) * a * _horner(r_int, n + 1) - eps * b * _horner(r_int, n)
+                    - b * _horner(p_int, n))
+        if residual:
+            raise VerificationError(
+                f"step identity residual {_quotient(residual, b * d)} != 0"
+                f" at coeffs={spec.coeffs} eps={eps:+d} x={spec.x} n={n}")
+    value = _quotient(-eps * r_int[0], d)
+    return SeriesErrorProfile(spec, claimed, value, n_max, d, tuple(r_int))
 
 
 class PadicVerdict(NamedTuple):
@@ -288,16 +335,20 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     """Verify the profile's claimed sum p-adically: at every N = 1..n_max
     of the profile, the error S_N - claimed over the exact remainder B_N
     must have no p in its denominator, and where B_N = 0 the error must be
-    0.  The verdict walks the pairs (err, B) = (S_N - claimed, B_N) in
-    order and stops at the first violation, its ``first_violation``:
+    0.
 
-    - err == B: the quotient is 1, a p-adic unit, so N passes with no gcd
-      (this holds at every N of a true claim);
-    - B == 0 and err != 0: a violation;
-    - otherwise: q_N = den // gcd(num, den) on the cross products
-      num = err's numerator times B's denominator and den = err's
-      denominator times B's numerator, the denominator of err / B up to
-      sign; N is a violation when p divides q_N.
+    The profile's step identity gives S_N - claimed = B_N + delta at every
+    N, with delta = V - claimed, so the quotient is 1 + delta / B_N:
+
+    - delta = 0: every quotient is 1, a p-adic unit, and the verdict is
+      PASS at once;
+    - otherwise the verdict walks N = 1..n_max over the profile's
+      :meth:`~SeriesErrorProfile.boundaries`, in integers, and stops at
+      the first violation, its ``first_violation``: B_N = 0, or p dividing
+      the denominator of delta / B_N, den // gcd(num, den) on the integer
+      cross products num and den.  No ``Fraction`` is built.  A walk that
+      ends anywhere but at n_max with no violation raises
+      :class:`VerificationError` ``checked <got> of <n_max>``.
 
     A profile is prime-independent, so one profile serves every prime.
 
@@ -307,12 +358,18 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
     :class:`padic.ConvergenceDomainError`.
     """
     padic.require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
-    for n, (err, b) in enumerate(zip(profile.errors, profile.remainders), 1):
-        if err == b:
-            continue
-        if b == 0:
+    value, claimed = profile.value, profile.claimed
+    top = value.numerator * claimed.denominator - claimed.numerator * value.denominator
+    if top == 0:
+        return PadicVerdict(True, None)
+    bottom = value.denominator * claimed.denominator  # delta = top / bottom
+    n = 0
+    for n, num, den in profile.boundaries():
+        if num == 0:
             return PadicVerdict(False, n)
-        num, den = err.numerator * b.denominator, err.denominator * b.numerator
-        if den // gcd(num, den) % p == 0:
+        q = bottom * num  # delta / B_N = top den / q
+        if q // gcd(top * den, q) % p == 0:
             return PadicVerdict(False, n)
+    if n != profile.n_max:
+        raise VerificationError(f"checked {n} of {profile.n_max}")
     return PadicVerdict(True, None)

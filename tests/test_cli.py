@@ -357,6 +357,19 @@ def test_verify_matches_benchmark_digests(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
+def test_verify_padic_matches_its_benchmark_digest_without_summing(monkeypatch, capsys):
+    # the grid's verdicts rest on each profile's proved step identity: none sums the series
+    def refuse(*args):
+        raise AssertionError("verify padic ran the partial-sum loop")
+
+    monkeypatch.setattr(padsum.series, "_steps", refuse)
+    argv = ("verify padic --kmax 8 --nmax 200 --primes 2,3,5,7,11 --x-values 1,-1,2"
+            " --precision 16 --format json")
+    expected = json.loads(REFERENCES.read_text())["outputs"][argv]
+    assert run(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 def test_tables_text_negative_sign(dirs, capsys):
     out, cache = dirs
     assert run(["tables", "--kmax", 1, "--eps", "-1", "--format", "text", "--out", out,
@@ -489,8 +502,13 @@ def test_verify_suites_exit_zero(capsys):
     "argv, failed",
     [
         ("verify finite", "FAIL finite: checked 5520 of 6000"),
-        ("verify padic", "FAIL padic: checked 198 of 200"),
-        ("verify padic --claim=-1 --k 1 --nmax 30 --primes 2", "FAIL padic: checked 28 of 30"),
+        # only a claim off its sum walks the remainders: the grid's perturbations by 1,
+        # which p = 31 does not reject before N = 31, and V + 2^40, which p = 2 does
+        # not reject before N = 44
+        ("verify padic --kmax 1 --x-values 1 --nmax 30 --primes 31",
+         "FAIL padic: checked 28 of 30"),
+        ("verify padic --claim=1099511627775 --k 1 --nmax 30 --primes 2",
+         "FAIL padic: checked 28 of 30"),
         # a random spec draws its factors with range, so only the named ones run
         ("verify telescope --count 0", "FAIL telescope: checked 13 of 15"),
     ],
@@ -505,7 +523,7 @@ def test_a_short_engine_fails_its_suite(argv, failed, monkeypatch, capsys):
 
 
 def _steps_off_by(delta, monkeypatch):
-    """Make ``series._steps``, the finite checks' and the profiles' engine, run delta N long."""
+    """Make ``series._steps``, the finite checks' engine, run delta N long."""
     steps = padsum.series._steps
     monkeypatch.setattr(padsum.series, "_steps",
                         lambda spec, n_max, tables: steps(spec, n_max + delta, tables))
@@ -524,12 +542,15 @@ def test_verify_finite_fails_when_its_sweeps_run_off_by_one(delta, monkeypatch, 
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
-@pytest.mark.parametrize("mode", [[], ["--claim=-1", "--k", 1]], ids=["grid", "claim"])
+@pytest.mark.parametrize("mode", [["--kmax", 1], ["--claim=1099511627775", "--k", 1]],
+                         ids=["grid", "claim"])
 def test_verify_padic_fails_when_its_profiles_run_off_by_one(mode, delta, monkeypatch, capsys):
-    _steps_off_by(delta, monkeypatch)
-    argv = ["verify", "padic", *mode, "--nmax", 6, "--primes", 3]
-    if not mode:
-        argv += ["--kmax", 1]
+    # each verdict's walk over B_N runs delta N long; the walks are those of the grid's
+    # perturbations by 1 and of the claim V + 2^40, none of which p = 11 rejects by N = 7
+    boundaries = padsum.series.SeriesErrorProfile.boundaries
+    monkeypatch.setattr(padsum.series.SeriesErrorProfile, "boundaries",
+                        lambda profile: boundaries(profile._replace(n_max=profile.n_max + delta)))
+    argv = ["verify", "padic", *mode, "--nmax", 6, "--primes", 11]
     assert run(argv) == 1
     assert capsys.readouterr().out == f"FAIL padic: checked {6 + delta} of 6\n"
     assert run([*argv, "--format", "json"]) == 1
@@ -1054,6 +1075,21 @@ def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
     ]
     digest = "c463836c9c89a5fd43927a078b46fc0b276c1928a18300b62727e7211e4b543f"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_padic_reports_a_broken_step_identity(monkeypatch, capsys, tamper_a1):
+    # A_1's constant raised by 1: every k = 1 cell still passes, and the first k = 2
+    # profile refuses its tables, which ends the suite with that FAIL
+    build = TableSet.build
+    monkeypatch.setattr(
+        TableSet, "build", staticmethod(lambda kmax, eps: tamper_a1(build(kmax, eps)))
+    )
+    detail = "step identity residual 1 != 0 at coeffs=(0, 1) eps=+1 x=1 n=1"
+    assert run("verify padic --kmax 2 --nmax 12 --primes 2,3".split()) == 1
+    assert capsys.readouterr().out == f"FAIL padic: {detail}\n"
+    assert run("verify padic --claim=1 --k 2 --nmax 12 --primes 2 --format json".split()) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "padic", "verdict": "FAIL", "detail": detail}]
 
 
 def test_verify_ode_json_reports_the_failure(monkeypatch, capsys):

@@ -131,6 +131,54 @@ def test_expand_reconstruct_round_trip(q, p, m):
     assert difference == 0 or val_rat(difference, prime) >= approx.offset + m
 
 
+def expand_reference(q, p, m):
+    """The reference expansion: the unit q / p**v as a ``Fraction``, and its
+    numerator times the inverse of its denominator mod p**m."""
+    q = Fraction(q)
+    if q == 0:
+        return PadicApprox(p, 0, (0,) * m)
+    v = val_rat(q, p).exponent
+    unit = q / Fraction(p) ** v
+    mod = p**m
+    x = unit.numerator * pow(unit.denominator, -1, mod) % mod
+    digits = []
+    for _ in range(m):
+        x, d = divmod(x, p)
+        digits.append(d)
+    return PadicApprox(p, v, tuple(digits))
+
+
+@given(
+    num=st.integers(min_value=-10**30, max_value=10**30),
+    den=st.integers(min_value=1, max_value=10**12),
+    p=st.sampled_from([2, 3, 5, 7, 11, 1000003]),
+    e=st.integers(min_value=-40, max_value=40),
+    m=st.integers(min_value=1, max_value=40),
+)
+def test_expand_matches_the_fraction_formula(num, den, p, e, m):
+    # p**e moves the valuation far from 0 on either side
+    prime = Prime(p)
+    q = Fraction(num, den) * Fraction(p) ** e
+    approx = expand(q, prime, m)
+    assert approx == expand_reference(q, prime, m)
+    assert approx.render() == expand_reference(q, prime, m).render()
+
+
+def test_convergence_gate_builds_its_threshold_only_to_refuse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("require_convergence built a Fraction")
+
+    monkeypatch.setattr("padsum.padic.Fraction", refuse)
+    for x in (7, Fraction(2, 3), Fraction(1, 3), 0):
+        assert require_convergence(x, P2, 1, 1) is None
+    monkeypatch.undo()
+    with pytest.raises(ConvergenceDomainError) as err:
+        require_convergence(Fraction(1, 9), P3, 1, 1)
+    assert err.value.threshold == Fraction(-1, 2)
+    assert str(err.value) == (
+        "x = 1/9 is outside the convergence domain for p = 3: v_p(x) must exceed -1/2")
+
+
 def test_convergence_threshold_examples():
     # outside: the error names the threshold, -1 for (alpha, S) = (1, 1) at
     # p = 2 and 0 for S = 0; v_2(1/2) = -1 shows the threshold is exclusive

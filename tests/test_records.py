@@ -105,7 +105,9 @@ def test_shifted_claim_derives_its_own_denominators():
     for p in (2, 3, 5, 7, 11):
         assert padic_sum_verify(shifted, Prime(p)) == padic_sum_verify(fresh, Prime(p))
     assert profile.shifted_claim(0) == profile
-    rebuilt = SeriesErrorProfile(profile.spec, 0, shifted.errors, shifted.remainders)
+    assert shifted.errors == tuple(e - 1 for e in profile.errors)
+    assert shifted.remainders == profile.remainders
+    rebuilt = SeriesErrorProfile(spec, 0, profile.value, 20, profile.scale, profile.dr)
     assert rebuilt == shifted and hash(rebuilt) == hash(shifted)
 
 
@@ -137,10 +139,12 @@ def test_plain_records_are_named_tuples():
     assert PartialSumResult(2, 5, 3, 2).residual == 0
     assert tuple(int_pairs(2)) == ((0, 1), (-1, 1))
     assert TableSet.build(1, 1)._replace(corr=None).corr is None
-    # sum n! n = -1: each error S_N + 1 = N! equals its remainder B_N
+    # sum n! n = -1 = V: the profile keeps V, n_max, d = 1 and d R = A_0 = 1, and
+    # each error S_N + 1 = N! equals its remainder B_N
     spec = SeriesSpec(eps=1, x=1, k=1)
     profile = series_error_profile(spec, -1, 3, TableSet.build(1, 1))
-    assert profile == (spec, -1, (1, 2, 6), (1, 2, 6))
+    assert profile == (spec, -1, -1, 3, 1, (1,))
+    assert profile.errors == profile.remainders == (1, 2, 6)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -585,21 +585,28 @@ def test_padic_verdict_takes_a_gcd_only_up_to_its_first_violation(tables_plus, m
 @given(
     eps=st.sampled_from([1, -1]),
     k=st.integers(min_value=1, max_value=6),
+    mix=st.one_of(st.none(), st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=6)),
     a=st.integers(min_value=-12, max_value=12),
     b=st.sampled_from([1, 3, 5, 7]),
     p=st.sampled_from([2, 3, 5, 7]),
-    e=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    e=st.one_of(st.none(), st.integers(min_value=-3, max_value=30)),
     n_max=st.integers(min_value=1, max_value=40),
 )
 def test_padic_sum_verify_matches_valuation_oracle(
-    tables_plus, tables_minus, eps, k, a, b, p, e, n_max
+    tables_plus, tables_minus, eps, k, mix, a, b, p, e, n_max
 ):
     # oracle: the first N with v_p(S_N - claim) < v_p(B_N), with S_N and
-    # B_N from the engine-free reference_partial_sums
+    # B_N from the engine-free reference_partial_sums; the series is the
+    # power k, or a rational combination of powers when one is drawn, and a
+    # claim off its sum by p^e with e < 0 has p in its denominator
     tables = tables_plus if eps == 1 else tables_minus
     prime, x = Prime(p), Fraction(a, b)
-    spec = SeriesSpec(eps=eps, x=x, k=k)
-    claim = spec.claimed_sum(tables) + (0 if e is None else p**e)
+    if mix and mix[-1]:
+        spec = SeriesSpec(eps=eps, x=x, coeffs=tuple(mix))
+    else:
+        spec = SeriesSpec(eps=eps, x=x, k=k)
+    claim = spec.claimed_sum(tables) + (0 if e is None else Fraction(p) ** e)
     try:
         verdict = padic_sum_verify(series_error_profile(spec, claim, n_max, tables), prime)
     except ConvergenceDomainError:
@@ -611,6 +618,20 @@ def test_padic_sum_verify_matches_valuation_oracle(
             break
     assert verdict.first_violation == expected
     assert verdict.passed == (expected is None)
+
+
+def test_series_error_profile_proves_the_step_identity(tables_plus, tamper_a1):
+    # A_1's constant raised by 1 adds (n+1) x - eps = x n + x - eps to the step
+    # identity at k = 2, zero at n = 0 for x = eps = 1: the profile refuses the
+    # tables, naming the least n where the residual is nonzero
+    bumped = tamper_a1(tables_plus)
+    message = r"^step identity residual 1 != 0 at coeffs=\(0, 1\) eps=\+1 x=1 n=1$"
+    with pytest.raises(VerificationError, match=message):
+        series_error_profile(SeriesSpec(1, 1, k=2), 0, 10, bumped)
+    with pytest.raises(VerificationError, match=r"^step identity residual -1/3 != 0 .* n=0$"):
+        series_error_profile(SeriesSpec(1, Fraction(2, 3), k=2), 0, 10, bumped)
+    # the power k = 1 reads A_0 alone, and its profile still builds
+    assert series_error_profile(SeriesSpec(1, 1, k=1), 0, 10, bumped).value == -1
 
 
 def test_series_error_profile_needs_a_term(tables_plus):

@@ -41,16 +41,32 @@ def _least_ms(call, count: int) -> float:
     return round(best * 1e3, 4)
 
 
-def measure(src, kmaxes=KMAXES) -> dict:
-    """The timings of the ``padsum.tables`` found under ``src``, as a JSON-ready dict."""
+def load(src, name: str):
+    """The module ``padsum.<name>`` of the checkout whose ``src`` directory is ``src``."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
     try:
-        tables = importlib.import_module("padsum.tables")
+        module = importlib.import_module(f"padsum.{name}")
     finally:
         sys.path.remove(str(src))
-    if Path(tables.__file__).resolve().parent.parent != src:
-        raise RuntimeError(f"padsum was already imported from {tables.__file__}")
+    if Path(module.__file__).resolve().parent.parent != src:
+        raise RuntimeError(f"padsum was already imported from {module.__file__}")
+    return module
+
+
+def host() -> dict:
+    """The interpreter and machine a measurement ran on."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def measure(src, kmaxes=KMAXES) -> dict:
+    """The timings of the ``padsum.tables`` found under ``src``, as a JSON-ready dict."""
+    tables = load(src, "tables")
     records = []
     for kmax in kmaxes:
         for eps in (1, -1):
@@ -67,13 +83,7 @@ def measure(src, kmaxes=KMAXES) -> dict:
             count = runs(kmax)
             ms = {name: _least_ms(call, count) for name, call in zip(TIMED, calls)}
             records.append({"kmax": kmax, "eps": eps, "runs": count, "ms": ms})
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "timings": records,
-    }
+    return {**host(), "timings": records}
 
 
 def main(argv=None) -> int:
