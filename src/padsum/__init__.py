@@ -25,13 +25,16 @@ padsum's names still finds each of them: reading a module's namespace
 
 ``padsum.cli`` parses the arguments and imports the module of
 ``padsum.commands`` that runs the command, so a command runs only its own
-code, and ``poly`` only where a rational or a polynomial object is needed.
-``verify ode`` runs ``kernel`` and ``fps``; ``tables --format json`` and
-``--format csv``, ``seq`` and ``seq-compare`` run ``kernel`` and ``tables``
-alone, on integer rows; ``verify telescope`` runs ``kernel``, ``poly`` and
-``telescope``; ``tables --format text`` runs ``kernel``, ``tables`` and
-``poly``, ``verify finite`` adds ``series`` and ``telescope`` (which
-``series`` binds) to those, and ``verify padic`` adds ``padic`` as well.
+code, and ``poly`` only where a polynomial object is needed; the exact
+scalars (``kernel._exact_scalar``, ``_exact``, ``_quotient``) load
+``fractions`` only for a non-integer.  ``verify ode`` runs ``kernel`` and
+``fps``; ``tables --format json`` and ``--format csv``, ``seq`` and
+``seq-compare`` run ``kernel`` and ``tables`` alone, on integer rows;
+``verify telescope`` runs ``kernel``, ``poly`` and ``telescope``;
+``tables --format text`` runs ``kernel``, ``tables`` and ``poly``;
+``verify finite`` runs ``kernel``, ``tables``, ``series`` and
+``telescope`` (which ``series`` binds), and ``verify padic`` adds
+``padic``, with no ``fractions`` at integer points and claims.
 """
 
 import importlib.util

@@ -28,7 +28,7 @@ from . import padic
 from . import tables as tablemod
 from .kernel import SEQUENCE_IDS, VerificationError, _dumps
 
-if TYPE_CHECKING:  # annotations only: ``fractions`` loads with the first rational parsed
+if TYPE_CHECKING:  # annotations only: ``fractions`` loads with the first non-integer parsed
     from fractions import Fraction
 
 # a number on the command line or in a b-file: ASCII digits after an optional
@@ -41,10 +41,12 @@ class BFileError(ValueError):
     """A reference b-file could not be parsed; the message names the line."""
 
 
-def parse_rational(text: str, caps: tuple[int, ...] = ()) -> Fraction:
+def parse_rational(text: str, caps: tuple[int, ...] = ()) -> int | Fraction:
     """Exact rational literal: 'p' or 'p/q' with q != 0, with at most
     ``caps[0]`` digits in p and ``caps[1]`` in q when ``caps`` are given,
-    counted before either is parsed.  Decimal floats are refused."""
+    counted before either is parsed.  Decimal floats are refused.  'p' gives
+    an int, so integer arguments never load ``fractions``; 'p/q' gives a
+    Fraction."""
     if not _RATIONAL.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"exact rational 'p' or 'p/q' required, got {text!r}"
@@ -53,6 +55,8 @@ def parse_rational(text: str, caps: tuple[int, ...] = ()) -> Fraction:
         if len(digits) > cap:
             raise argparse.ArgumentTypeError(
                 f"a {part} of {len(digits)} digits is over the cap of {cap}")
+    if "/" not in text:
+        return int(text)
     from fractions import Fraction
 
     try:
@@ -99,7 +103,7 @@ def _in_range(floor: int, cap: int):
 def _rational(*caps: int):
     """An argparse ``type=``: :func:`parse_rational` with the digit caps of its
     numerator and denominator, sized like the caps of :func:`_in_range`."""
-    def parse(text: str) -> Fraction:
+    def parse(text: str) -> int | Fraction:
         return parse_rational(text, caps)
     parse.__name__ = "parse_rational"  # argparse names the type in "invalid ... value"
     return parse
@@ -129,7 +133,7 @@ def parse_prime_list(text: str) -> tuple[padic.Prime, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def parse_rational_list(text: str) -> tuple[Fraction, ...]:
+def parse_rational_list(text: str) -> tuple[int | Fraction, ...]:
     return _distinct(tuple(parse_rational(part, (120, 10)) for part in _entries(text, 200)), text)
 
 
@@ -168,7 +172,7 @@ def load_or_build_bundle(
     return tables, text
 
 
-def _grid(kmax: int, x_values) -> Iterator[tuple[int, tablemod.TableSet, int, Fraction]]:
+def _grid(kmax: int, x_values) -> Iterator[tuple[int, tablemod.TableSet, int, int | Fraction]]:
     """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
     for eps in (1, -1):
         tables = tablemod.TableSet.build(kmax, eps)

@@ -62,9 +62,12 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
                     f" p={p} violated at N={verdict.first_violation}"
                 )
             if wrong.passed:
+                # v_p(N!) = 0 for N < p: below p, only a point divisible by p shrinks B_N
+                short = (f" (--nmax {args.nmax} < p = {p}: no N! up to N = {args.nmax}"
+                         " is divisible by p)" if p > args.nmax else "")
                 failures.append(
                     f"FAIL padic: perturbed claim {claimed + 1} for k={k}"
-                    f" eps={eps:+d} x={x} p={p} was not rejected"
+                    f" eps={eps:+d} x={x} p={p} was not rejected{short}"
                 )
     total = 2 * kmax * len(x_values) * len(args.primes)  # a verdict per cell and prime
     cli._expect(len(reports), total)

@@ -14,21 +14,30 @@ writes, and ``SEQUENCE_IDS``, the ids of the named sequences.
 here so that ``fps`` and ``telescope`` resolve it through one module.
 ``_at_least`` is the package's one floor check: ``{name} must be >= {floor}, got {value}``.
 
-Every function here is pure and exact, and the module holds no state.
-Integers are plain Python ints (arbitrary precision), and they stay ints
-through the rest of the package: a ``fractions.Fraction`` (reduced,
-positive denominator) appears only where an input is fractional or a
-division happens, and is built in ``poly``.  This module imports no
-padsum module, nor ``fractions`` or ``json``: a process of integer code
-(a cold ``tables --format json``, ``seq``, ``verify ode``) loads neither.
+It is also the home of the exact scalars: ``_exact_scalar``, the gate
+that admits an int or a ``fractions.Fraction`` and refuses floats and
+``bool``; ``_exact``, which normalises a value to an int when its
+denominator is 1; and ``_quotient``, the one division of two ints.
+
+Every function here is pure and exact, and the module holds no state
+but the class that ``_fraction_class`` imports once.  Integers are plain
+Python ints (arbitrary precision), and they stay ints through the rest of
+the package: a ``fractions.Fraction`` (reduced, positive denominator)
+appears only where an input is fractional or a division leaves a
+denominator.  This module imports no padsum module, nor ``json``, and
+imports ``fractions`` only when a scalar helper is given a non-integer or
+divides with a remainder: a process of integer code (a cold ``tables
+--format json``, ``seq``, ``verify ode``, ``verify padic`` at integer
+points and claims) loads neither.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-if TYPE_CHECKING:  # annotations only: this module builds no Fraction
+if TYPE_CHECKING:  # annotations only: the class itself comes from _fraction_class
     from fractions import Fraction
 
 _setattr = object.__setattr__  # the one way past Record.__setattr__
@@ -118,6 +127,35 @@ def _sign(eps) -> int:
     if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps!r}")
     return eps
+
+
+@cache
+def _fraction_class() -> type[Fraction]:
+    """``fractions.Fraction``, imported at the first call only: the scalar
+    helpers call this only for a non-integer or a division with a remainder."""
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _exact_scalar(c) -> int | Fraction:
+    """``c`` unchanged when it is exact (an int or a Fraction, not a ``bool``);
+    else TypeError."""
+    if isinstance(c, int) and type(c) is not bool or isinstance(c, _fraction_class()):
+        return c
+    raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+
+
+def _exact(value) -> int | Fraction:
+    """``value`` as an int when its denominator is 1.  The only place that
+    normalises; ``_exact_scalar`` is the type gate that rejects floats."""
+    value = _exact_scalar(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num / den exactly: an int when den is 1, else a Fraction."""
+    return num if den == 1 else _fraction_class()(num, den)
 
 
 def _add_shifted(acc: list, coeffs, scale, shift: int = 0) -> None:

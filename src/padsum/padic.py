@@ -6,19 +6,25 @@ can never be fooled by an integer sentinel.  The p-adic verdict takes no
 valuation per term (``series.padic_sum_verify`` tests p against the
 denominator of V - claimed over the remainder, and only for a claim other
 than V).  ``expand`` and ``require_convergence`` take one valuation each
-and build no ``Fraction`` on their way to a result.
+and build no ``Fraction`` on their way to a result.  This module names
+``Fraction`` in annotations only; ``kernel._fraction_class`` gives the
+class for the refusal's threshold and for a comparison of a
+:class:`Valuation` with a non-int, so a run on integers never imports
+``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import total_ordering
+from typing import TYPE_CHECKING
 
-from .kernel import Record, _at_least, digit_sum
-from .poly import _exact_scalar
+from .kernel import Record, _at_least, _exact_scalar, _fraction_class, digit_sum
 
-RationalLike = int | Fraction
+if TYPE_CHECKING:  # annotations only: the class itself comes from _fraction_class
+    from fractions import Fraction
+
+    RationalLike = int | Fraction
 
 
 class Prime(int):
@@ -69,14 +75,14 @@ class Valuation:
     def __eq__(self, other) -> bool:
         if isinstance(other, Valuation):
             other = other._key()
-        elif not isinstance(other, (int, Fraction)):
+        elif not _exact_number(other):
             return NotImplemented
         return self._key() == other
 
     def __lt__(self, other) -> bool:
         if isinstance(other, Valuation):
             other = other._key()
-        elif not isinstance(other, (int, Fraction)):
+        elif not _exact_number(other):
             return NotImplemented
         return self._key() < other
 
@@ -91,6 +97,12 @@ class Valuation:
 
 
 Valuation.INFINITE = Valuation(None)
+
+
+def _exact_number(value) -> bool:
+    """Whether a :class:`Valuation` compares with ``value``: an int or a
+    Fraction, the class looked up only for a non-int."""
+    return isinstance(value, int) or isinstance(value, _fraction_class())
 
 
 def _require_prime(p) -> None:
@@ -214,4 +226,5 @@ def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: in
     v = val_rat(x, p)
     # v_p(x) > -S/((p-1) alpha), multiplied through by (p-1) alpha > 0
     if not (v.is_infinite or v.exponent * (p - 1) * alpha > -mu_lambda_sum):
-        raise ConvergenceDomainError(x, p, Fraction(-mu_lambda_sum, (p - 1) * alpha))
+        threshold = _fraction_class()(-mu_lambda_sum, (p - 1) * alpha)
+        raise ConvergenceDomainError(x, p, threshold)

@@ -19,10 +19,11 @@ once, on coefficient lists, in ``kernel``, and imported here; the integer
 rows of ``tables`` and ``series`` and the residuals of ``fps`` call them
 there, without a polynomial object.
 
-This module is where rationals are built: ``_exact`` normalises a value
-and ``_quotient`` divides two ints, so ``fractions`` loads only with it.
-A process that runs on integers alone (a cold ``tables --format json``,
-``seq``, ``verify ode``) never loads this module.
+The exact-scalar helpers (``_exact_scalar``, ``_exact`` and the one
+division, ``_quotient``) live in ``kernel`` too and are imported here, so
+this module is needed only where a polynomial object is: a process that
+builds none (a cold ``tables --format json``, ``seq``, ``verify ode``,
+``verify finite``, ``verify padic``) never loads it.
 """
 
 from __future__ import annotations
@@ -30,31 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .kernel import (Record, _add_product, _add_shifted, _at_least, _derivative, _horner,
-                     _setattr, _sign)
+from .kernel import (Record, _add_product, _add_shifted, _at_least, _derivative,
+                     _exact, _exact_scalar, _horner, _quotient, _setattr, _sign)  # noqa: F401
 
 Scalar = Union[int, Fraction]
 _EXACT = (int, Fraction)  # the types of a Scalar, for isinstance
-
-
-def _exact_scalar(c) -> Scalar:
-    """``c`` unchanged when it is exact (an int or a Fraction, not a ``bool``);
-    else TypeError."""
-    if isinstance(c, _EXACT) and type(c) is not bool:
-        return c
-    raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-
-
-def _exact(value) -> Scalar:
-    """``value`` as an int when its denominator is 1.  The only place that
-    normalises; ``_exact_scalar`` is the type gate that rejects floats."""
-    value = _exact_scalar(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(num: int, den: int) -> Scalar:
-    """num / den exactly: an int when den is 1, else a Fraction."""
-    return num if den == 1 else Fraction(num, den)
 
 
 def _power(var: str, i: int) -> str:

@@ -34,11 +34,13 @@ from .kernel import (
     VerificationError,
     _add_shifted,
     _at_least,
+    _exact,
+    _exact_scalar,
     _failure,
     _horner,
+    _quotient,
     _sign,
 )
-from .poly import _exact, _exact_scalar, _quotient
 
 # bound here too: the benchmark's tracer binds series.telescope_sweep
 from .telescope import (  # noqa: F401

@@ -7,31 +7,37 @@ G(n+1) - G(n), so every partial sum from n = 1 telescopes to G(N) - G(1);
 returns the record of that last N alone.  At x = a/b each term and
 boundary value is built in integers (the powers of a and b, the factorial
 and block products, and ``aux`` through ``kernel._horner``) and divided
-once, so a sweep at an integer x handles only ints.
+once, by ``kernel._quotient``, so a sweep at an integer x handles only
+ints.  ``RatPoly`` and ``Fraction`` are reached through the ``poly``
+module, which loads at its first use, so ``series``, which binds this
+module's names, does not execute ``poly``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import padic
+from . import poly as polymod  # loads at its first attribute access
 from .kernel import (
     PartialSumResult,
     Record,
     _at_least,
+    _exact,
     _failure,
     _horner,
+    _quotient,
     _sign,
     factorial,
     rising_block,
 )
-from .poly import RatPoly, _exact, _quotient
 
 if TYPE_CHECKING:  # annotations only
     import random
+    from fractions import Fraction
 
     from .padic import Prime
+    from .poly import RatPoly
 
 
 class TelescopeSpec(Record):
@@ -71,7 +77,7 @@ class TelescopeSpec(Record):
         _at_least("alpha", self.alpha, 1)
         _at_least("beta", self.beta, 0)
         _sign(self.eps)
-        if not isinstance(self.aux, RatPoly):
+        if not isinstance(self.aux, polymod.RatPoly):
             raise TypeError("aux must be a RatPoly")
         if not self.aux.is_integral():
             raise ValueError(f"aux must have integer coefficients, got {self.aux!r}")
@@ -146,9 +152,10 @@ def random_telescope_spec(rng: random.Random) -> TelescopeSpec:
     degree = rng.randint(0, 2)
     coeffs = [rng.randint(-3, 3) for _ in range(degree + 1)]
     coeffs[-1] = rng.choice([c for c in range(-3, 4) if c != 0])
+    fraction = polymod.Fraction
     x = rng.choice(
-        [Fraction(v) for v in (-2, -1, 1, 2)]
-        + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+        [fraction(v) for v in (-2, -1, 1, 2)]
+        + [fraction(1, 2), fraction(-1, 2), fraction(3, 2), fraction(-3, 2)]
     )
     return TelescopeSpec(
         mu=tuple(mu),
@@ -158,7 +165,7 @@ def random_telescope_spec(rng: random.Random) -> TelescopeSpec:
         beta=rng.randint(0, 1),
         eps=rng.choice((1, -1)),
         x=x,
-        aux=RatPoly(coeffs),
+        aux=polymod.RatPoly(coeffs),
     )
 
 
@@ -177,8 +184,8 @@ def construct_telescope_poly(
     mu_lambda_sum = sum(m * l for m, l in zip(spec.mu, spec.lam))
     for p in primes:
         padic.require_convergence(t, p, spec.alpha, mu_lambda_sum)
-    block = RatPoly.one()
+    block = polymod.RatPoly.one()
     for m, v, l in zip(spec.mu, spec.nu, spec.lam):
         for s in range(1, m + 1):
-            block = block * RatPoly((v + s, m)) ** l
+            block = block * polymod.RatPoly((v + s, m)) ** l
     return block * spec.aux.shift(1) * t**spec.alpha - spec.eps * spec.aux

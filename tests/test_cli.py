@@ -96,6 +96,35 @@ def test_rational_literals_round_trip():
     assert parse_rational("-2/3") == Fraction(-2, 3)
 
 
+@pytest.mark.parametrize("text", ["7", "+7", "-0", "007"])
+def test_an_integer_literal_parses_to_an_int(text):
+    # so an integer point or claim never loads ``fractions``
+    value = parse_rational(text)
+    assert type(value) is int and value == Fraction(text)
+
+
+def test_an_integral_quotient_literal_keeps_its_value():
+    assert parse_rational("4/2") == 2
+
+
+@pytest.mark.parametrize("text, caps, message", [
+    ("12345", (4, 4), "a numerator of 5 digits is over the cap of 4"),
+    ("-12345/2", (4, 4), "a numerator of 5 digits is over the cap of 4"),
+    ("1/12345", (4, 4), "a denominator of 5 digits is over the cap of 4"),
+    ("1/0", (), "zero denominator in '1/0'"),
+    ("-3/000", (4, 4), "zero denominator in '-3/000'"),
+])
+def test_rational_literal_refusals_keep_their_messages(text, caps, message):
+    with pytest.raises(argparse.ArgumentTypeError, match=f"^{message}$"):
+        parse_rational(text, caps)
+
+
+@pytest.mark.parametrize("values", ["2,4/2", "1,+1"])
+def test_a_repeat_across_literal_forms_is_refused(values):
+    with pytest.raises(argparse.ArgumentTypeError, match="repeated value"):
+        padsum.cli.parse_rational_list(values)
+
+
 def test_rational_literal_rejects_floats():
     import argparse
 
@@ -231,11 +260,31 @@ def test_tables_json_loads_no_rational_code(tmp_path):
     "seq U-1 --kmax 8 --format json",
     "seq-compare A+0,1 --kmax 5 --bfile ref.txt",
     "verify ode --nmax 5",
+    "verify padic --kmax 2 --nmax 20 --primes 3,5 --x-values 1,-1,2",
+    "verify padic --claim=-1 --k 1 --x 2 --nmax 5 --primes 5",  # V_1(2) = -1
 ])
 def test_integer_commands_load_no_rational_code(argv, tmp_path):
-    # the sequences are read off integer rows and the ODE residuals are integer tuples
+    # the sequences are read off integer rows, the ODE residuals are integer
+    # tuples, and p-adic verdicts at integer points and claims are taken in ints
     (tmp_path / "ref.txt").write_text("0 1\n1 -1\n2 -1\n3 5\n")
     assert _rational_modules_loaded(argv.split(), tmp_path) == []
+
+
+def test_a_rational_point_loads_fractions(tmp_path):
+    # the control of the probe above: the same suite at x = 1/2 needs a Fraction
+    argv = "verify padic --kmax 2 --nmax 20 --primes 3,5 --x-values 1/2".split()
+    assert _rational_modules_loaded(argv, tmp_path) == ["decimal", "fractions"]
+
+
+def test_kernel_import_loads_no_fractions():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys; before = set(sys.modules); import padsum.kernel\n"
+            "padsum.kernel._horner\n"  # the module runs at its first attribute access
+            "assert type(padsum.kernel).__name__ == 'module'\n"
+            "assert not {'fractions', 'decimal'} & (set(sys.modules) - before), sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # the module of padsum.commands that runs each command family
@@ -257,10 +306,11 @@ COMMAND_MODULES = [
      {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
     ("tables --kmax 2 --format csv", "tables",
      {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
+    # the scalar helpers are in ``kernel``, and ``telescope`` loads ``poly`` lazily
     ("verify finite --kmax 1 --nmax 2", "series",
-     {"padic", "fps", *COMMANDS - {"commands.verify_finite"}}),
+     {"poly", "padic", "fps", *COMMANDS - {"commands.verify_finite"}}),
     ("verify padic --kmax 1 --nmax 3 --primes 3", "padic",
-     {"fps", *COMMANDS - {"commands.verify_padic"}}),
+     {"poly", "fps", *COMMANDS - {"commands.verify_padic"}}),
     # the sequences are evaluated on the integer rows
     ("seq A+1,-1 --kmax 4", "tables",
      {"poly", "series", "telescope", "padic", "fps", *COMMANDS - {"commands.tables"}}),
@@ -1051,6 +1101,20 @@ def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
     monkeypatch.setattr(padsum.series, "_quotient", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("PASS finite: ")
+
+
+def test_a_prime_above_nmax_names_why_a_perturbation_survives(capsys):
+    # N < p gives v_p(N!) = 0, so at x = 1 no remainder up to --nmax is divisible by p
+    assert run("verify padic --kmax 1 --primes 199,211 --x-values 1".split()) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL padic: perturbed claim {claim} for k=1 eps={eps} x=1 p=211 was not rejected"
+        " (--nmax 200 < p = 211: no N! up to N = 200 is divisible by p)"
+        for claim, eps in ((0, "+1"), (2, "-1"))
+    ]
+    # a point divisible by p is judged at any --nmax, and so is every p at a larger --nmax
+    assert run("verify padic --kmax 1 --primes 211 --x-values 211".split()) == 0
+    assert run("verify padic --kmax 1 --primes 199,211 --x-values 1 --nmax 420".split()) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def _lower_v1(tables):

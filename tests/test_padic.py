@@ -168,7 +168,8 @@ def test_convergence_gate_builds_its_threshold_only_to_refuse(monkeypatch):
     def refuse(*args):
         raise AssertionError("require_convergence built a Fraction")
 
-    monkeypatch.setattr("padsum.padic.Fraction", refuse)
+    # padic names Fraction in annotations only and looks the class up here
+    monkeypatch.setattr("padsum.padic._fraction_class", refuse)
     for x in (7, Fraction(2, 3), Fraction(1, 3), 0):
         assert require_convergence(x, P2, 1, 1) is None
     monkeypatch.undo()

@@ -540,7 +540,7 @@ def test_padic_sum_verify_builds_no_fraction(tables_plus, tables_minus, monkeypa
     def refuse(*args):
         raise AssertionError("padic_sum_verify built a Fraction")
 
-    monkeypatch.setattr("padsum.poly.Fraction", refuse)  # the class _quotient builds
+    monkeypatch.setattr("padsum.kernel._fraction_class", refuse)  # the class _quotient builds
     assert [padic_sum_verify(profile, p) for profile, p in runs] == expected
 
 
