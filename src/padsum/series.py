@@ -42,10 +42,10 @@ from .kernel import (
     _sign,
 )
 
-# bound here too: the benchmark's tracer binds series.telescope_sweep
+# read through series by the benchmark's tracer (telescope_sweep) and by the
+# acceptance suite (TelescopeSpec, random_telescope_spec, telescope_check, telescope_sweep)
 from .telescope import (  # noqa: F401
     TelescopeSpec,
-    construct_telescope_poly,
     random_telescope_spec,
     telescope_check,
     telescope_sweep,

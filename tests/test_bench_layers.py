@@ -1,5 +1,6 @@
-"""The per-layer benchmark runs and reports every figure of its three stages."""
+"""The per-layer benchmark runs and reports every figure of its four stages."""
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -7,27 +8,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bench_layers_smoke(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # it imports bench_tables beside it
-    import bench_layers
-
+def test_bench_layers_smoke():
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "tools" / "bench_layers.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     start = time.perf_counter()
-    result = json.loads(json.dumps(bench_layers.measure(
-        ROOT / "src", sizes=((1, 3), (2, 5)), finite=(2, 3), process_runs=1)))
+    result = json.loads(json.dumps(bench.measure(
+        ROOT / "src", kmaxes=(0, 4), sizes=((1, 3), (2, 5)), finite=(2, 3), process_runs=1)))
     # the in-process stages take milliseconds; the three children about 0.1 s each
     assert time.perf_counter() - start < 3
     assert set(result) == {"python", "implementation", "machine", "cpus",
-                           "PYTHONDONTWRITEBYTECODE", "timings", "finite", "process"}
+                           "PYTHONDONTWRITEBYTECODE", "tables", "timings", "finite", "process"}
+    assert [(r["kmax"], r["eps"]) for r in result["tables"]] == [(0, 1), (0, -1), (4, 1), (4, -1)]
+    assert [bench.table_runs(kmax) for kmax in bench.KMAXES] == [80, 20, 5, 3]
     assert [(r["kmax"], r["nmax"]) for r in result["timings"]] == [(1, 3), (2, 5)]
-    for record in result["timings"]:
-        assert record["runs"] >= 3
-        assert set(record["ms"]) == set(bench_layers.TIMED)
-        assert all(ms >= 0 for ms in record["ms"].values())
     finite = result["finite"]
-    assert (finite["kmax"], finite["nmax"]) == (2, 3) and finite["runs"] >= 3
-    assert set(finite["ms"]) == set(bench_layers.FINITE_TIMED)
-    assert all(ms >= 0 for ms in finite["ms"].values())
+    assert (finite["kmax"], finite["nmax"]) == (2, 3)
+    for record, timed in [*((r, bench.TABLES_TIMED) for r in result["tables"]),
+                          *((r, bench.TIMED) for r in result["timings"]),
+                          (finite, ["finite_identity_sweep"])]:
+        assert record["runs"] >= 3
+        assert set(record["ms"]) == set(timed)
+        assert all(ms >= 0 for ms in record["ms"].values())
     process = result["process"]
     assert process["runs"] == 1
-    assert set(process["ms"]) == set(bench_layers.PROCESSES)
+    assert set(process["ms"]) == {"import padsum.cli", "verify padic", "verify finite"}
     assert all(ms > 0 for ms in process["ms"].values())  # a child uses some CPU

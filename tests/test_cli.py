@@ -16,7 +16,6 @@ import pytest
 import padsum.cli
 import padsum.commands.verify_finite
 import padsum.fps
-import padsum.poly
 import padsum.series
 import padsum.tables
 import padsum.telescope
@@ -1097,7 +1096,7 @@ def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("verify finite built a Fraction")
 
-    monkeypatch.setattr(padsum.poly, "Fraction", refuse)  # the class _quotient builds
+    monkeypatch.setattr(Fraction, "__new__", refuse)  # every route to Fraction(...)
     monkeypatch.setattr(padsum.series, "_quotient", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("PASS finite: ")

@@ -15,7 +15,6 @@ from padsum.series import (
     SeriesSpec,
     TelescopeSpec,
     VerificationError,
-    construct_telescope_poly,
     finite_identity_sweep,
     general_sum_check,
     padic_sum_verify,
@@ -26,6 +25,7 @@ from padsum.series import (
     telescope_sweep,
 )
 from padsum.tables import TableSet, corrections_by_recurrence, gen_poly_table, linear_closed_form
+from padsum.telescope import construct_telescope_poly
 
 
 @pytest.fixture(scope="module")

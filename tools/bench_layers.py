@@ -1,81 +1,146 @@
-"""Per-layer timings of padsum's verify suites, and the CPU time of a cold
-padsum process.
+"""Per-layer timings of padsum's tables and verify suites, and the CPU time
+of a cold padsum process.
 
     python3 tools/bench_layers.py --src src > timings.json
     python3 tools/bench_layers.py --src ../other-checkout/src
 
-Three stages:
+Four stages:
 
-- **p-adic**, on the grid of ``verify padic`` (both signs, k <= kmax,
-  x in {1, -1, 2}, p in {2, 3, 5, 7, 11}) at (kmax, nmax) = (8, 200) and
-  (20, 500), each stage timed over the whole grid as the command runs it:
-  a profile per cell (``series_error_profile``), the verdicts on each
-  claim and on the claim plus 1 at each prime (``padic_sum_verify``), an
-  expansion of each claim to 16 digits at each prime (``expand``) and a
-  gate per cell and prime (``require_convergence``);
-- **finite**, at ``verify finite``'s defaults (kmax, nmax) = (15, 25): the
-  checked tables of both signs (``TableSet.build``) and the sweeps over its
-  grid of k, both signs and ``FINITE_X_SET`` (``finite_identity_sweep``);
-- **process**: the user plus system CPU time of a child interpreter, read
-  from ``os.wait4``'s rusage, that imports ``padsum.cli`` or runs the
-  benchmark's ``verify padic`` or ``verify finite`` argv.  The children run
-  one at a time, in the environment of this script with ``PYTHONPATH`` set
-  to ``--src``; whether that environment writes bytecode
-  (``PYTHONDONTWRITEBYTECODE``) is in the host record.
+- **tables**, at kmax 15, 30, 60 and 100 for both signs: ``gen_poly_table``,
+  the residual check ``recurrence_residuals``, the checked
+  ``TableSet.build``, the bundle's serialisation ``bundle_text`` and a
+  cache read ``bundle_from_text``;
+- **p-adic**, on the grid of the benchmark's ``verify padic`` argv (both
+  signs, k <= kmax, its x-values and primes) at its (kmax, nmax) and at
+  ``LARGE``, each timed over the whole grid: a profile per cell
+  (``series_error_profile``), the verdicts on each claim and on the claim
+  plus 1 at each prime (``padic_sum_verify``), an expansion of each claim
+  to the argv's precision at each prime (``expand``) and a gate per cell
+  and prime (``require_convergence``);
+- **finite**: the sweeps of the benchmark's ``verify finite`` argv over
+  its k, both signs and ``FINITE_X_SET`` (``finite_identity_sweep``);
+- **process**: the user plus system CPU time, from ``os.wait4``, of a
+  child interpreter that imports ``padsum.cli`` or runs either argv, one
+  child at a time, with ``PYTHONPATH`` set to ``--src``; whether bytecode
+  is written (``PYTHONDONTWRITEBYTECODE``) is in the host record.
 
-Each in-process figure is the least wall time, in milliseconds, of N runs
-(:func:`runs`), and each process figure the least child CPU time of N
-children.  Only public names of padsum are called, and the timing loop and
-``--src`` are those of ``bench_tables.py``, so two checkouts are compared
-by running this script once on each.  Only the standard library is used.
+The argvs are read from ``perfbench/workloads.py`` beside this script, and
+the measured checkout's own CLI parser reads their sizes.  An in-process
+figure is the least wall time, in milliseconds, of N runs, N shrinking as
+the size grows; a process figure is the least of N children.  Only public
+names of padsum are called, so two checkouts are compared by running this
+script once on the ``src`` directory of each.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
+import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from bench_tables import _least_ms, host, load
-
-SIZES = ((8, 200), (20, 500))
-X_VALUES = (1, -1, 2)
-PRIMES = (2, 3, 5, 7, 11)
-PRECISION = 16
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+KMAXES = (15, 30, 60, 100)
+TABLES_TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text",
+                "bundle_from_text")
+LARGE = (20, 500)  # a p-adic size beyond the benchmark's, where growth in kmax and nmax shows
 TIMED = ("series_error_profile", "padic_sum_verify", "expand", "require_convergence")
-FINITE = (15, 25)
-FINITE_TIMED = ("TableSet.build", "finite_identity_sweep")
 LAUNCH = "import sys; from padsum.cli import main; sys.exit(main())"
-# the children: the import alone, and the argvs of perfbench/workloads.py
-PROCESSES = {
-    "import padsum.cli": ("-c", "import padsum.cli"),
-    "verify padic": ("-c", LAUNCH, "verify", "padic", "--kmax", "8", "--nmax", "200",
-                     "--primes", "2,3,5,7,11", "--x-values", "1,-1,2", "--precision", "16",
-                     "--format", "json"),
-    "verify finite": ("-c", LAUNCH, "verify", "finite", "--kmax", "15", "--nmax", "25",
-                      "--format", "json"),
-}
 PROCESS_RUNS = 25
 
 
+def table_runs(kmax: int) -> int:
+    """How many runs each tables figure at this kmax is the least of."""
+    return min(100, max(3, 18_000 // max(kmax, 1) ** 2))
+
+
 def runs(kmax: int, nmax: int) -> int:
-    """How many runs each figure at this size is the least of."""
+    """How many runs each p-adic or finite figure at this size is the least of."""
     return min(50, max(3, 4_000_000 // (kmax * nmax**2)))
 
 
-def padic_stage(src, sizes=SIZES) -> list[dict]:
-    """The timings of the p-adic stages at each (kmax, nmax) of ``sizes``."""
+def _least_ms(call, count: int) -> float:
+    best = float("inf")
+    for _ in range(count):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 4)
+
+
+def load(src, name: str):
+    """The module ``padsum.<name>`` of the checkout whose ``src`` directory is ``src``."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    try:
+        module = importlib.import_module(f"padsum.{name}")
+    finally:
+        sys.path.remove(str(src))
+    if Path(module.__file__).resolve().parent.parent != src:
+        raise RuntimeError(f"padsum was already imported from {module.__file__}")
+    return module
+
+
+def host() -> dict:
+    """The interpreter and machine a measurement ran on."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+
+def benchmark_argvs() -> dict[str, tuple[str, ...]]:
+    """The argvs of the benchmark's verify-padic and verify-finite steps,
+    each named by its first two words ("verify padic", "verify finite")."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # @dataclass looks its class's module up here
+    spec.loader.exec_module(workloads)
+    steps = [step for name in ("verify-padic", "verify-finite")
+             for step in workloads.WORKLOADS[name]]
+    return {" ".join(step.argv[:2]): step.argv for step in steps}
+
+
+def tables_stage(src, kmaxes) -> list[dict]:
+    """The timings of the tables of both signs at each kmax of ``kmaxes``."""
+    tables = load(src, "tables")
+    records = []
+    for kmax in kmaxes:
+        for eps in (1, -1):
+            gen = tables.gen_poly_table(kmax, eps)
+            checked = tables.TableSet.build(kmax, eps)
+            text = tables.bundle_text(checked)
+            calls = (
+                lambda: tables.gen_poly_table(kmax, eps),
+                lambda: tables.recurrence_residuals(gen),
+                lambda: tables.TableSet.build(kmax, eps),
+                lambda: tables.bundle_text(checked),
+                lambda: tables.bundle_from_text(text),
+            )
+            count = table_runs(kmax)
+            ms = {name: _least_ms(call, count) for name, call in zip(TABLES_TIMED, calls)}
+            records.append({"kmax": kmax, "eps": eps, "runs": count, "ms": ms})
+    return records
+
+
+def padic_stage(src, grid, sizes) -> list[dict]:
+    """The timings of the p-adic stages at each (kmax, nmax) of ``sizes``, on
+    the x-values, primes and precision of the parsed ``verify padic`` ``grid``."""
     series, padic, tables = (load(src, name) for name in ("series", "padic", "tables"))
-    primes = [padic.Prime(p) for p in PRIMES]
     records = []
     for kmax, nmax in sizes:
         cells = [(series.SeriesSpec(eps=eps, x=x, k=k), table)
                  for eps in (1, -1) for table in [tables.TableSet.build(kmax, eps)]
-                 for k in range(1, kmax + 1) for x in X_VALUES]
+                 for k in range(1, kmax + 1) for x in grid.x_values]
         claims = [spec.claimed_sum(table) for spec, table in cells]
 
         def profiles():
@@ -86,10 +151,11 @@ def padic_stage(src, sizes=SIZES) -> list[dict]:
         calls = (
             profiles,
             lambda: [series.padic_sum_verify(profile, p)
-                     for pair in built for profile in pair for p in primes],
-            lambda: [padic.expand(claim, p, PRECISION) for claim in claims for p in primes],
+                     for pair in built for profile in pair for p in grid.primes],
+            lambda: [padic.expand(claim, p, grid.precision)
+                     for claim in claims for p in grid.primes],
             lambda: [padic.require_convergence(spec.x, p, 1, 1)
-                     for spec, _ in cells for p in primes],
+                     for spec, _ in cells for p in grid.primes],
         )
         count = runs(kmax, nmax)
         ms = {name: _least_ms(call, count) for name, call in zip(TIMED, calls)}
@@ -97,22 +163,18 @@ def padic_stage(src, sizes=SIZES) -> list[dict]:
     return records
 
 
-def finite_stage(src, size=FINITE) -> dict:
-    """The timings of the checked tables and the finite sweeps of ``verify finite`` at ``size``."""
+def finite_stage(src, size) -> dict:
+    """The timings of the finite sweeps of ``verify finite`` at ``size``."""
     series, tables = load(src, "series"), load(src, "tables")
     # a submodule of the package just loaded from ``src``
     x_set = importlib.import_module(f"{series.__package__}.commands.verify_finite").FINITE_X_SET
     kmax, nmax = size
     built = {eps: tables.TableSet.build(kmax, eps) for eps in (1, -1)}
-    calls = (
-        lambda: [tables.TableSet.build(kmax, eps) for eps in (1, -1)],
-        lambda: sum(series.finite_identity_sweep(k, eps, x, nmax, table)
-                    for eps, table in built.items()
-                    for k in range(1, kmax + 1) for x in x_set),
-    )
     count = runs(kmax, nmax)
-    ms = {name: _least_ms(call, count) for name, call in zip(FINITE_TIMED, calls)}
-    return {"kmax": kmax, "nmax": nmax, "runs": count, "ms": ms}
+    ms = _least_ms(lambda: sum(series.finite_identity_sweep(k, eps, x, nmax, table)
+                               for eps, table in built.items()
+                               for k in range(1, kmax + 1) for x in x_set), count)
+    return {"kmax": kmax, "nmax": nmax, "runs": count, "ms": {"finite_identity_sweep": ms}}
 
 
 def _child_cpu_ms(argv, env: dict) -> float:
@@ -125,23 +187,31 @@ def _child_cpu_ms(argv, env: dict) -> float:
     return (usage.ru_utime + usage.ru_stime) * 1e3
 
 
-def process_stage(src, count: int = PROCESS_RUNS) -> dict:
-    """The least child CPU time, in milliseconds, of ``count`` children of
-    each of ``PROCESSES``, run one at a time."""
+def process_stage(src, argvs: dict, count: int) -> dict:
+    """The least child CPU time, in milliseconds, of ``count`` children that
+    import ``padsum.cli`` and of ``count`` that run each of ``argvs``, one at a time."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    children = {"import padsum.cli": ("-c", "import padsum.cli"),
+                **{name: ("-c", LAUNCH, *argv) for name, argv in argvs.items()}}
     return {"runs": count,
             "ms": {name: round(min(_child_cpu_ms(argv, env) for _ in range(count)), 4)
-                   for name, argv in PROCESSES.items()}}
+                   for name, argv in children.items()}}
 
 
-def measure(src, sizes=SIZES, finite=FINITE, process_runs: int = PROCESS_RUNS) -> dict:
-    """The timings of the padsum found under ``src``, as a JSON-ready dict."""
+def measure(src, kmaxes=KMAXES, sizes=None, finite=None,
+            process_runs: int = PROCESS_RUNS) -> dict:
+    """The timings of the padsum found under ``src``, as a JSON-ready dict.
+    ``sizes`` and ``finite`` default to the benchmark's sizes, with ``LARGE``
+    after the p-adic one."""
+    argvs = benchmark_argvs()
+    parse = load(src, "cli").build_parser().parse_args
+    grid, sweep = parse(argvs["verify padic"]), parse(argvs["verify finite"])
     return {
         **host(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "timings": padic_stage(src, sizes),
-        "finite": finite_stage(src, finite),
-        "process": process_stage(src, process_runs),
+        "tables": tables_stage(src, kmaxes),
+        "timings": padic_stage(src, grid, sizes or ((grid.kmax, grid.nmax), LARGE)),
+        "finite": finite_stage(src, finite or (sweep.kmax, sweep.nmax)),
+        "process": process_stage(src, argvs, process_runs),
     }
 
 
