@@ -4,7 +4,8 @@ Commands: tables, verify {finite|telescope|padic|ode|all}, seq and
 seq-compare.  All numbers are exact (integers or p/q); output is
 deterministic for a fixed configuration and seed, so repeated runs are
 byte-identical.  Nothing is written outside ``--out``, except the table
-cache that ``tables --cache-dir DIR`` names.
+bundle that ``tables --cache-dir DIR`` writes there.  Nothing is read back
+from DIR: the only file any command parses is ``seq-compare``'s b-file.
 
 This module parses the arguments and holds what several commands share,
 :func:`cmd_verify` among them: the one place where a ``VerificationError``
@@ -140,26 +141,18 @@ def parse_rational_list(text: str) -> tuple[int | Fraction, ...]:
 def load_or_build_bundle(
     kmax: int, eps: int, cache_dir: Path | None
 ) -> tuple[tablemod.TableSet, str | None]:
-    """Checked tables for (kmax, eps) and their :func:`tables.bundle_text`; with no
-    ``cache_dir``, a plain :meth:`tables.TableSet.build` and no text, which
-    only ``tables --format json`` needs and encodes itself.
+    """Checked tables for (kmax, eps), built by :meth:`tables.TableSet.build`,
+    and, when ``cache_dir`` is named, their :func:`tables.bundle_text`, which
+    only ``tables --format json`` needs and otherwise encodes itself.
 
-    In ``cache_dir``, the entry ``tables_kmax{kmax}_eps{eps:+d}.json`` is a
-    hit, served as is, when it equals byte for byte the bundle of its own
-    checked A (:func:`tables.bundle_from_text`) and that A has this (kmax, eps).
-    Anything else, an older layout included, is rebuilt: written to a
-    temporary file and renamed into place, so a reader never sees half a file.
+    The text is also written to ``cache_dir`` as
+    ``tables_kmax{kmax}_eps{eps:+d}.json``, through a temporary file renamed
+    into place, so that no one sees half a file.  Nothing is read from
+    ``cache_dir``: every run builds its tables.
     """
     if cache_dir is None:
         return tablemod.TableSet.build(kmax, eps), None
     cache_file = cache_dir / f"tables_kmax{kmax}_eps{eps:+d}.json"
-    try:
-        text = cache_file.read_text()
-        tables = tablemod.bundle_from_text(text)
-        if (tables.kmax, tables.eps) == (kmax, eps):
-            return tables, text
-    except (OSError, ValueError):
-        pass
     cache_dir.mkdir(parents=True, exist_ok=True)  # a file in the way fails before the build
     tables = tablemod.TableSet.build(kmax, eps)
     text = tablemod.bundle_text(tables)
@@ -266,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--eps", type=parse_eps, default=1)
     p_tables.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p_tables.add_argument("--out", default=".")
-    p_tables.add_argument("--cache-dir", type=Path, help="table cache directory (none if omitted)")
+    p_tables.add_argument("--cache-dir", type=Path,
+                          help="also write the JSON bundle here; nothing is read from it")
     p_tables.set_defaults(func=_runner("tables", "cmd_tables"))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -35,8 +35,8 @@ Building, checking, evaluating and writing a table runs on ints alone.
 through the module (``polymod``), which loads at its first use: in
 ``poly(k)``, ``u_poly``/``v_poly``, ``aux_poly``, the closed forms and
 ``eps_split``.  So ``tables --format json`` and ``--format csv``, ``seq``
-and ``seq-compare`` load neither ``poly`` nor ``fractions``, and ``json``
-is imported only to read a bundle back.
+and ``seq-compare`` load neither ``poly`` nor ``fractions``.  No table is
+ever read back: every run generates its tables by the recurrence.
 """
 
 from __future__ import annotations
@@ -149,14 +149,16 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
     ))
 
 
-def recurrence_residuals(table: GenPolyTable) -> int | None:
+def recurrence_residuals(table: GenPolyTable) -> tuple[int | None, int]:
     """Re-substitute the whole family into its defining recurrence: the
     first k = 1..kmax whose residual, the two-variable polynomial
 
         sum_{l=1}^{k+1} C(k+1, l) x^(k+1-l) A_{l-1}(n; x)
             - eps * A_{k-1}(n; x) - n^k x^k,
 
-    is not identically zero, or None when every residual vanishes.
+    is not identically zero, or None when every residual vanishes; and
+    the number of k whose residual was compared, which is kmax when every
+    residual vanishes.
 
     This is an independent route from the generator: it sums whole
     two-variable polynomials, one packed integer per power of x, rather
@@ -177,15 +179,17 @@ def recurrence_residuals(table: GenPolyTable) -> int | None:
     first = max(next(over, len(rows)), 1)
     width = _width(2 * bounds[-1] + 1)
     packed = [[_pack(col, width) for col in row] for row in rows[:first]]
+    compared = 0
     for k in range(1, first):
         terms = [(packed[k - m], comb(k + 1, m), m) for m in range(k + 1)]
         terms.append((packed[k - 1], -eps, 0))
         acc = [0] * k + [-1 << (k * width)]  # - n^k x^k
         for row, scale, shift in terms:
             _add_shifted(acc, row, scale, shift)
+        compared += 1
         if any(acc):
-            return k
-    return first if first < len(rows) else None
+            return k, compared
+    return (first if first < len(rows) else None), compared
 
 
 def _kth(items: tuple, k: int):
@@ -450,9 +454,10 @@ class TableSet(NamedTuple):
         First eps must be the int +1 or -1 (``ValueError``), and row k must
         be k+1 columns of plain ints (no ``bool``, no ``float``) with no
         trailing zero, the stored form that ``bundle_text`` writes as it is.
-        Then A is re-substituted into its recurrence; the residuals start at
-        k = 1, so the seed A_0 = 1 is pinned separately, and with it fixed
-        the recurrence fixes every later row.  Last, U and V are
+        Then A is re-substituted into its recurrence, and the residual check
+        must have compared every k = 1..kmax; the residuals start at k = 1,
+        so the seed A_0 = 1 is pinned separately, and with it fixed the
+        recurrence fixes every later row.  Last, U and V are
         compared with :func:`corrections_by_recurrence`, and the pairs u, v
         with :func:`int_pairs`, by one rule: the lengths, then the first row
         that differs.  Any disagreement raises :class:`CrossCheckError`.
@@ -465,9 +470,12 @@ class TableSet(NamedTuple):
                 raise CrossCheckError(f"A_{k} is not {k + 1} trimmed columns of plain ints")
         if gen.rows[:1] != (((1,),),):
             raise CrossCheckError("A_0 is not 1")
-        bad_k = recurrence_residuals(gen)
+        bad_k, compared = recurrence_residuals(gen)
         if bad_k is not None:
             raise CrossCheckError(f"generating-polynomial residual nonzero at k={bad_k}")
+        if compared != gen.kmax:
+            raise CrossCheckError(
+                f"generating-polynomial residuals compared at {compared} of k = 1..{gen.kmax}")
         tables = cls(gen, derive_corrections(gen))
         corr, pairs = tables.corr, tables.pairs
         direct, integers = corrections_by_recurrence(gen.kmax + 1, eps), int_pairs(gen.kmax + 1)
@@ -521,26 +529,3 @@ def bundle_to_json(tables: TableSet) -> dict:
 def bundle_text(tables: TableSet) -> str:
     """The bundle's one serialisation: ``tables --format json`` and the cache."""
     return _dumps(bundle_to_json(tables))
-
-
-def bundle_from_text(text: str) -> TableSet:
-    """Decode a bundle written by :func:`bundle_text`.
-
-    Only ``eps`` and A are decoded, and A goes through :meth:`TableSet.checked`,
-    so the result is exactly what a cold build returns.  Anything else
-    raises ``ValueError``: text that does not parse (or nests too deep), a
-    table that fails a check (named by it), or text that differs, byte for
-    byte, from ``bundle_text`` of the checked tables (a ``1.0`` or ``true``
-    for 1, another layout of the same data).
-    """
-    import json  # only a warm read parses JSON; every writer goes through ``_dumps``
-
-    try:
-        data = json.loads(text)
-        rows = tuple(tuple(map(tuple, row)) for row in data["A"])
-        tables = TableSet.checked(GenPolyTable(data["eps"], rows))
-        if bundle_text(tables) != text:
-            raise ValueError("it is not the encoding of its own tables")
-    except (LookupError, TypeError, ValueError, RecursionError, CrossCheckError) as exc:
-        raise ValueError(f"not a table bundle: {exc}") from None
-    return tables

@@ -207,6 +207,41 @@ def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
     assert list(cache.iterdir()) == [entry]
 
 
+def test_tables_rerun_reads_nothing_under_the_cache_dir(dirs):
+    # the recurrence is the one route to the tables: a rerun with the entry in
+    # place opens nothing in DIR for reading, builds once and leaves the fresh bundle
+    out, cache = dirs
+    argv = ["tables", "--kmax", "3", "--format", "json", "--out", str(out),
+            "--cache-dir", str(cache)]
+    assert run(argv) == 0
+    code = (
+        "import os, sys\n"
+        "from padsum import tables\n"
+        "from padsum.cli import main\n"
+        "cache, reads, builds = os.path.abspath(sys.argv[1]), [], []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and isinstance(args[0], (str, bytes, os.PathLike)):\n"
+        "        path = os.path.abspath(os.fsdecode(args[0]))\n"
+        "        if (os.path.commonpath([path, cache]) == cache\n"
+        "                and args[2] & os.O_ACCMODE != os.O_WRONLY):\n"
+        "            reads.append(path)\n"
+        "sys.addaudithook(hook)\n"
+        "build = tables.TableSet.build.__func__\n"
+        "tables.TableSet.build = classmethod(lambda cls, *a: builds.append(a) or build(cls, *a))\n"
+        "code = main(sys.argv[2:])\n"
+        "print(reads, builds, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(cache), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[] [(3, 1)]\n"
+    (entry,) = cache.iterdir()
+    assert entry.name == "tables_kmax3_eps+1.json"
+    assert entry.read_bytes() == (out / "tables_k3_p1.json").read_bytes()
+
+
 def test_cli_import_loads_no_hashlib():
     # the cache entry is named by (kmax, eps) alone, so no padsum process
     # pays for loading hashlib (and OpenSSL) at start-up
@@ -246,10 +281,10 @@ def _rational_modules_loaded(argv: list[str], cwd: Path) -> list[str]:
 
 
 def test_tables_json_loads_no_rational_code(tmp_path):
-    # a cold build runs on ints alone and writes with ``_dumps``; a warm read adds ``json``
+    # every run builds on ints alone and writes with ``_dumps``, a rerun with the entry in place too
     argv = ["tables", "--kmax", "8", "--format", "json", "--cache-dir", "cache"]
     loaded = [_rational_modules_loaded(argv, tmp_path) for _ in ("cold", "warm")]
-    assert loaded == [[], ["json"]]
+    assert loaded == [[], []]
     assert (tmp_path / "tables_k8_p1.json").read_bytes() == (
         tmp_path / "cache" / "tables_kmax8_eps+1.json").read_bytes()
 
@@ -376,7 +411,7 @@ def test_corrupt_cache_entry_renders_fresh_text(dirs, capsys):
 
 
 @pytest.mark.parametrize("eps", ["1", "-1"])
-def test_tables_cold_and_warm_match_benchmark_digests(eps, dirs, capsys, monkeypatch):
+def test_tables_cold_and_warm_match_benchmark_digests(eps, dirs, capsys):
     # the benchmark's own tables-cold-warm steps and reference digests, read only
     argv = ["tables", "--kmax", "30", "--eps", eps, "--format", "json",
             "--out", "{out}", "--cache-dir", "{cache}"]
@@ -387,8 +422,7 @@ def test_tables_cold_and_warm_match_benchmark_digests(eps, dirs, capsys, monkeyp
     assert run(args) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
     path.unlink()
-    monkeypatch.setattr(TableSet, "build", None)  # the warm run must not build
-    assert run(args) == 0
+    assert run(args) == 0  # the warm step builds again and writes the same bytes
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 

@@ -1,6 +1,6 @@
 """Recurrence-generated tables and their cross-checks."""
 
-import json
+import inspect
 import time
 from fractions import Fraction
 from math import comb
@@ -23,8 +23,6 @@ from padsum.tables import (
     TableSet,
     aux_poly,
     bell_numbers,
-    _dumps,
-    bundle_from_text,
     bundle_text,
     closed_forms,
     corrections_by_recurrence,
@@ -63,7 +61,7 @@ def test_integral_tables_store_ints(eps):
 
 @pytest.mark.parametrize("eps", (1, -1))
 def test_build_and_bundle_construct_no_polynomial(monkeypatch, eps):
-    # the tables are built, checked, written and read back as integer rows;
+    # the tables are built, checked and written as integer rows;
     # only poly(k), u_poly(k) and v_poly(k) make a GenPoly or RatPoly
     def refuse(self, *args):
         raise AssertionError(f"a {type(self).__name__} was constructed")
@@ -71,9 +69,7 @@ def test_build_and_bundle_construct_no_polynomial(monkeypatch, eps):
     monkeypatch.setattr(RatPoly, "__init__", refuse)
     monkeypatch.setattr(GenPoly, "__init__", refuse)
     tables = TableSet.build(12, eps)
-    text = bundle_text(tables)
-    assert bundle_from_text(text) == tables
-    assert bundle_text(bundle_from_text(text)) == text
+    bundle_text(tables)
 
 
 def test_first_generating_polys():
@@ -157,7 +153,7 @@ def test_residuals_flag_a_column_change_at_its_k(eps):
         assert col[-1] and max(map(abs, col)) <= bounds[k]
         changed = rows[k][:j] + (col,) + rows[k][j + 1:]
         table = GenPolyTable(eps, rows[:k] + (changed,) + rows[k + 1:])
-        assert recurrence_residuals(table) == k
+        assert recurrence_residuals(table) == (k, k)
         with pytest.raises(CrossCheckError, match=f"residual nonzero at k={k}$"):
             TableSet.checked(table)
 
@@ -172,7 +168,7 @@ def test_residuals_refuse_a_change_the_packed_value_cannot_see():
     col[1] -= 1
     assert _pack(col, width) == _pack(rows[4][2], width)
     changed = rows[4][:2] + (tuple(col),) + rows[4][3:]
-    assert recurrence_residuals(GenPolyTable(1, rows[:4] + (changed,) + rows[5:])) == 4
+    assert recurrence_residuals(GenPolyTable(1, rows[:4] + (changed,) + rows[5:])) == (4, 3)
 
 
 def _with_cubic_change(rows, k, j, root):
@@ -207,9 +203,9 @@ def test_residuals_report_a_huge_coefficient_at_once():
     rows = gen_poly_table(30, 1).rows
     start = time.perf_counter()
     huge = GenPolyTable(1, (rows[0], ((10**1000,), rows[1][1]), *rows[2:]))
-    assert recurrence_residuals(huge) == 1
+    assert recurrence_residuals(huge) == (1, 0)  # refused before any residual is compared
     bad_seed = GenPolyTable(1, (((2,),), *rows[1:]))  # A_0 has no residual of its own
-    assert recurrence_residuals(bad_seed) == 1
+    assert recurrence_residuals(bad_seed) == (1, 0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -241,13 +237,32 @@ def test_structural_shape():
 
 def test_recurrence_residuals_pass_and_fault_injection():
     table = gen_poly_table(5, 1)
-    assert recurrence_residuals(table) is None
+    assert recurrence_residuals(table) == (None, 5)  # every k = 1..kmax compared
 
     corrupted_entry = ((1,), (-1, 1))  # (n-1)x + 1
     corrupted = GenPolyTable(1, (table.rows[0], corrupted_entry) + table.rows[2:])
-    assert recurrence_residuals(corrupted) == 1
+    assert recurrence_residuals(corrupted) == (1, 1)
 
-    assert recurrence_residuals(gen_poly_table(0, 1)) is None  # no k to check
+    assert recurrence_residuals(gen_poly_table(0, 1)) == (None, 0)  # no k to check
+
+
+def test_a_residual_loop_that_skips_k_1_fails_every_build(monkeypatch, capsys):
+    # the mutant compares k = 2..kmax: every residual it sees vanishes, so only
+    # the count of compared k, which TableSet.checked holds against kmax, catches it
+    source = inspect.getsource(padsum.tables.recurrence_residuals)
+    assert source.count("range(1, first)") == 1
+    namespace = dict(vars(padsum.tables))
+    exec(source.replace("range(1, first)", "range(2, first)"), namespace)
+    mutant = namespace["recurrence_residuals"]
+    assert mutant(gen_poly_table(8, 1)) == (None, 7)
+    monkeypatch.setattr(padsum.tables, "recurrence_residuals", mutant)
+    for eps in (1, -1):
+        with pytest.raises(CrossCheckError, match=r"residuals compared at 7 of k = 1\.\.8$"):
+            TableSet.build(8, eps)
+    assert main(["verify", "all"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL finite: generating-polynomial residuals compared at 14 of k = 1..15" in out
+    assert "FAIL padic: generating-polynomial residuals compared at 7 of k = 1..8" in out
 
 
 def test_corrections_first_values():
@@ -460,21 +475,13 @@ def test_eps_split_and_symbolic_rendering():
     assert eps_split(plus.poly(1), minus.poly(1)) == [(zero, one), (RatPoly((-2, 1)), zero)]
 
 
-def test_bundle_round_trip():
-    # a warm read returns exactly what a cold build returns, U/V through kmax+1 included
-    for eps in (1, -1):
-        for kmax in (0, 4):
-            tables = TableSet.build(kmax, eps)
-            assert bundle_from_text(bundle_text(tables)) == tables
-
-
-def test_bundle_with_A_off_its_recurrence_is_refused():
+def test_checked_refuses_A_off_its_recurrence():
     # A_2's x^1 coefficient n - 5 -> n^2 - 5: same at n = 0 and 1, so U and V agree
-    bundle = json.loads(bundle_text(TableSet.build(3, 1)))
-    assert bundle["A"][2][1] == [-5, 1]
-    bundle["A"][2][1] = [-5, 0, 1]
-    with pytest.raises(ValueError, match="residual nonzero at k=2"):
-        bundle_from_text(_dumps(bundle))
+    rows = gen_poly_table(3, 1).rows
+    assert rows[2][1] == (-5, 1)
+    a2 = (rows[2][0], (-5, 0, 1), rows[2][2])
+    with pytest.raises(CrossCheckError, match="^generating-polynomial residual nonzero at k=2$"):
+        TableSet.checked(GenPolyTable(1, (*rows[:2], a2, *rows[3:])))
 
 
 @pytest.mark.parametrize(
@@ -493,10 +500,8 @@ def test_checked_refuses_a_row_off_the_stored_shape(a1):
         TableSet.checked(GenPolyTable(1, (rows[0], a1, *rows[2:])))
 
 
-def test_bundle_with_another_seed_A_0_is_refused():
+def test_checked_refuses_another_seed_A_0():
     # the recurrence fixes A_1.. only once A_0 = 1 is fixed; kmax 0 has no residuals at all
-    bundle = json.loads(bundle_text(TableSet.build(0, 1)))
-    assert bundle["A"] == [[[1]]]
-    bundle["A"] = [[[1, -1, 1]]]  # A_0 = n^2 - n + 1, still 1 at n = 0 and 1
-    with pytest.raises(ValueError, match="A_0 is not 1"):
-        bundle_from_text(_dumps(bundle))
+    assert gen_poly_table(0, 1).rows == (((1,),),)
+    with pytest.raises(CrossCheckError, match="^A_0 is not 1$"):
+        TableSet.checked(GenPolyTable(1, (((1, -1, 1),),)))  # A_0 = n^2 - n + 1, 1 at n = 0 and 1

@@ -49,8 +49,8 @@ def test_traced_warm_read_runs_the_checks(tmp_path):
     assert warm.stdout == cold.stdout
     counts = json.loads(stats.read_text())["counts"]
     assert counts["cli.load_or_build_bundle"] == 1  # the tables command's call is traced
-    assert counts["tables.TableSet.build"] == 0  # a cache hit for the benchmark
-    assert counts["tables.recurrence_residuals"] == 1  # the cached A was checked
+    assert counts["tables.TableSet.build"] == 1  # every run builds, the entry in place or not
+    assert counts["tables.recurrence_residuals"] == 1  # the built A was checked
 
 
 def test_traced_padic_verdict_takes_no_valuation_per_n(tmp_path):

@@ -8,8 +8,7 @@ Four stages:
 
 - **tables**, at kmax 15, 30, 60 and 100 for both signs: ``gen_poly_table``,
   the residual check ``recurrence_residuals``, the checked
-  ``TableSet.build``, the bundle's serialisation ``bundle_text`` and a
-  cache read ``bundle_from_text``;
+  ``TableSet.build`` and the bundle's serialisation ``bundle_text``;
 - **p-adic**, on the grid of the benchmark's ``verify padic`` argv (both
   signs, k <= kmax, its x-values and primes) at its (kmax, nmax) and at
   ``LARGE``, each timed over the whole grid: a profile per cell
@@ -47,8 +46,7 @@ from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 KMAXES = (15, 30, 60, 100)
-TABLES_TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text",
-                "bundle_from_text")
+TABLES_TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text")
 LARGE = (20, 500)  # a p-adic size beyond the benchmark's, where growth in kmax and nmax shows
 TIMED = ("series_error_profile", "padic_sum_verify", "expand", "require_convergence")
 LAUNCH = "import sys; from padsum.cli import main; sys.exit(main())"
@@ -118,13 +116,11 @@ def tables_stage(src, kmaxes) -> list[dict]:
         for eps in (1, -1):
             gen = tables.gen_poly_table(kmax, eps)
             checked = tables.TableSet.build(kmax, eps)
-            text = tables.bundle_text(checked)
             calls = (
                 lambda: tables.gen_poly_table(kmax, eps),
                 lambda: tables.recurrence_residuals(gen),
                 lambda: tables.TableSet.build(kmax, eps),
                 lambda: tables.bundle_text(checked),
-                lambda: tables.bundle_from_text(text),
             )
             count = table_runs(kmax)
             ms = {name: _least_ms(call, count) for name, call in zip(TABLES_TIMED, calls)}
