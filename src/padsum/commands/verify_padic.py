@@ -27,6 +27,15 @@ def _padic_report(
     }
 
 
+def _require_domain(x_values, primes) -> None:
+    """Refuse the first point outside a prime's convergence domain, before
+    any table or profile is built, in the grid's order: x outer, p inner.
+    ``series.padic_sum_verify`` gates each verdict the same way."""
+    for x in x_values:
+        for p in primes:
+            padic.require_convergence(x, p)
+
+
 def run(args) -> tuple[bool, list[str], list[dict]]:
     """The grid of closed-form claims, or with ``--claim`` the one claimed
     sum at ``--k``/``--eps``/``--x``; each mode refuses the other's flags."""
@@ -43,6 +52,7 @@ def run(args) -> tuple[bool, list[str], list[dict]]:
         raise ValueError("--format csv applies only to verify padic --claim")
     kmax = 8 if args.kmax is None else args.kmax
     x_values = (1, -1, 2) if args.x_values is None else args.x_values
+    _require_domain(x_values, args.primes)
     reports: list[dict] = []
     failures: list[str] = []
     for eps, tables, k, x in cli._grid(kmax, x_values):
@@ -89,6 +99,7 @@ def _padic_claim(args) -> tuple[bool, list[str], list[dict]]:
     step identity the verdicts rest on."""
     k, eps, x = (1 if given is None else given for given in (args.k, args.eps, args.x))
     spec = series.SeriesSpec(eps=eps, x=x, k=k)
+    _require_domain((spec.x,), args.primes)
     tables = tablemod.TableSet.build(k, eps)
     profile = series.series_error_profile(spec, args.claim, args.nmax, tables)
     ok, lines, reports, rows = True, [], [], ["N,partial,valuation"]

@@ -5,12 +5,12 @@ kept distinct from every finite exponent so that ultrametric comparisons
 can never be fooled by an integer sentinel.  The p-adic verdict takes no
 valuation per term (``series.padic_sum_verify`` tests p against the
 denominator of V - claimed over the remainder, and only for a claim other
-than V).  ``expand`` and ``require_convergence`` take one valuation each
-and build no ``Fraction`` on their way to a result.  This module names
-``Fraction`` in annotations only; ``kernel._fraction_class`` gives the
-class for the refusal's threshold and for a comparison of a
-:class:`Valuation` with a non-int, so a run on integers never imports
-``fractions``.
+than V).  ``expand`` takes one valuation and ``require_convergence``
+none, since it tests p against x's denominator; neither builds a
+``Fraction`` on its way to a result.  This module names ``Fraction`` in
+annotations only; ``kernel._fraction_class`` gives the class for the
+refusal's threshold and for a comparison of a :class:`Valuation` with a
+non-int, so a run on integers never imports ``fractions``.
 """
 
 from __future__ import annotations
@@ -211,20 +211,16 @@ class ConvergenceDomainError(ValueError):
         self.threshold = threshold
 
 
-def require_convergence(x: RationalLike, p: Prime, alpha: int, mu_lambda_sum: int) -> None:
-    """Raise :class:`ConvergenceDomainError` unless x lies in the p-adic
-    convergence domain of a factorial series.
+def require_convergence(x: RationalLike, p: Prime) -> None:
+    """Raise :class:`ConvergenceDomainError` when p divides the denominator
+    of x, which puts x outside the p-adic convergence domain |x|_p <= 1 of
+    sum n! x^n.
 
-    A series whose n-th term carries prod((mu_i*n + nu_i)!)**lambda_i and
-    x**(alpha*n + beta) converges p-adically iff v_p(x) > -S/((p-1)*alpha)
-    with S = ``mu_lambda_sum`` = sum(mu_i * lambda_i).  The threshold is
-    exclusive, and it is <= 0, so every integer x (valuation >= 0) lies in
-    the domain whenever S >= 1.  alpha < 1 raises ``ValueError``.
+    The terms tend to 0 p-adically iff v_p(x) > -1/(p-1), since v_p(n!)
+    grows as n/(p-1); a rational's valuation is an integer, so that is
+    v_p(x) >= 0, which no valuation is needed to test.  The threshold
+    -1/(p-1) is built only for the refusal's message.
     """
     _require_prime(p)
-    _at_least("alpha", alpha, 1)
-    v = val_rat(x, p)
-    # v_p(x) > -S/((p-1) alpha), multiplied through by (p-1) alpha > 0
-    if not (v.is_infinite or v.exponent * (p - 1) * alpha > -mu_lambda_sum):
-        threshold = _fraction_class()(-mu_lambda_sum, (p - 1) * alpha)
-        raise ConvergenceDomainError(x, p, threshold)
+    if _exact_scalar(x).denominator % p == 0:
+        raise ConvergenceDomainError(x, p, _fraction_class()(-1, p - 1))

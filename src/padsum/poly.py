@@ -153,20 +153,9 @@ class RatPoly(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "RatPoly":
-        _at_least("exponent", e, 0)
-        result = RatPoly.one()
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __call__(self, t: Scalar) -> Scalar:
         """Exact Horner evaluation."""
         return _horner(self.coeffs, _exact_scalar(t))
-
-    def shift(self, delta: int = 1) -> "RatPoly":
-        """The polynomial q with q(n) = p(n + delta), exactly."""
-        return _horner(self.coeffs, RatPoly((delta, 1)), RatPoly.zero())
 
     def derivative(self) -> "RatPoly":
         return RatPoly(_derivative(self.coeffs))

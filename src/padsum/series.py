@@ -19,7 +19,9 @@ A p-adic profile sums no series.  It proves the step identity
 its x, which gives S_N = V + B_N at every N with V = -eps R(0).  So a
 verdict needs only delta = V - claimed: delta = 0 passes at once, and
 otherwise the verdict generates B_N in integers and stops at the first N
-where p divides the denominator of delta / B_N.
+where p divides the denominator of delta / B_N.  Before either, a
+verdict refuses a point outside the convergence domain |x|_p <= 1, where
+p divides the denominator of x (:func:`padic.require_convergence`).
 """
 
 from __future__ import annotations
@@ -354,12 +356,13 @@ def padic_sum_verify(profile: SeriesErrorProfile, p: Prime) -> PadicVerdict:
 
     A profile is prime-independent, so one profile serves every prime.
 
-    Outside the series' convergence domain, v_p(x) <= -1/(p-1), v_p(B_N)
-    stops growing and no claim could be rejected, so the check refuses to
-    run there: :func:`padic.require_convergence` raises
+    Outside the series' convergence domain |x|_p <= 1, where p divides the
+    denominator of x, v_p(B_N) stops growing and no claim could be
+    rejected, so the check refuses to run there:
+    :func:`padic.require_convergence` raises
     :class:`padic.ConvergenceDomainError`.
     """
-    padic.require_convergence(profile.spec.x, p, alpha=1, mu_lambda_sum=1)  # n! x^n
+    padic.require_convergence(profile.spec.x, p)
     value, claimed = profile.value, profile.claimed
     top = value.numerator * claimed.denominator - claimed.numerator * value.denominator
     if top == 0:

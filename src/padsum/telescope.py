@@ -10,14 +10,15 @@ and block products, and ``aux`` through ``kernel._horner``) and divided
 once, by ``kernel._quotient``, so a sweep at an integer x handles only
 ints.  ``RatPoly`` and ``Fraction`` are reached through the ``poly``
 module, which loads at its first use, so ``series``, which binds this
-module's names, does not execute ``poly``.
+module's names, does not execute ``poly``.  The module takes no
+valuation and gates no point: each identity it checks is a finite one,
+exact at every x.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from . import padic
 from . import poly as polymod  # loads at its first attribute access
 from .kernel import (
     PartialSumResult,
@@ -36,7 +37,6 @@ if TYPE_CHECKING:  # annotations only
     import random
     from fractions import Fraction
 
-    from .padic import Prime
     from .poly import RatPoly
 
 
@@ -168,24 +168,3 @@ def random_telescope_spec(rng: random.Random) -> TelescopeSpec:
         aux=polymod.RatPoly(coeffs),
     )
 
-
-def construct_telescope_poly(
-    spec: TelescopeSpec, t: Fraction | int, primes: Sequence[Prime] = ()
-) -> RatPoly:
-    """The summand polynomial P(n; t) the telescoping family generates:
-
-        P(n; t) = prod_i block_i(n) * aux(n+1) * t^alpha - eps * aux(n)
-
-    as a polynomial in n.  For t != 0 its degree is
-    deg(aux) + sum_i mu_i * lam_i.  Any supplied primes gate t against the
-    convergence domain; the first failing prime raises.
-    """
-    t = _exact(t)
-    mu_lambda_sum = sum(m * l for m, l in zip(spec.mu, spec.lam))
-    for p in primes:
-        padic.require_convergence(t, p, spec.alpha, mu_lambda_sum)
-    block = polymod.RatPoly.one()
-    for m, v, l in zip(spec.mu, spec.nu, spec.lam):
-        for s in range(1, m + 1):
-            block = block * polymod.RatPoly((v + s, m)) ** l
-    return block * spec.aux.shift(1) * t**spec.alpha - spec.eps * spec.aux

@@ -150,7 +150,9 @@ def test_tables_json_and_warm_cache(dirs, capsys):
     assert data["v"][10] == 13209
     first_bytes = path.read_bytes()
     assert run(["tables", "--kmax", 11, "--format", "json", "--out", out, "--cache-dir", cache]) == 0
-    assert path.read_bytes() == first_bytes  # warm cache is byte-identical
+    # the warm run, with the entry in place, reads nothing and builds again: its
+    # output has the same bytes, and the writer overwrites the one entry
+    assert path.read_bytes() == first_bytes
     assert len(list(cache.glob("tables_*.json"))) == 1
 
 
@@ -201,9 +203,11 @@ def test_corrupt_cache_entry_is_rebuilt(dirs, capsys, corrupt):
     fresh = path.read_bytes()
     (entry,) = cache.iterdir()
     entry.write_text(corrupt(entry.read_text()))
+    # the run never reads the entry: it builds the tables and the writer
+    # renames the fresh bundle over the corrupt one
     assert run(args) == 0
     assert path.read_bytes() == fresh
-    assert entry.read_bytes() == fresh  # rebuilt in place, no temporary file left
+    assert entry.read_bytes() == fresh  # overwritten in place, no temporary file left
     assert list(cache.iterdir()) == [entry]
 
 
@@ -1039,9 +1043,11 @@ def test_output_does_not_depend_on_the_digit_limit(capsys, tmp_path):
 
 
 def test_long_integers_read_from_files_are_refused_at_once(dirs, capsys):
-    # b-file values and cache entries are parsed under the interpreter's int-to-str
-    # digit limit, which refuses this value before converting it; converted, it
-    # would cost seconds, growing with the square of its length
+    # b-file values are parsed under the interpreter's int-to-str digit limit,
+    # which refuses this value before converting it; converted, it would cost
+    # seconds, growing with the square of its length.  The cache entry that
+    # holds it is never parsed: the rerun builds the tables and the writer
+    # replaces the entry with the fresh bundle
     long_value = "1" * 1_000_000
     out, cache = dirs
     out.mkdir()
@@ -1055,14 +1061,15 @@ def test_long_integers_read_from_files_are_refused_at_once(dirs, capsys):
     start = time.perf_counter()
     assert run(["seq-compare", "U-1", "--kmax", 3, "--bfile", bfile]) == 2
     assert capsys.readouterr().err.startswith(f"malformed b-file {bfile}: line 1: non-integer")
-    assert run(args) == 0  # the entry is rebuilt
+    assert run(args) == 0  # the writer overwrites the entry
     assert time.perf_counter() - start < 2
     assert entry.read_bytes() == fresh
 
 
 def test_cache_entry_with_a_huge_coefficient_is_rebuilt_at_once(dirs, capsys):
-    # the residual check packs at the width of the proved bound B_k, and a
-    # coefficient above it is refused before anything is packed
+    # nothing reads the entry, so a 1000-digit coefficient in it costs no
+    # time: the rerun builds the tables by recurrence and the writer replaces
+    # the entry with the fresh bundle
     out, cache = dirs
     args = ["tables", "--kmax", 30, "--format", "json", "--out", out, "--cache-dir", cache]
     assert run(args) == 0
@@ -1214,6 +1221,25 @@ def test_verify_padic_outside_domain_exits_2(capsys):
     assert captured.err.startswith("error: x = 1/2 is outside the convergence domain for p = 2")
     assert run([*args, "--primes", 3]) == 1
     assert "violated at N=6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "verify padic --claim=1 --x 1/2 --primes 3,2 --format csv",
+    "verify padic --x-values 1,1/2 --primes 3,2",
+], ids=["claim-csv", "grid"])
+def test_verify_padic_refuses_outside_domain_before_any_work(argv, monkeypatch, capsys):
+    # each (x, p) is gated before a table, a profile or a partial sum is built,
+    # so a refusal costs nothing however large --nmax is
+    def unreachable(*args):
+        raise AssertionError("work started before the domain gate")
+
+    monkeypatch.setattr(padsum.tables.TableSet, "build", unreachable)
+    monkeypatch.setattr(padsum.series, "partial_sums", unreachable)
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: x = 1/2 is outside the convergence domain for p = 2:"
+                            " v_p(x) must exceed -1\n")
 
 
 def test_verify_single_claim_modes(capsys):

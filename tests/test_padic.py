@@ -171,33 +171,62 @@ def test_convergence_gate_builds_its_threshold_only_to_refuse(monkeypatch):
     # padic names Fraction in annotations only and looks the class up here
     monkeypatch.setattr("padsum.padic._fraction_class", refuse)
     for x in (7, Fraction(2, 3), Fraction(1, 3), 0):
-        assert require_convergence(x, P2, 1, 1) is None
+        assert require_convergence(x, P2) is None
     monkeypatch.undo()
     with pytest.raises(ConvergenceDomainError) as err:
-        require_convergence(Fraction(1, 9), P3, 1, 1)
+        require_convergence(Fraction(1, 9), P3)
     assert err.value.threshold == Fraction(-1, 2)
     assert str(err.value) == (
         "x = 1/9 is outside the convergence domain for p = 3: v_p(x) must exceed -1/2")
 
 
 def test_convergence_threshold_examples():
-    # outside: the error names the threshold, -1 for (alpha, S) = (1, 1) at
-    # p = 2 and 0 for S = 0; v_2(1/2) = -1 shows the threshold is exclusive
-    for x, alpha, s, threshold in ((Fraction(1, 2), 1, 1, Fraction(-1)), (1, 1, 0, 0)):
+    # outside: the error names the threshold -1/(p-1); v_2(1/2) = -1 shows
+    # that it is exclusive
+    for x, p, threshold in ((Fraction(1, 2), P2, Fraction(-1)),
+                            (Fraction(7, 15), P5, Fraction(-1, 4))):
         with pytest.raises(ConvergenceDomainError) as err:
-            require_convergence(x, P2, alpha, s)
-        assert (err.value.x, err.value.prime, err.value.threshold) == (x, P2, threshold)
+            require_convergence(x, p)
+        assert (err.value.x, err.value.prime, err.value.threshold) == (x, p, threshold)
     # inside: the gate returns
-    assert require_convergence(7, P2, 1, 1) is None
-    assert require_convergence(7, P5, 2, 3) is None
-    assert require_convergence(0, P2, 1, 0) is None
+    assert require_convergence(7, P2) is None
+    assert require_convergence(Fraction(7, 3), P5) is None
+    assert require_convergence(0, P2) is None
+
+
+def gate_reference(x, p):
+    """The general family's convergence test v_p(x) (p-1) alpha > -S, taken
+    through a valuation, at the series' alpha = S = 1."""
+    alpha = s = 1
+    v = val_rat(x, p)
+    return v.is_infinite or v.exponent * (p - 1) * alpha > -s
+
+
+@given(
+    num=st.integers(min_value=-10**6, max_value=10**6),
+    den=st.integers(min_value=1, max_value=10**6),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    e=st.integers(min_value=-6, max_value=6),
+)
+def test_convergence_gate_agrees_with_the_valuation_inequality(num, den, p, e):
+    # x = 0 and negative x are in range; p**e moves the power of p into the
+    # numerator (e > 0) or the denominator (e < 0)
+    prime = Prime(p)
+    x = Fraction(num, den) * Fraction(p) ** e
+    try:
+        require_convergence(x, prime)
+        inside = True
+    except ConvergenceDomainError as err:
+        inside = False
+        assert (err.x, err.prime, err.threshold) == (x, prime, Fraction(-1, p - 1))
+    assert inside == gate_reference(x, prime)
 
 
 def test_padic_functions_refuse_floats():
     calls = (
         lambda: val_rat(0.5, P2),
         lambda: expand(0.5, P2, 4),
-        lambda: require_convergence(0.5, P2, 1, 1),
+        lambda: require_convergence(0.5, P2),
     )
     for call in calls:
         with pytest.raises(TypeError):

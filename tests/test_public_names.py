@@ -16,8 +16,6 @@ READERS = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
 UNREAD = {
     # kept until a default grid sums a rational combination of powers, its intended use
     "general_sum_check",
-    # kept until the telescope suite reads the tables' general form (ROADMAP item 5)
-    "construct_telescope_poly",
 }
 
 

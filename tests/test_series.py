@@ -25,7 +25,6 @@ from padsum.series import (
     telescope_sweep,
 )
 from padsum.tables import TableSet, corrections_by_recurrence, gen_poly_table, linear_closed_form
-from padsum.telescope import construct_telescope_poly
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +356,6 @@ def test_telescope_spec_stores_integral_x_as_int():
     spec = TelescopeSpec(**base, x=Fraction(2))
     assert type(spec.x) is int and spec.x == 2
     assert TelescopeSpec(**base, x=Fraction(1, 2)).x == Fraction(1, 2)
-    assert all(type(c) is int for c in construct_telescope_poly(spec, Fraction(2)).coeffs)
 
 
 def test_telescope_checks_raise_on_perturbed_term():
@@ -396,39 +394,6 @@ def test_telescope_sweep_computes_no_term_past_its_last_n(n_max, monkeypatch):
     assert terms == list(range(1, n_max))
     assert built == [tuple(result)] and result.n_terms == n_max
     assert telescope_check is telescope_sweep
-
-
-def test_construct_telescope_poly():
-    plain = TelescopeSpec(
-        mu=(1,), nu=(0,), lam=(1,), alpha=1, beta=0, eps=1, x=Fraction(1), aux=RatPoly.one()
-    )
-    assert construct_telescope_poly(plain, 1) == RatPoly.monomial(1)
-    assert construct_telescope_poly(plain, 0) == RatPoly.constant(-1)
-    with pytest.raises(TypeError):
-        construct_telescope_poly(plain, 0.5)
-    # degree = deg(aux) + sum(mu_i * lam_i) for a nonzero argument
-    wide = TelescopeSpec(
-        mu=(1, 2), nu=(0, 0), lam=(1, 1), alpha=1, beta=0, eps=1, x=Fraction(1),
-        aux=RatPoly.monomial(1),
-    )
-    assert construct_telescope_poly(wide, 1).degree == 4
-    with pytest.raises(ConvergenceDomainError) as err:
-        construct_telescope_poly(plain, Fraction(1, 2), primes=(Prime(3), Prime(2)))
-    assert err.value.prime == Prime(2)
-
-
-def test_construct_telescope_poly_generates_matching_summand():
-    # the generated polynomial is exactly the bracket of each term at x = t
-    rng = random.Random(7)
-    for _ in range(6):
-        spec = random_telescope_spec(rng)
-        poly = construct_telescope_poly(spec, spec.x)
-        for n in range(1, 6):
-            bracket = (
-                spec.block_product(n) * spec.aux(n + 1) * spec.x**spec.alpha
-                - spec.eps * spec.aux(n)
-            )
-            assert poly(n) == bracket
 
 
 def reference_term(spec, n):

@@ -14,8 +14,8 @@ Four stages:
   ``LARGE``, each timed over the whole grid: a profile per cell
   (``series_error_profile``), the verdicts on each claim and on the claim
   plus 1 at each prime (``padic_sum_verify``), an expansion of each claim
-  to the argv's precision at each prime (``expand``) and a gate per cell
-  and prime (``require_convergence``);
+  to the argv's precision at each prime (``expand``) and the domain gate
+  ``require_convergence(x, p)`` per cell and prime;
 - **finite**: the sweeps of the benchmark's ``verify finite`` argv over
   its k, both signs and ``FINITE_X_SET`` (``finite_identity_sweep``);
 - **process**: the user plus system CPU time, from ``os.wait4``, of a
@@ -150,7 +150,7 @@ def padic_stage(src, grid, sizes) -> list[dict]:
                      for pair in built for profile in pair for p in grid.primes],
             lambda: [padic.expand(claim, p, grid.precision)
                      for claim in claims for p in grid.primes],
-            lambda: [padic.require_convergence(spec.x, p, 1, 1)
+            lambda: [padic.require_convergence(spec.x, p)
                      for spec, _ in cells for p in grid.primes],
         )
         count = runs(kmax, nmax)
