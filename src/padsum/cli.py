@@ -166,12 +166,21 @@ def load_or_build_bundle(
 
 
 def _grid(kmax: int, x_values) -> Iterator[tuple[int, tablemod.TableSet, int, int | Fraction]]:
-    """(eps, tables, k, x) over eps = +-1, k = 1..kmax and x_values; one build per sign."""
-    for eps in (1, -1):
-        tables = tablemod.TableSet.build(kmax, eps)
-        for k in range(1, kmax + 1):
-            for x in x_values:
-                yield eps, tables, k, x
+    """(eps, tables, k, x) over eps = +1 then -1, k = 1..kmax and x_values.
+
+    The generator runs once, for +1; the -1 table is its
+    :func:`tables.sign_flip`.  Each sign's table passes
+    :meth:`tables.TableSet.checked` before its first cell, and the -1 table
+    is flipped and checked only after the last +1 cell, so a failed check
+    stops the grid where a build per sign would.
+    """
+    def cells(gen: tablemod.GenPolyTable):
+        tables = tablemod.TableSet.checked(gen)
+        return ((gen.eps, tables, k, x) for k in range(1, kmax + 1) for x in x_values)
+
+    plus = tablemod.gen_poly_table(kmax, 1)
+    yield from cells(plus)
+    yield from cells(tablemod.sign_flip(plus))
 
 
 def _expect(got: int, expected: int) -> None:

@@ -26,7 +26,9 @@ p divides the denominator of x (:func:`padic.require_convergence`).
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat, zip_longest
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import padic
@@ -34,7 +36,6 @@ from .kernel import (
     PartialSumResult,
     Record,
     VerificationError,
-    _add_shifted,
     _at_least,
     _exact,
     _exact_scalar,
@@ -80,9 +81,11 @@ class SeriesSpec(Record):
         x = _exact(x)
         if (k is None) == (coeffs is None):
             raise ValueError("exactly one of k and coeffs must be given")
-        if k is not None:
+        if k is None:
+            coeffs = tuple(map(_exact, coeffs))
+        else:
             _at_least("k", k, 1)
-        coeffs = tuple(_exact(c) for c in (coeffs if k is None else (0,) * (k - 1) + (1,)))
+            coeffs = (0,) * (k - 1) + (1,)
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("coeffs must be nonempty with nonzero top coefficient")
         self._set(eps, x, coeffs)
@@ -111,28 +114,29 @@ def _check_tables(spec: SeriesSpec, tables: TableSet) -> None:
 def _scaled(spec: SeriesSpec, tables: TableSet) -> tuple[int, tuple, tuple, int]:
     """(d, dP, dR, dV) for :func:`_steps` and :func:`series_error_profile`:
     the scale d = m b^K, the integer coefficient lists in n of d P(n; x)
-    and d R(n; x), and the integer d sum_j C_j V_j(x).  Tables that do not
-    fit the spec raise here."""
+    and d R(n; x), and the integer d sum_j C_j V_j(x).  Each is read off
+    the tables through the weights a^l b^(K-l), l = 0..K, computed once.
+    Tables that do not fit the spec raise here."""
     _check_tables(spec, tables)
-    a, b, order = spec.x.numerator, spec.x.denominator, spec.order
-    m = lcm(*(c.denominator for c in spec.coeffs))
-    terms = [(j, int(m * c)) for j, c in enumerate(spec.coeffs, 1) if c]
-
-    def scaled_at_x(rows_of) -> int:
-        # d sum_j C_j f_j(x), where rows_of(j) lists f_j's coefficients in x
-        return sum(mc * c * a**l * b ** (order - l)
-                   for j, mc in terms for l, c in enumerate(rows_of(j)) if c)
-
-    # P_j(i; x) = i^j x^j + U_j(x): U_j(x) is a constant in i
-    p_int = [scaled_at_x(lambda j: tables.corr.us[j - 1])] + [0] * order
-    for j, mc in terms:
-        p_int[j] += mc * a**j * b ** (order - j)
-    # R_j = A_{j-1}: each of its rows, the coefficients in n of one power x^l
-    r_int: list = []
-    for j, mc in terms:
-        for l, row in enumerate(tables.gen.rows[j - 1]):
-            _add_shifted(r_int, row, mc * a**l * b ** (order - l))
-    return m * b**order, tuple(p_int), tuple(r_int), scaled_at_x(lambda j: tables.corr.vs[j - 1])
+    a, b, coeffs = spec.x.numerator, spec.x.denominator, spec.coeffs
+    m = lcm(*[c.denominator for c in coeffs])
+    a_pows = [*accumulate(repeat(a, len(coeffs)), mul, initial=1)]
+    b_pows = [*accumulate(repeat(b, len(coeffs)), mul, initial=1)]
+    weights = [*map(mul, a_pows, reversed(b_pows))]
+    us, vs, rows = tables.corr.us, tables.corr.vs, tables.gen.rows
+    p_int, dv = [0] * (len(coeffs) + 1), 0
+    columns, scales = [], []  # the columns in n of each R_j = A_{j-1}, and their scales
+    for j, c in enumerate(coeffs, 1):
+        if c:
+            mc = int(m * c)
+            # P_j(i; x) = i^j x^j + U_j(x): U_j(x) is a constant in i
+            p_int[0] += mc * sum(map(mul, us[j - 1], weights))
+            p_int[j] += mc * weights[j]
+            dv += mc * sum(map(mul, vs[j - 1], weights))
+            columns += rows[j - 1]  # one column per power x^l, l < j
+            scales += [mc * w for w in weights[:j]]
+    r_int = [sum(map(mul, ith, scales)) for ith in zip_longest(*columns, fillvalue=0)]
+    return b_pows[-1] * m, tuple(p_int), tuple(r_int), dv
 
 
 def _steps(spec: SeriesSpec, n_max: int, tables: TableSet) -> Iterator[tuple[int, ...]]:
@@ -160,13 +164,13 @@ def _steps(spec: SeriesSpec, n_max: int, tables: TableSet) -> Iterator[tuple[int
     """
     _at_least("n", n_max, 1)
     d, p_int, r_int, dv = _scaled(spec, tables)
-    eps, a, b = spec.eps, spec.x.numerator, spec.x.denominator
+    eps, ea, b = spec.eps, spec.eps * spec.x.numerator, spec.x.denominator
 
     def steps() -> Iterator[tuple[int, ...]]:
         t, w, den, rhs = 0, 1, d, dv  # T_{N-1}, W_{N-1}, b^(N-1) d, b^(N-1) d V
         for n in range(1, n_max + 1):
             t = b * t + w * _horner(p_int, n - 1)
-            w *= eps * n * a
+            w *= ea * n
             rhs *= b
             yield n, t, eps * w * _horner(r_int, n), rhs, den
             den *= b

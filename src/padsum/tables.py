@@ -3,7 +3,10 @@ polynomials, integer pairs, Bell numbers, closed forms, and the named
 integer sequences they evaluate to.
 
 The table of generating polynomials A_0, A_1, ... (one per sign eps) is the
-single source of truth.  Everything else is derived from it:
+single source of truth.  The two signs are one table up to sign,
+A^-_kj = (-1)^(k+j) A^+_kj (:func:`sign_flip`), so a run that needs both
+(``cli._grid``) generates A^+ once and checks its flip as the -1 table.
+Everything else is derived from the table of each sign:
 
     U_k(x) = x * A_{k-1}(1; x) - eps * A_{k-1}(0; x)
     V_k(x) = -eps * A_{k-1}(0; x)
@@ -146,6 +149,24 @@ def gen_poly_table(kmax: int, eps: int) -> GenPolyTable:
             line.append(value - sum(map(mul, binom, reversed(line))))
     return GenPolyTable(eps, tuple(
         tuple(_unpack(diagonals[k - j][j], width) for j in range(k + 1)) for k in range(kmax + 1)
+    ))
+
+
+def sign_flip(gen: GenPolyTable) -> GenPolyTable:
+    """The table of the other sign, A^(-eps)_kj = (-1)^(k+j) A^eps_kj, with
+    no generator run: the -eps series at x is the eps series at -x.
+
+    Substituted into equation (k, j) of the -eps family (see
+    :class:`GenPolyTable`), the flipped rows make each term
+    C(k+1, m) A_{k-m, j-m} carry (-1)^(k+j), the right side -eps A_{k-1, j}
+    become (-1)^(k+j) eps A_{k-1, j}, and n^k at j = k is n^k (-1)^(2k), so
+    what is left is equation (k, j) of the eps family.  The flip is its own
+    inverse.  It only negates columns; :meth:`TableSet.checked` checks the
+    result like any other table.
+    """
+    return GenPolyTable(-gen.eps, tuple(
+        tuple(tuple(-c for c in col) if (k + j) % 2 else col for j, col in enumerate(row))
+        for k, row in enumerate(gen.rows)
     ))
 
 
@@ -438,8 +459,9 @@ class TableSet(NamedTuple):
     def pairs(self) -> IntPairTable:
         """(u_k, v_k) = eps^k (U_k(eps), V_k(eps)) for k = 1..kmax+1.
 
-        The eps = -1 series at x is the eps = +1 series at -x, so both signs
-        give the same integer pairs.
+        The eps = -1 series at x is the eps = +1 series at -x, which is
+        also why the -1 table is the :func:`sign_flip` of the +1 table, so
+        both signs give the same integer pairs.
         """
         eps = self.eps
         return IntPairTable(

@@ -1105,16 +1105,37 @@ def test_verify_single_claim_defaults_to_nmax_200(capsys):
     assert [r["n_max"] for r in json.loads(capsys.readouterr().out)] == [200]
 
 
+def _tamper_checked(monkeypatch, tamper):
+    """Apply ``tamper`` to every table set that passes ``TableSet.checked``, the
+    one door of both a single-sign build and the grid's generated and flipped tables."""
+    checked = TableSet.checked
+    monkeypatch.setattr(TableSet, "checked", staticmethod(lambda gen: tamper(checked(gen))))
+
+
 def test_verify_finite_reports_tampered_table(monkeypatch, capsys, tamper_v1):
-    build = TableSet.build
-    monkeypatch.setattr(
-        TableSet, "build",
-        staticmethod(lambda kmax, eps: tamper_v1(build(kmax, eps))),
-    )
+    _tamper_checked(monkeypatch, tamper_v1)
     assert run(["verify", "finite", "--kmax", 2, "--nmax", 3]) == 1
     assert capsys.readouterr().out == (
         "FAIL finite: finite identity residual -1 != 0 at k=1 eps=+1 x=-3 n=1\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    "verify finite --kmax 3 --nmax 4",
+    "verify padic --kmax 3 --nmax 12 --primes 2,3",
+], ids=["finite", "padic"])
+def test_a_two_sign_grid_runs_the_generator_once(argv, monkeypatch, capsys):
+    # the -1 table is the sign flip of the +1 table, and both pass TableSet.checked
+    generate, check = padsum.tables.gen_poly_table, TableSet.checked
+    generated, checked = [], []
+    monkeypatch.setattr(padsum.tables, "gen_poly_table",
+                        lambda *args: generated.append(args) or generate(*args))
+    monkeypatch.setattr(TableSet, "checked",
+                        staticmethod(lambda gen: checked.append(gen.eps) or check(gen)))
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out.startswith("PASS ")
+    assert generated == [(3, 1)]
+    assert checked == [1, -1]
 
 
 def test_verify_finite_builds_no_record_while_it_passes(monkeypatch, capsys):
@@ -1165,10 +1186,7 @@ def _lower_v1(tables):
 def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
     # V_1 lowered by 1: every k = 1 claim is off by -1, so each fails, and
     # its perturbation by +1 is the true sum, which is not rejected
-    build = TableSet.build
-    monkeypatch.setattr(
-        TableSet, "build", staticmethod(lambda kmax, eps: _lower_v1(build(kmax, eps)))
-    )
+    _tamper_checked(monkeypatch, _lower_v1)
     assert run("verify padic --kmax 1 --nmax 12 --primes 2,3 --x-values 1,2".split()) == 1
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -1184,10 +1202,7 @@ def test_verify_padic_reports_tampered_table(monkeypatch, capsys):
 def test_verify_padic_reports_a_broken_step_identity(monkeypatch, capsys, tamper_a1):
     # A_1's constant raised by 1: every k = 1 cell still passes, and the first k = 2
     # profile refuses its tables, which ends the suite with that FAIL
-    build = TableSet.build
-    monkeypatch.setattr(
-        TableSet, "build", staticmethod(lambda kmax, eps: tamper_a1(build(kmax, eps)))
-    )
+    _tamper_checked(monkeypatch, tamper_a1)
     detail = "step identity residual 1 != 0 at coeffs=(0, 1) eps=+1 x=1 n=1"
     assert run("verify padic --kmax 2 --nmax 12 --primes 2,3".split()) == 1
     assert capsys.readouterr().out == f"FAIL padic: {detail}\n"
@@ -1234,6 +1249,7 @@ def test_verify_padic_refuses_outside_domain_before_any_work(argv, monkeypatch, 
         raise AssertionError("work started before the domain gate")
 
     monkeypatch.setattr(padsum.tables.TableSet, "build", unreachable)
+    monkeypatch.setattr(padsum.tables, "gen_poly_table", unreachable)
     monkeypatch.setattr(padsum.series, "partial_sums", unreachable)
     assert run(argv.split()) == 2
     captured = capsys.readouterr()

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import padsum.telescope
 from padsum.kernel import PartialSumResult, factorial
@@ -15,6 +15,7 @@ from padsum.series import (
     SeriesSpec,
     TelescopeSpec,
     VerificationError,
+    _scaled,
     finite_identity_sweep,
     general_sum_check,
     padic_sum_verify,
@@ -202,6 +203,43 @@ def test_general_sum_verdict_is_the_exact_residual(
         assert (result.n_terms, result.value, result.rhs_constant, result.boundary) == (
             n_max, rows[-1][1], claimed, rows[-1][2]
         )
+
+
+@given(
+    eps=st.sampled_from([1, -1]),
+    coeffs=st.lists(
+        st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda cs: cs[-1] != 0),
+    x=st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    ),
+)
+@example(eps=-1, coeffs=[Fraction(1, 2), 0, 0, Fraction(-2, 3)], x=Fraction(-3, 4))
+@example(eps=1, coeffs=[3, 0, Fraction(5, 6)], x=Fraction(-7, 2))
+@example(eps=-1, coeffs=[0, 0, 0, 1], x=-5)
+@example(eps=1, coeffs=[Fraction(1, 4), 0, 2], x=0)
+def test_scaled_integers_are_the_polynomials_times_d(tables_plus, tables_minus, eps, coeffs, x):
+    # d = m b^K, dP = d P(n; x), dR = d R(n; x) and dV = d sum_j C_j V_j(x),
+    # against RatPoly and Fraction arithmetic on the same tables
+    tables = tables_plus if eps == 1 else tables_minus
+    spec = SeriesSpec(eps=eps, x=x, coeffs=tuple(coeffs))
+    d, dp, dr, dv = _scaled(spec, tables)
+    x = Fraction(x)
+    terms = [(j, Fraction(c)) for j, c in enumerate(coeffs, 1) if c]
+    p = sum((c * (x**j * RatPoly.monomial(j) + tables.corr.u_poly(j)(x)) for j, c in terms),
+            RatPoly.zero())
+    r = sum((c * x**l * RatPoly(col) for j, c in terms
+             for l, col in enumerate(tables.gen.rows[j - 1])), RatPoly.zero())
+    v = sum(c * tables.corr.v_poly(j)(x) for j, c in terms)
+    assert d == lcm(*(c.denominator for _, c in terms)) * x.denominator ** len(coeffs)
+    assert all(type(c) is int for c in (d, *dp, *dr, dv))
+    assert (RatPoly(dp), RatPoly(dr), dv) == (d * p, d * r, d * v)
 
 
 def test_general_sum_single_power_reduction(tables_plus):

@@ -34,6 +34,7 @@ from padsum.tables import (
     linear_closed_form,
     recurrence_residuals,
     sequence_slice,
+    sign_flip,
 )
 
 
@@ -102,6 +103,31 @@ def test_packed_generator_matches_the_list_route(eps):
     reference = list_route(60, eps)
     for kmax in range(61):
         assert gen_poly_table(kmax, eps).rows == reference[: kmax + 1]
+
+
+def test_sign_flip_of_the_plus_table_is_the_minus_table():
+    # A^-_kj = (-1)^(k+j) A^+_kj; each kmax packs at its own width, so each is generated afresh
+    for kmax in range(31):
+        plus, minus = gen_poly_table(kmax, 1), gen_poly_table(kmax, -1)
+        assert sign_flip(plus) == minus
+        assert sign_flip(minus) == plus
+
+
+@st.composite
+def generating_tables(draw):
+    """A GenPolyTable of the stored shape (row k has k+1 columns) with any integer columns."""
+    column = st.lists(st.integers(), max_size=4).map(tuple)
+    rows = tuple(tuple(draw(st.lists(column, min_size=k + 1, max_size=k + 1)))
+                 for k in range(draw(st.integers(0, 6)) + 1))
+    return GenPolyTable(draw(st.sampled_from([1, -1])), rows)
+
+
+@given(gen=generating_tables())
+def test_sign_flip_is_its_own_inverse(gen):
+    flipped = sign_flip(gen)
+    assert flipped.eps == -gen.eps
+    assert [len(row) for row in flipped.rows] == [len(row) for row in gen.rows]
+    assert sign_flip(flipped) == gen
 
 
 def test_coefficient_bounds_cover_the_table():

@@ -6,9 +6,12 @@ of a cold padsum process.
 
 Four stages:
 
-- **tables**, at kmax 15, 30, 60 and 100 for both signs: ``gen_poly_table``,
-  the residual check ``recurrence_residuals``, the checked
-  ``TableSet.build`` and the bundle's serialisation ``bundle_text``;
+- **tables**, at kmax 15, 30, 60 and 100: at eps = +1, as ``tables``
+  builds one sign, ``gen_poly_table``, the residual check
+  ``recurrence_residuals``, the checked ``TableSet.build`` and the bundle's
+  serialisation ``bundle_text``; and the two-sign build of the grid that
+  ``verify finite`` and ``verify padic`` run, ``cli._grid`` with no
+  x-values, which checks both signs' tables and yields no cell;
 - **p-adic**, on the grid of the benchmark's ``verify padic`` argv (both
   signs, k <= kmax, its x-values and primes) at its (kmax, nmax) and at
   ``LARGE``, each timed over the whole grid: a profile per cell
@@ -27,9 +30,9 @@ The argvs are read from ``perfbench/workloads.py`` beside this script, and
 the measured checkout's own CLI parser reads their sizes.  An in-process
 figure is the least wall time, in milliseconds, of N runs, N shrinking as
 the size grows; a process figure is the least of N children.  Only public
-names of padsum are called, so two checkouts are compared by running this
-script once on the ``src`` directory of each.  Only the standard library
-is used.
+names of padsum are called, and ``cli._grid``, so two checkouts are
+compared by running this script once on the ``src`` directory of each.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 KMAXES = (15, 30, 60, 100)
-TABLES_TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text")
+TABLES_TIMED = ("gen_poly_table", "recurrence_residuals", "TableSet.build", "bundle_text",
+                "cli._grid")
 LARGE = (20, 500)  # a p-adic size beyond the benchmark's, where growth in kmax and nmax shows
 TIMED = ("series_error_profile", "padic_sum_verify", "expand", "require_convergence")
 LAUNCH = "import sys; from padsum.cli import main; sys.exit(main())"
@@ -109,22 +113,23 @@ def benchmark_argvs() -> dict[str, tuple[str, ...]]:
 
 
 def tables_stage(src, kmaxes) -> list[dict]:
-    """The timings of the tables of both signs at each kmax of ``kmaxes``."""
-    tables = load(src, "tables")
+    """The timings of the tables at each kmax of ``kmaxes``: one sign's
+    stages at eps = +1, and the grid's two-sign build."""
+    tables, cli = load(src, "tables"), load(src, "cli")
     records = []
     for kmax in kmaxes:
-        for eps in (1, -1):
-            gen = tables.gen_poly_table(kmax, eps)
-            checked = tables.TableSet.build(kmax, eps)
-            calls = (
-                lambda: tables.gen_poly_table(kmax, eps),
-                lambda: tables.recurrence_residuals(gen),
-                lambda: tables.TableSet.build(kmax, eps),
-                lambda: tables.bundle_text(checked),
-            )
-            count = table_runs(kmax)
-            ms = {name: _least_ms(call, count) for name, call in zip(TABLES_TIMED, calls)}
-            records.append({"kmax": kmax, "eps": eps, "runs": count, "ms": ms})
+        gen = tables.gen_poly_table(kmax, 1)
+        checked = tables.TableSet.build(kmax, 1)
+        calls = (
+            lambda: tables.gen_poly_table(kmax, 1),
+            lambda: tables.recurrence_residuals(gen),
+            lambda: tables.TableSet.build(kmax, 1),
+            lambda: tables.bundle_text(checked),
+            lambda: list(cli._grid(kmax, ())),
+        )
+        count = table_runs(kmax)
+        ms = {name: _least_ms(call, count) for name, call in zip(TABLES_TIMED, calls)}
+        records.append({"kmax": kmax, "runs": count, "ms": ms})
     return records
 
 
