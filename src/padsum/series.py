@@ -26,7 +26,7 @@ p divides the denominator of x (:func:`padic.require_convergence`).
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat, zip_longest
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -119,12 +119,10 @@ def _scaled(spec: SeriesSpec, tables: TableSet) -> tuple[int, tuple, tuple, int]
     Tables that do not fit the spec raise here."""
     _check_tables(spec, tables)
     a, b, coeffs = spec.x.numerator, spec.x.denominator, spec.coeffs
-    m = lcm(*[c.denominator for c in coeffs])
-    a_pows = [*accumulate(repeat(a, len(coeffs)), mul, initial=1)]
-    b_pows = [*accumulate(repeat(b, len(coeffs)), mul, initial=1)]
-    weights = [*map(mul, a_pows, reversed(b_pows))]
+    m, order = lcm(*[c.denominator for c in coeffs]), len(coeffs)
+    weights = [a**l * b ** (order - l) for l in range(order + 1)]
     us, vs, rows = tables.corr.us, tables.corr.vs, tables.gen.rows
-    p_int, dv = [0] * (len(coeffs) + 1), 0
+    p_int, dv = [0] * (order + 1), 0
     columns, scales = [], []  # the columns in n of each R_j = A_{j-1}, and their scales
     for j, c in enumerate(coeffs, 1):
         if c:
@@ -136,7 +134,7 @@ def _scaled(spec: SeriesSpec, tables: TableSet) -> tuple[int, tuple, tuple, int]
             columns += rows[j - 1]  # one column per power x^l, l < j
             scales += [mc * w for w in weights[:j]]
     r_int = [sum(map(mul, ith, scales)) for ith in zip_longest(*columns, fillvalue=0)]
-    return b_pows[-1] * m, tuple(p_int), tuple(r_int), dv
+    return weights[0] * m, tuple(p_int), tuple(r_int), dv
 
 
 def _steps(spec: SeriesSpec, n_max: int, tables: TableSet) -> Iterator[tuple[int, ...]]:
@@ -208,12 +206,13 @@ def _checked_sweep(
         b T_N - eps W_N (d R)(N) = b^N (d V).
 
     Raises on the first N where the two sides differ, with the one record
-    it builds (:func:`_result`); otherwise returns the integers of the last
-    step, (n_max, T, eps W (d R), b^N (d V), b^(N-1) d), and builds none."""
+    it builds (:func:`_result`) and the label ``where.format(spec)``, both
+    made only then; otherwise returns the integers of the last step,
+    (n_max, T, eps W (d R), b^N (d V), b^(N-1) d), and builds no record."""
     b = spec.x.denominator
     for n, t, r, rhs, den in _steps(spec, n_max, tables):
         if b * t - r != rhs:
-            raise _failure(_result(b, n, t, r, rhs, den), what, f"{where} n={n}")
+            raise _failure(_result(b, n, t, r, rhs, den), what, f"{where.format(spec)} n={n}")
     return n, t, r, rhs, den
 
 
@@ -226,7 +225,7 @@ def finite_identity_sweep(
     raises on the first nonzero residual.  Returns the number of n it
     compared, and builds no record, so no ``Fraction``, while it holds."""
     spec = SeriesSpec(eps=eps, x=x, k=k)
-    where = f"k={k} eps={eps:+d} x={spec.x}"
+    where = "k={0.order} eps={0.eps:+d} x={0.x}"
     return _checked_sweep(spec, n_max, tables, "finite identity", where)[0]
 
 
@@ -240,7 +239,7 @@ def general_sum_check(spec: SeriesSpec, n: int, tables: TableSet) -> PartialSumR
     smaller number of terms, on the steps that :func:`partial_sums` reads
     (see :func:`_checked_sweep`).  One record is built: the one at n, or
     at the first N that fails."""
-    where = f"coeffs={spec.coeffs} eps={spec.eps:+d} x={spec.x}"
+    where = "coeffs={0.coeffs} eps={0.eps:+d} x={0.x}"
     return _result(spec.x.denominator, *_checked_sweep(spec, n, tables, "general sum", where))
 
 

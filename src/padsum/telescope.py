@@ -2,17 +2,18 @@
 and read no table.
 
 A :class:`TelescopeSpec` fixes a boundary function G, and its n-th term is
-G(n+1) - G(n), so every partial sum from n = 1 telescopes to G(N) - G(1);
-:func:`telescope_sweep` checks this exactly at every N up to its last, and
-returns the record of that last N alone.  At x = a/b each term and
-boundary value is built in integers (the powers of a and b, the factorial
-and block products, and ``aux`` through ``kernel._horner``) and divided
-once, by ``kernel._quotient``, so a sweep at an integer x handles only
-ints.  ``RatPoly`` and ``Fraction`` are reached through the ``poly``
-module, which loads at its first use, so ``series``, which binds this
-module's names, does not execute ``poly``.  The module takes no
-valuation and gates no point: each identity it checks is a finite one,
-exact at every x.
+G(n+1) - G(n), so every partial sum from n = 1 telescopes to G(N) - G(1).
+The sweep's steps are one step loop, :func:`_partials`, which yields each
+partial sum beside its boundary value; :func:`telescope_sweep` checks each
+step exactly, one comparison each, and returns the record of the last
+step alone.  At x = a/b each term and boundary value is built in integers
+(the powers of a and b, the factorial and block products, and ``aux``
+through ``kernel._horner``) and divided once, by ``kernel._quotient``, so
+a sweep at an integer x handles only ints.  ``RatPoly`` and ``Fraction``
+are reached through the ``poly`` module, which loads at its first use, so
+``series``, which binds this module's names, does not execute ``poly``.
+The module takes no valuation and gates no point: each identity it checks
+is a finite one, exact at every x.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .kernel import (
 if TYPE_CHECKING:  # annotations only
     import random
     from fractions import Fraction
+    from typing import Iterator
 
     from .poly import RatPoly
 
@@ -115,18 +117,27 @@ class TelescopeSpec(Record):
         return -self.boundary(1)
 
 
-def telescope_sweep(spec: TelescopeSpec, n_max: int) -> PartialSumResult:
-    """Check sum_{n=1}^{N-1} term(n) = -G(1) + G(N) exactly at every
-    N = 1..n_max with one incremental sum, one subtraction per N (N = 1 is
-    the empty sum, which the boundary values must already balance).  The
-    one record built is the one at N = n_max, or at the first N that fails;
-    no term past N = n_max is computed."""
-    _at_least("n_max", n_max, 1)
-    rhs, partial = spec.rhs_constant(), 0
+def _partials(
+    spec: TelescopeSpec, n_max: int
+) -> Iterator[tuple[int, Fraction | int, Fraction | int]]:
+    """(N, sum_{n=1}^{N-1} term(n), G(N)) for N = 1..n_max, with one
+    incremental sum: N = 1 is the empty sum, and no term past N = n_max is
+    computed."""
+    partial = 0
     for n in range(1, n_max + 1):
         if n > 1:
             partial += spec.term(n - 1)
-        boundary = spec.boundary(n)
+        yield n, partial, spec.boundary(n)
+
+
+def telescope_sweep(spec: TelescopeSpec, n_max: int) -> PartialSumResult:
+    """Check sum_{n=1}^{N-1} term(n) = -G(1) + G(N) exactly at each step
+    of :func:`_partials`, N = 1..n_max, one subtraction per N (at N = 1
+    the boundary values must already balance).  The one record built is
+    the one at the last step, or at the first N that fails."""
+    _at_least("n_max", n_max, 1)
+    rhs = spec.rhs_constant()
+    for n, partial, boundary in _partials(spec, n_max):
         if partial - boundary != rhs:
             raise _failure(PartialSumResult(n, partial, rhs, boundary),
                            "telescoping", f"N={n} for {spec}")

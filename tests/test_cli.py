@@ -585,30 +585,6 @@ def test_verify_suites_exit_zero(capsys):
     assert run(["verify", "padic", "--kmax", 2, "--nmax", 30, "--primes", "2,3"]) == 0
 
 
-@pytest.mark.parametrize(
-    "argv, failed",
-    [
-        ("verify finite", "FAIL finite: checked 5520 of 6000"),
-        # only a claim off its sum walks the remainders: the grid's perturbations by 1,
-        # which p = 31 does not reject before N = 31, and V + 2^40, which p = 2 does
-        # not reject before N = 44
-        ("verify padic --kmax 1 --x-values 1 --nmax 30 --primes 31",
-         "FAIL padic: checked 28 of 30"),
-        ("verify padic --claim=1099511627775 --k 1 --nmax 30 --primes 2",
-         "FAIL padic: checked 28 of 30"),
-        # a random spec draws its factors with range, so only the named ones run
-        ("verify telescope --count 0", "FAIL telescope: checked 13 of 15"),
-    ],
-)
-def test_a_short_engine_fails_its_suite(argv, failed, monkeypatch, capsys):
-    # every step loop in series and telescope stops two short of its flag: each suite
-    # compares what the engine checked with what the flags asked for, and fails
-    for module in (padsum.series, padsum.telescope):
-        monkeypatch.setattr(module, "range", lambda *args: range(*args)[:-2], raising=False)
-    assert run(argv.split()) == 1
-    assert capsys.readouterr().out == f"{failed}\n"
-
-
 def _steps_off_by(delta, monkeypatch):
     """Make ``series._steps``, the finite checks' engine, run delta N long."""
     steps = padsum.series._steps
@@ -659,9 +635,10 @@ def test_verify_padic_fails_when_its_grid_skips_a_cell(monkeypatch, capsys):
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
 def test_verify_telescope_fails_when_a_sweep_runs_off_by_one(delta, monkeypatch, capsys):
-    sweep = padsum.telescope.telescope_sweep
-    monkeypatch.setattr(padsum.telescope, "telescope_sweep",
-                        lambda spec, n_max: sweep(spec, n_max + delta))
+    # each sweep's steps, ``telescope._partials``, run delta N long
+    partials = padsum.telescope._partials
+    monkeypatch.setattr(padsum.telescope, "_partials",
+                        lambda spec, n_max: partials(spec, n_max + delta))
     argv = ["verify", "telescope", "--count", 2, "--nmax", 6]
     assert run(argv) == 1
     assert capsys.readouterr().out == f"FAIL telescope: checked {6 + delta} of 6\n"

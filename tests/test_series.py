@@ -1,8 +1,10 @@
 """Partial sums, telescoping, and p-adic verification."""
 
 import random
+import re
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -635,6 +637,40 @@ def test_series_error_profile_proves_the_step_identity(tables_plus, tamper_a1):
         series_error_profile(SeriesSpec(1, Fraction(2, 3), k=2), 0, 10, bumped)
     # the power k = 1 reads A_0 alone, and its profile still builds
     assert series_error_profile(SeriesSpec(1, 1, k=1), 0, 10, bumped).value == -1
+
+
+def _falling_residual(tables, k):
+    """A copy of ``tables`` whose step identity at the power k, x = 1 and
+    eps = +1 has the residual Q(n) = n (n-1) ... (n-k+1): zero at
+    n = 0..k-1 and k! at n = k.  dR, added to A_{k-1}'s x^0 column, and dU,
+    added to U_k's constant term, add (n+1) dR(n+1) - dR(n) - dU to Q; dR
+    is solved by back-substitution, as ``tables.aux_poly`` solves its
+    system."""
+    falling = [1]  # the coefficients of n (n-1) ... (n-k+1), lowest first
+    for i in range(k):
+        falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
+    dr = [0] * k
+    for j in range(k, 0, -1):
+        # the n^j coefficient of r_i [(n+1)^(i+1) - n^i] is C(i+1, j) - [i == j]
+        dr[j - 1] = falling[j] - sum(dr[i] * (comb(i + 1, j) - (i == j)) for i in range(j, k))
+    du = sum(dr[1:])  # Q(0) = dr_1 + ... + dr_{k-1} - dU = 0
+    gen, corr = tables.gen, tables.corr
+    col, *cols = gen.rows[k - 1]
+    row = (tuple(map(sum, zip_longest(col, dr, fillvalue=0))), *cols)
+    u0, *u = corr.us[k - 1]
+    return tables._replace(
+        gen=gen._replace(rows=(*gen.rows[:k - 1], row, *gen.rows[k:])),
+        corr=corr._replace(us=(*corr.us[:k - 1], (u0 + du, *u), *corr.us[k:])))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_series_error_profile_proves_at_deg_q_plus_one_points(tables_plus, k):
+    # Q has degree k and vanishes at its first k points: a proof that evaluates
+    # one point fewer than deg Q + 1 accepts these tables
+    coeffs = re.escape(str((0,) * (k - 1) + (1,)))
+    message = rf"^step identity residual {factorial(k)} != 0 at coeffs={coeffs} eps=\+1 x=1 n={k}$"
+    with pytest.raises(VerificationError, match=message):
+        series_error_profile(SeriesSpec(1, 1, k=k), 0, 10, _falling_residual(tables_plus, k))
 
 
 def test_series_error_profile_needs_a_term(tables_plus):

@@ -4,7 +4,7 @@ of a cold padsum process.
     python3 tools/bench_layers.py --src src > timings.json
     python3 tools/bench_layers.py --src ../other-checkout/src
 
-Four stages:
+Six stages:
 
 - **tables**, at kmax 15, 30, 60 and 100: at eps = +1, as ``tables``
   builds one sign, ``gen_poly_table``, the residual check
@@ -21,18 +21,25 @@ Four stages:
   ``require_convergence(x, p)`` per cell and prime;
 - **finite**: the sweeps of the benchmark's ``verify finite`` argv over
   its k, both signs and ``FINITE_X_SET`` (``finite_identity_sweep``);
+- **telescope**: the sweeps of the benchmark's ``verify telescope`` argv
+  over its random specs and the two named ones, at its nmax
+  (``telescope_sweep``);
+- **ode**: the checks of the benchmark's ``verify ode`` argv at each order
+  3..nmax, each ODE timed apart (``check_first_order_ode`` and
+  ``check_second_order_ode``);
 - **process**: the user plus system CPU time, from ``os.wait4``, of a
-  child interpreter that imports ``padsum.cli`` or runs either argv, one
-  child at a time, with ``PYTHONPATH`` set to ``--src``; whether bytecode
-  is written (``PYTHONDONTWRITEBYTECODE``) is in the host record.
+  child interpreter that imports ``padsum.cli`` or runs one of the argvs,
+  one child at a time, with ``PYTHONPATH`` set to ``--src``; whether
+  bytecode is written (``PYTHONDONTWRITEBYTECODE``) is in the host record.
 
-The argvs are read from ``perfbench/workloads.py`` beside this script, and
-the measured checkout's own CLI parser reads their sizes.  An in-process
-figure is the least wall time, in milliseconds, of N runs, N shrinking as
-the size grows; a process figure is the least of N children.  Only public
-names of padsum are called, and ``cli._grid``, so two checkouts are
-compared by running this script once on the ``src`` directory of each.
-Only the standard library is used.
+The argvs are read from ``perfbench/workloads.py`` beside this script, with
+``{seed}`` filled as ``SEED``, and the measured checkout's own CLI parser
+reads their sizes.  An in-process figure is the least wall time, in
+milliseconds, of N runs, N shrinking as the size grows; a process figure is
+the least of N children.  Only public names of padsum are called, and
+``cli._grid`` and the ``verify telescope`` command's named specs, so two
+checkouts are compared by running this script once on the ``src`` directory
+of each.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -55,6 +63,9 @@ LARGE = (20, 500)  # a p-adic size beyond the benchmark's, where growth in kmax 
 TIMED = ("series_error_profile", "padic_sum_verify", "expand", "require_convergence")
 LAUNCH = "import sys; from padsum.cli import main; sys.exit(main())"
 PROCESS_RUNS = 25
+SEED = 0  # perfbench's default seed
+ODE_TIMED = ("check_first_order_ode", "check_second_order_ode")
+SUITE_RUNS = 30  # the runs each telescope or ode figure is the least of
 
 
 def table_runs(kmax: int) -> int:
@@ -101,15 +112,17 @@ def host() -> dict:
 
 
 def benchmark_argvs() -> dict[str, tuple[str, ...]]:
-    """The argvs of the benchmark's verify-padic and verify-finite steps,
-    each named by its first two words ("verify padic", "verify finite")."""
+    """The argvs of the benchmark's verify-padic, verify-finite and
+    verify-telescope-ode steps at ``SEED``, each named by its first two
+    words ("verify padic", "verify finite", "verify telescope", "verify ode")."""
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # @dataclass looks its class's module up here
     spec.loader.exec_module(workloads)
-    steps = [step for name in ("verify-padic", "verify-finite")
+    steps = [step for name in ("verify-padic", "verify-finite", "verify-telescope-ode")
              for step in workloads.WORKLOADS[name]]
-    return {" ".join(step.argv[:2]): step.argv for step in steps}
+    # no argv of these steps names an output or cache directory
+    return {" ".join(step.argv[:2]): tuple(step.fill(SEED, None, None)) for step in steps}
 
 
 def tables_stage(src, kmaxes) -> list[dict]:
@@ -178,6 +191,28 @@ def finite_stage(src, size) -> dict:
     return {"kmax": kmax, "nmax": nmax, "runs": count, "ms": {"finite_identity_sweep": ms}}
 
 
+def telescope_stage(src, count: int, seed: int, nmax: int) -> dict:
+    """The timing of the sweeps of ``verify telescope`` over ``count``
+    random specs drawn from ``seed`` and the two named ones, at ``nmax``."""
+    telescope = load(src, "telescope")
+    command = importlib.import_module(f"{telescope.__package__}.commands.verify_telescope")
+    rng = random.Random(seed)
+    specs = ([telescope.random_telescope_spec(rng) for _ in range(count)]
+             + [spec for _, spec in command._named_telescope_specs()])
+    ms = _least_ms(lambda: [telescope.telescope_sweep(spec, nmax) for spec in specs], SUITE_RUNS)
+    return {"count": count, "seed": seed, "nmax": nmax, "runs": SUITE_RUNS,
+            "ms": {"telescope_sweep": ms}}
+
+
+def ode_stage(src, nmax: int) -> dict:
+    """The timings of the two ODE checks of ``verify ode`` at each order 3..nmax."""
+    fps, orders = load(src, "fps"), range(3, nmax + 1)
+    calls = (lambda: [fps.check_first_order_ode(order) for order in orders],
+             lambda: [fps.check_second_order_ode(order) for order in orders])
+    ms = {name: _least_ms(call, SUITE_RUNS) for name, call in zip(ODE_TIMED, calls)}
+    return {"nmax": nmax, "runs": SUITE_RUNS, "ms": ms}
+
+
 def _child_cpu_ms(argv, env: dict) -> float:
     """User plus system CPU time, in milliseconds, of one child ``python argv``."""
     child = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
@@ -199,19 +234,23 @@ def process_stage(src, argvs: dict, count: int) -> dict:
                    for name, argv in children.items()}}
 
 
-def measure(src, kmaxes=KMAXES, sizes=None, finite=None,
+def measure(src, kmaxes=KMAXES, sizes=None, finite=None, telescope=None, ode=None,
             process_runs: int = PROCESS_RUNS) -> dict:
     """The timings of the padsum found under ``src``, as a JSON-ready dict.
-    ``sizes`` and ``finite`` default to the benchmark's sizes, with ``LARGE``
-    after the p-adic one."""
+    ``sizes``, ``finite``, ``telescope`` (count, seed, nmax) and ``ode``
+    (nmax) default to the benchmark's sizes, with ``LARGE`` after the
+    p-adic one."""
     argvs = benchmark_argvs()
     parse = load(src, "cli").build_parser().parse_args
     grid, sweep = parse(argvs["verify padic"]), parse(argvs["verify finite"])
+    specs, orders = parse(argvs["verify telescope"]), parse(argvs["verify ode"])
     return {
         **host(),
         "tables": tables_stage(src, kmaxes),
         "timings": padic_stage(src, grid, sizes or ((grid.kmax, grid.nmax), LARGE)),
         "finite": finite_stage(src, finite or (sweep.kmax, sweep.nmax)),
+        "telescope": telescope_stage(src, *(telescope or (specs.count, specs.seed, specs.nmax))),
+        "ode": ode_stage(src, ode or orders.nmax),
         "process": process_stage(src, argvs, process_runs),
     }
 
